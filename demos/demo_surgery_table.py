@@ -2,9 +2,10 @@
 """Which representations survive a p/q Dehn surgery, and what torsion
 do they carry?
 
-The surgery adds the relation x^p l^q = 1.  A Newton search over the
-variety finds the characters satisfying it; each row reports u, the
-longitude trace, and tau(M) = 2(u - 1)/(u^2(u^2 - 5)).
+The surgery adds the relation x^p l^q = 1.  With s = z^q and
+lambda = z^-p the figure-eight A-polynomial turns it into one polynomial
+in z, whose roots give every character satisfying it; each row reports
+u, the longitude trace, and tau(M) = 2(u - 1)/(u^2(u^2 - 5)).
 
 Run:  python3 demos/demo_surgery_table.py
 """

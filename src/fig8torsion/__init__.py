@@ -14,9 +14,9 @@ from .riley import (RileyPoint, is_peripherally_acyclic,
                     longitude_matrix_closed, longitude_matrix_word,
                     longitude_trace, longitude_word, make_point, rep_matrices,
                     riley_poly, solve_t, trace_u)
-from .surgery import (GridSpec, SurgerySlope, SurgerySolution,
+from .surgery import (SurgerySlope, SurgerySolution,
                       aligned_longitude_eigenvalue, solve_surgery,
-                      surgery_residual, surgery_table)
+                      surgery_residual)
 from .formulas import (TorsionReport, full_report, torsion_exterior_closed,
                        torsion_exterior_oracle, torsion_solid_torus_closed,
                        torsion_solid_torus_from_trace, torsion_surgered,

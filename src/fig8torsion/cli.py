@@ -2,8 +2,8 @@
 
 Complex numbers are passed as "re,im" pairs.  Exit codes: 0 success,
 1 usage or parse error, 2 invalid mathematical input, 3 verification
-failure.  Tolerances and the seed grid can be set by flags or an
-optional JSON config file; flags win.
+failure.  Tolerances, the output format and the verify seed can be set
+by flags or an optional JSON config file; flags win.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 from .errors import Fig8Error, InvalidSlope, SingularParameter
 from .riley import solve_t
-from .surgery import (CSV_HEADER, GridSpec, SurgerySlope, surgery_table,
-                      table_to_csv, table_to_json)
+from .surgery import (CSV_HEADER, SurgerySlope, solve_surgery, table_to_csv,
+                      table_to_json)
 from .formulas import full_report
 from .verify import run_all
 
@@ -35,15 +35,8 @@ class _Parser(argparse.ArgumentParser):
 class RunConfig:
     tol_variety: float = 1e-10
     tol_compare: float = 1e-8
-    tol_degenerate: float = 1e-8
-    grid_circles: tuple[float, ...] = (0.5, 1.0, 2.0)
-    grid_angles: int = 24
     fmt: str = "pretty"
     seed: int = 0
-
-    def grid(self) -> GridSpec:
-        return GridSpec(circles=tuple(self.grid_circles),
-                        angles=self.grid_angles)
 
 
 def parse_complex(text: str) -> complex:
@@ -60,26 +53,19 @@ def _load_config(ns) -> RunConfig:
     if ns.config:
         with open(ns.config) as fh:
             data = json.load(fh)
-        for key in ("tol_variety", "tol_compare", "tol_degenerate"):
+        for key in ("tol_variety", "tol_compare"):
             if key in data:
                 setattr(cfg, key, float(data[key]))
-        if "grid_circles" in data:
-            cfg.grid_circles = tuple(float(v) for v in data["grid_circles"])
-        if "grid_angles" in data:
-            cfg.grid_angles = int(data["grid_angles"])
         if "format" in data:
             cfg.fmt = data["format"]
         if "seed" in data:
             cfg.seed = int(data["seed"])
     for attr, flag in (("tol_variety", "tol_variety"),
                        ("tol_compare", "tol_compare"),
-                       ("grid_angles", "grid_angles"),
                        ("seed", "seed")):
         val = getattr(ns, flag, None)
         if val is not None:
             setattr(cfg, attr, val)
-    if getattr(ns, "grid_circles", None):
-        cfg.grid_circles = tuple(ns.grid_circles)
     if getattr(ns, "format", None):
         cfg.fmt = ns.format
     return cfg
@@ -89,9 +75,6 @@ def _add_common(sub):
     sub.add_argument("--format", choices=["json", "csv", "pretty"])
     sub.add_argument("--tol-variety", dest="tol_variety", type=float)
     sub.add_argument("--tol-compare", dest="tol_compare", type=float)
-    sub.add_argument("--grid-circles", dest="grid_circles", type=float,
-                     nargs="+")
-    sub.add_argument("--grid-angles", dest="grid_angles", type=int)
     sub.add_argument("--seed", type=int)
     sub.add_argument("--config", help="JSON config file (flags win)")
 
@@ -148,7 +131,7 @@ def cmd_torsion(ns) -> int:
 def cmd_surgery(ns) -> int:
     cfg = _load_config(ns)
     slope = SurgerySlope(ns.p, ns.q)
-    rows = surgery_table(slope, cfg.grid(), tol=cfg.tol_variety)
+    rows = solve_surgery(slope, tol=cfg.tol_variety)
     if cfg.fmt == "json":
         print(table_to_json(rows))
     elif cfg.fmt == "csv":
@@ -163,7 +146,7 @@ def cmd_surgery(ns) -> int:
 
 def cmd_verify(ns) -> int:
     cfg = _load_config(ns)
-    results = run_all(samples=ns.samples, seed=cfg.seed, grid=cfg.grid())
+    results = run_all(samples=ns.samples, seed=cfg.seed)
     for res in results:
         print(res.line())
     n_fail = sum(not r.passed for r in results)

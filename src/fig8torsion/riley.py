@@ -91,20 +91,6 @@ def riley_poly(s: complex, t: complex) -> complex:
     return 3 - 1 / s2 - s2 + 3 * t - t / s2 - s2 * t + t * t
 
 
-def riley_poly_ds(s: complex, t: complex) -> complex:
-    """dR12/ds."""
-    s = _check_s(s)
-    s3 = s ** 3
-    return 2 / s3 - 2 * s + 2 * t / s3 - 2 * s * t
-
-
-def riley_poly_dt(s: complex, t: complex) -> complex:
-    """dR12/dt."""
-    s = _check_s(s)
-    s2 = s * s
-    return 3 - 1 / s2 - s2 + 2 * t
-
-
 def solve_t(s: complex) -> tuple[RileyPoint, RileyPoint]:
     """The two t-branches over a given s:
     t = (1 - 3 s^2 + s^4 +- sqrt(1 - 2 s^2 - s^4 - 2 s^6 + s^8)) / (2 s^2).
@@ -156,24 +142,6 @@ def longitude_l11(s: complex, t: complex) -> complex:
     t2, t3 = t * t, t ** 3
     return (1 - t / s2 + s2 * t - t2 + t2 / s4 - t2 / s2 + s2 * t2
             - t3 - t3 / s2)
-
-
-def longitude_l11_ds(s: complex, t: complex) -> complex:
-    """d(l11)/ds."""
-    s = _check_s(s)
-    s3, s5 = s ** 3, s ** 5
-    t2, t3 = t * t, t ** 3
-    return (2 * t / s3 + 2 * s * t - 4 * t2 / s5 + 2 * t2 / s3
-            + 2 * s * t2 + 2 * t3 / s3)
-
-
-def longitude_l11_dt(s: complex, t: complex) -> complex:
-    """d(l11)/dt."""
-    s = _check_s(s)
-    s2, s4 = s * s, s ** 4
-    t, t2 = t, t * t
-    return (-1 / s2 + s2 - 2 * t + 2 * t / s4 - 2 * t / s2 + 2 * s2 * t
-            - 3 * t2 - 3 * t2 / s2)
 
 
 def longitude_trace(p: RileyPoint) -> complex:

@@ -1,14 +1,22 @@
-"""Numerical search for representations that extend over a p/q-surgered
-manifold, i.e. variety points where rho(x)^p rho(l)^q = E.
+"""Exact enumeration of the representations that extend over a
+p/q-surgered manifold, i.e. variety points where rho(x)^p rho(l)^q = E.
 
-Newton's method runs on the square system
+On the variety the meridian eigenvalue s and the aligned longitude
+eigenvalue lambda = l11 satisfy the figure-eight A-polynomial
+(Cooper-Culler-Gillet-Long-Shalen, Invent. Math. 118, 1994)
 
-    F(s, t) = ( R12(s, t),  s^p * l11(s, t)^q - 1 )
+    lambda + 1/lambda = s^4 - s^2 - 2 - s^-2 + s^-4.
 
-where l11 is the longitude eigenvalue aligned with the eigenvalue s of
-rho(x) (the longitude is upper-triangular in rho(x)'s eigenbasis on the
-variety).  Every candidate is re-verified against the authoritative
-matrix residual ||rho(x)^p rho(l)^q - E|| before being reported.
+As gcd(p, q) = 1, every solution of s^p lambda^q = 1 is s = z^q,
+lambda = z^-p, so the surgery relation becomes the integer Laurent
+polynomial
+
+    f(z) = z^p + z^-p - (z^4q - z^2q - 2 - z^-2q + z^-4q)
+
+and its roots are all the candidates.  f is the same for p/q and -p/q,
+and z and 1/z give the same character; every candidate is re-verified
+against the authoritative matrix residual ||rho(x)^p rho(l)^q - E||
+before being reported.
 """
 
 from __future__ import annotations
@@ -21,16 +29,21 @@ import numpy as np
 
 from .errors import DegenerateU, InvalidSlope, OffVariety
 from .linalg import E2, mat2_inverse
-from .riley import (RileyPoint, longitude_l11, longitude_l11_ds,
-                    longitude_l11_dt, longitude_matrix_closed,
+from .riley import (RileyPoint, longitude_l11, longitude_matrix_closed,
                     longitude_matrix_word, longitude_trace, make_point,
-                    rep_matrices, riley_poly, riley_poly_ds, riley_poly_dt,
-                    solve_t, trace_u)
-from .formulas import DEGENERATE_TOL, torsion_surgered
+                    rep_matrices, solve_t, trace_u)
+from .formulas import torsion_surgered
 
 L21_TOL = 1e-8
 PARABOLIC_TOL = 1e-6     # |s^2 - 1| below this: eigenvalue eqn degenerates
 DEGENERATE_U2_TOL = 1e-6  # |u^2 - 5| annotation threshold
+# s = +-i (u = 0, lambda = 1; slopes with 4 | p): z is a double root of f,
+# which np.roots gives only to ~1e-8; polish it on f', where it is simple
+DOUBLE_ROOT_TOL = 1e-6    # |s^2 + 1| below this
+# u = +-1 (lambda = -1) and u^2 = 5 (lambda = 1, t = 0): s is a branch
+# point of solve_t, whose square root is then good only to ~1e-8; where the
+# two t-branches meet, take t from l11 reduced modulo R12 instead
+BRANCH_POINT_TOL = 1e-6   # |t+ - t-| below this
 
 CSV_HEADER = ("s_re,s_im,t_re,t_im,branch,u_re,u_im,trl_re,trl_im,"
               "lambda_re,lambda_im,tau_re,tau_im,res_variety,res_relation,"
@@ -47,20 +60,6 @@ class SurgerySlope:
             raise InvalidSlope("slope (0, 0)")
         if math.gcd(abs(self.p), abs(self.q)) != 1:
             raise InvalidSlope(f"gcd(|{self.p}|, |{self.q}|) != 1")
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Seed grid: concentric circles of |s| values times equally spaced
-    angles, both t-branches per seed."""
-    circles: tuple[float, ...] = (0.5, 1.0, 2.0)
-    angles: int = 24
-
-    def seeds(self):
-        for r in self.circles:
-            for k in range(self.angles):
-                theta = 2 * math.pi * (k + 0.5) / self.angles
-                yield r * complex(math.cos(theta), math.sin(theta))
 
 
 @dataclass
@@ -127,82 +126,58 @@ def surgery_residual(pt: RileyPoint, slope: SurgerySlope) -> tuple[complex, floa
     return complex(scalar), float(np.linalg.norm(mat))
 
 
-def _newton(s0: complex, t0: complex, slope: SurgerySlope,
-            tol: float, max_iter: int = 50) -> tuple[complex, complex] | None:
-    p, q = slope.p, slope.q
-    s, t = complex(s0), complex(t0)
-
-    def fval(s, t):
-        lam = longitude_l11(s, t)
-        if abs(lam) < 1e-14 or abs(s) < 1e-14:
-            return None
-        f2 = s ** p * lam ** q - 1
-        return np.array([riley_poly(s, t), f2]), lam
-
-    cur = fval(s, t)
-    if cur is None:
-        return None
-    f, lam = cur
-    for _ in range(max_iter):
-        res = float(np.max(np.abs(f)))
-        if res <= tol:
-            return s, t
-        sp, lamq = s ** p, lam ** q
-        j = np.array([
-            [riley_poly_ds(s, t), riley_poly_dt(s, t)],
-            [p * sp / s * lamq + q * sp * lamq / lam * longitude_l11_ds(s, t),
-             q * sp * lamq / lam * longitude_l11_dt(s, t)],
-        ])
-        try:
-            step = np.linalg.solve(j, f)
-        except np.linalg.LinAlgError:
-            return None
-        # damped update: halve the step while the residual grows
-        scale = 1.0
-        for _ in range(10):
-            s_new, t_new = s - scale * step[0], t - scale * step[1]
-            if abs(s_new) > 1e-10:
-                nxt = fval(s_new, t_new)
-                if nxt is not None and float(np.max(np.abs(nxt[0]))) < res:
-                    s, t, (f, lam) = s_new, t_new, nxt
-                    break
-            scale /= 2
-        else:
-            return None
-    return (s, t) if float(np.max(np.abs(f))) <= tol else None
+def _surgery_polynomial(slope: SurgerySlope) -> np.ndarray:
+    """Integer coefficients of z^n f(z), n = max(4|q|, |p|), highest power
+    first.  Zeros are trimmed at both ends: at |p| = 4|q| the extreme
+    terms cancel, and a trailing zero is a root z = 0, no solution."""
+    p, q = abs(slope.p), abs(slope.q)
+    n = max(4 * q, p)
+    coeffs = np.zeros(2 * n + 1)
+    for power, c in ((p, 1), (-p, 1), (4 * q, -1), (2 * q, 1), (0, 2),
+                     (-2 * q, 1), (-4 * q, -1)):
+        coeffs[n - power] += c
+    return np.trim_zeros(coeffs)
 
 
-def solve_surgery(slope: SurgerySlope, grid: GridSpec | None = None,
+def _candidates(slope: SurgerySlope) -> list[RileyPoint]:
+    """One variety point per root z of f: s = z^q with the t-branch whose
+    aligned longitude eigenvalue l11 is nearest lambda = z^-p."""
+    coeffs = _surgery_polynomial(slope)
+    df = np.polyder(coeffs)
+    d2f = np.polyder(df)
+    points = []
+    for z in np.roots(coeffs):
+        z = complex(z)
+        s = z ** slope.q
+        if abs(s * s + 1) <= DOUBLE_ROOT_TOL:
+            for _ in range(3):
+                z -= np.polyval(df, z) / np.polyval(d2f, z)
+            s = z ** slope.q
+        lam = z ** -slope.p
+        plus, minus = solve_t(s)
+        pt = min(plus, minus, key=lambda b: abs(longitude_l11(s, b.t) - lam))
+        if abs(plus.t - minus.t) <= BRANCH_POINT_TOL:
+            s2, s4 = s * s, s ** 4
+            t = (s4 * lam - s4 * s2 + s4 + 2 * s2 - 1) / (s2 * (s4 - 1))
+            pt = make_point(s, t, pt.branch)
+        points.append(pt)
+    return points
+
+
+def solve_surgery(slope: SurgerySlope,
                   tol: float = 1e-10) -> list[SurgerySolution]:
-    """Newton search from the seed grid; deduplicated by character
+    """Every character satisfying the surgery relation: the roots of f
+    (see the module docstring) that lie on the variety within tol and
+    have matrix residual <= max(tol, 1e-9); deduplicated by character
     (u, tr rho(l)) within 10*tol, sorted by |u| then arg(u)."""
-    grid = grid or GridSpec()
-    newton_tol = min(tol, 1e-12)
-    # (p, q) and (-p, -q) impose the same relation; normalize the sign so
-    # both slopes search (and find) identical character sets
-    newton_slope = slope
+    # (p, q) and (-p, -q) impose the same relation; normalizing the sign
+    # gives both slopes the same candidates, not just the same characters
+    root_slope = slope
     if slope.p < 0 or (slope.p == 0 and slope.q < 0):
-        newton_slope = SurgerySlope(-slope.p, -slope.q)
-    raw: list[tuple[complex, complex]] = []
-    for s0 in grid.seeds():
-        for branch_pt in solve_t(s0):
-            got = _newton(s0, branch_pt.t, newton_slope, newton_tol)
-            if got is not None:
-                raw.append(got)
-
+        root_slope = SurgerySlope(-slope.p, -slope.q)
     solutions: list[SurgerySolution] = []
-    for s, t in raw:
-        # re-label the branch by matching against solve_t at the root
-        branch = "?"
-        try:
-            plus_pt, minus_pt = solve_t(s)
-            if abs(plus_pt.t - t) <= abs(minus_pt.t - t):
-                branch = "+"
-            else:
-                branch = "-"
-        except Exception:
-            pass
-        pt = make_point(s, t, branch)
+    for pt in _candidates(root_slope):
+        s = pt.s
         if not pt.on_variety(tol):
             continue
         _, mat_res = surgery_residual(pt, slope)
@@ -228,7 +203,7 @@ def solve_surgery(slope: SurgerySlope, grid: GridSpec | None = None,
             point=pt, u=u, trace_l=complex(longitude_trace(pt)), lam=lam,
             relation_residual=mat_res, torsion=tau, flags=flags))
 
-    # character dedup (also merges s <-> 1/s)
+    # character dedup (also merges z <-> 1/z, i.e. s <-> 1/s)
     dedup_tol = 10 * tol
     unique: list[SurgerySolution] = []
     for sol in solutions:
@@ -245,12 +220,6 @@ def solve_surgery(slope: SurgerySlope, grid: GridSpec | None = None,
                                  math.atan2(sol.u.imag, sol.u.real),
                                  sol.point.branch))
     return unique
-
-
-def surgery_table(slope: SurgerySlope, grid: GridSpec | None = None,
-                  tol: float = 1e-10) -> list[SurgerySolution]:
-    """Alias for solve_surgery; rows carry everything the CSV needs."""
-    return solve_surgery(slope, grid, tol)
 
 
 def table_to_csv(solutions: list[SurgerySolution]) -> str:

@@ -19,7 +19,7 @@ from .errors import NotAcyclic
 from .linalg import mat2
 from .riley import (RileyPoint, longitude_matrix_closed, longitude_matrix_word,
                     longitude_trace, rep_matrices, solve_t, trace_u)
-from .surgery import GridSpec, SurgerySlope, solve_surgery, surgery_residual
+from .surgery import SurgerySlope, solve_surgery, surgery_residual
 from .formulas import (full_report, torsion_exterior_closed,
                        torsion_exterior_oracle, torsion_solid_torus_closed,
                        torsion_solid_torus_from_trace, torsion_surgered,
@@ -208,7 +208,7 @@ def check_product_identity(n: int, seed: int) -> CheckResult:
                        detail=f"{n} random u")
 
 
-def check_surgery_solver(slopes=None, grid: GridSpec | None = None) -> CheckResult:
+def check_surgery_solver(slopes=None) -> CheckResult:
     """Slope (1,0) finds nothing; every solution on other slopes
     satisfies both residuals and the torsion formula."""
     slopes = slopes if slopes is not None else [
@@ -219,7 +219,7 @@ def check_surgery_solver(slopes=None, grid: GridSpec | None = None) -> CheckResu
     ok = True
     for p, q in slopes:
         slope = SurgerySlope(p, q)
-        sols = solve_surgery(slope, grid)
+        sols = solve_surgery(slope)
         if (p, q) == (1, 0) and sols:
             ok = False
         for sol in sols:
@@ -239,8 +239,7 @@ def check_surgery_solver(slopes=None, grid: GridSpec | None = None) -> CheckResu
                        detail=f"{len(slopes)} slopes, {n_sol} solutions")
 
 
-def run_all(samples: int = 200, seed: int = 0,
-            grid: GridSpec | None = None) -> list[CheckResult]:
+def run_all(samples: int = 200, seed: int = 0) -> list[CheckResult]:
     """The full verification sweep; samples = 0 keeps the fixed
     fixtures only for the sampled checks."""
     points = sample_variety_points(samples, seed) if samples else []
@@ -252,5 +251,5 @@ def run_all(samples: int = 200, seed: int = 0,
     results.append(check_basis_independence(20, seed + 1))
     results.append(check_torus_oracle(100, seed + 2))
     results.append(check_product_identity(1000, seed + 3))
-    results.append(check_surgery_solver(grid=grid))
+    results.append(check_surgery_solver())
     return results

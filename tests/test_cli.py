@@ -104,7 +104,7 @@ def test_verify_deterministic(capsys):
 
 def test_config_file(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"format": "json", "grid_angles": 8}))
+    cfg.write_text(json.dumps({"format": "json", "seed": 8}))
     code, out, _ = run(capsys, "riley", "--s", "2,0", "--config", str(cfg))
     assert code == 0
     json.loads(out)     # format taken from config file

@@ -5,10 +5,9 @@ from fig8torsion.errors import InvalidSlope, OffVariety
 from fig8torsion.linalg import E2
 from fig8torsion.riley import (longitude_matrix_word, longitude_trace,
                                make_point, rep_matrices, solve_t)
-from fig8torsion.surgery import (CSV_HEADER, GridSpec, SurgerySlope,
+from fig8torsion.surgery import (CSV_HEADER, SurgerySlope,
                                  aligned_longitude_eigenvalue, solve_surgery,
-                                 surgery_residual, surgery_table,
-                                 table_to_csv, table_to_json)
+                                 surgery_residual, table_to_csv, table_to_json)
 from fig8torsion.formulas import torsion_surgered
 from fig8torsion.verify import sample_variety_points
 
@@ -95,6 +94,22 @@ def test_solution_torsion_matches_report():
                 <= 1e-8 * max(1, abs(sol.torsion))
 
 
+@pytest.mark.parametrize("p, q, count", [
+    # characters near u^2 = 5 and on |s| = 1, easy for a seeded search to miss
+    (2, 5, 20), (13, 5, 19), (1, 8, 31), (3, 8, 31),
+    # u = +-1, where the two t-branches meet
+    (-3, 1, 3), (3, 2, 7),
+    # s = +-i, a double root; at 4/1 the extreme coefficients also cancel
+    (4, 1, 1), (0, 1, 3),
+    # S^3: only the parabolic z = -1, which the matrix residual rejects
+    (1, 0, 0),
+])
+def test_character_count(p, q, count):
+    """Every root of the A-polynomial relation that survives the filters
+    is a row: the table is complete for the slope."""
+    assert len(solve_surgery(SurgerySlope(p, q))) == count
+
+
 def test_slope_sign_symmetry():
     a = solve_surgery(SurgerySlope(2, 1))
     b = solve_surgery(SurgerySlope(-2, -1))
@@ -105,9 +120,8 @@ def test_slope_sign_symmetry():
 
 
 def test_determinism():
-    grid = GridSpec(circles=(0.5, 1.0, 2.0), angles=24)
-    a = solve_surgery(SurgerySlope(3, 1), grid)
-    b = solve_surgery(SurgerySlope(3, 1), grid)
+    a = solve_surgery(SurgerySlope(3, 1))
+    b = solve_surgery(SurgerySlope(3, 1))
     assert [sol.to_csv_row() for sol in a] == [sol.to_csv_row() for sol in b]
 
 
@@ -118,7 +132,7 @@ def test_sorted_by_u():
 
 
 def test_table_formats():
-    sols = surgery_table(SurgerySlope(1, 1))
+    sols = solve_surgery(SurgerySlope(1, 1))
     csv = table_to_csv(sols)
     lines = csv.strip().split("\n")
     assert lines[0] == CSV_HEADER
