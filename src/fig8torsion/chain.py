@@ -80,10 +80,13 @@ def _ranks(c: ChainComplex, rtol: float) -> list[int]:
     return [0] + [rank(c.boundary(i), rtol) for i in range(1, c.top + 1)] + [0]
 
 
+def _acyclic_ranks(c: ChainComplex, r: list[int]) -> bool:
+    return all(r[i] + r[i + 1] == c.dims[i] for i in range(c.top + 1))
+
+
 def is_acyclic(c: ChainComplex, rtol: float = ACYCLIC_RTOL) -> bool:
     """True iff rank d_i + rank d_{i+1} = dim C_i in every degree."""
-    r = _ranks(c, rtol)
-    return all(r[i] + r[i + 1] == c.dims[i] for i in range(c.top + 1))
+    return _acyclic_ranks(c, _ranks(c, rtol))
 
 
 def _alternating_product(c: ChainComplex, bases, lifts) -> complex:
@@ -127,10 +130,10 @@ def torsion_with_basis_perturbation(c: ChainComplex, seed: int,
     """Same torsion, but with randomized image bases and randomized lift
     representatives; agreement with `torsion` exercises choice
     independence."""
-    if not is_acyclic(c, rtol):
+    ranks = _ranks(c, rtol)
+    if not _acyclic_ranks(c, ranks):
         raise NotAcyclic("homology does not vanish")
     rng = np.random.default_rng(seed)
-    ranks = _ranks(c, rtol)
     bases, lifts = [], []
     for i in range(c.top + 1):
         d_next = c.boundary(i + 1)

@@ -1,9 +1,10 @@
 """Command-line surface: riley / torsion / surgery / verify.
 
 Complex numbers are passed as "re,im" pairs.  Exit codes: 0 success,
-1 usage or parse error, 2 invalid mathematical input, 3 verification
-failure.  Tolerances, the output format and the verify seed can be set
-by flags or an optional JSON config file; flags win.
+1 usage or parse error, 2 invalid mathematical input (including a
+non-finite value or an overflow), 3 verification failure.  Tolerances,
+the output format and the verify seed can be set by flags or an
+optional JSON config file; flags win.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 
-from .errors import Fig8Error, InvalidSlope, SingularParameter
+from .errors import Fig8Error
 from .riley import solve_t
 from .surgery import (CSV_HEADER, SurgerySlope, solve_surgery, table_to_csv,
                       table_to_json)
@@ -192,11 +193,11 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.func(ns)
-    except (SingularParameter, InvalidSlope) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MATH
     except Fig8Error as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MATH
+    except OverflowError as exc:
+        print(f"error: numeric overflow: {exc}", file=sys.stderr)
         return EXIT_MATH
 
 

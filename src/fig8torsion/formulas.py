@@ -9,7 +9,8 @@ Closed forms, with u = tr(rho(x)) = s + 1/s:
 
 The exterior oracle is the torsion of the twisted presentation
 2-complex of <x, y | w x w^-1 y^-1>, built from Fox derivatives; it
-pins the closed form down up to sign.
+pins the closed form down up to sign.  Both derivatives of the relator
+are evaluated in one prefix pass over it (`words.fox_jacobian`).
 """
 
 from __future__ import annotations
@@ -24,13 +25,12 @@ from .errors import DegenerateU, NotAcyclic
 from .linalg import E2, det2
 from .riley import (RileyPoint, RELATOR, longitude_matrix_word,
                     longitude_trace, rep_matrices, trace_u)
-from .words import X, Y, evaluate_group_ring, fox_derivative
+from .words import fox_jacobian, parse_word
 
 DEGENERATE_TOL = 1e-8    # |u^2 (u^2 - 5)| below this is degenerate
 NONACYCLIC_TOL = 1e-8    # |2 - tr rho(l)| below this is non-acyclic
 
-_DRDX = fox_derivative(RELATOR, X)
-_DRDY = fox_derivative(RELATOR, Y)
+_COMMUTATOR = parse_word("xyXY")
 
 
 def torsion_exterior_closed(u: complex) -> complex:
@@ -88,8 +88,7 @@ def torsion_exterior_oracle(p: RileyPoint) -> TorsionValue:
         raise NotAcyclic(
             f"(s, t) is not a homomorphism: |R12| = {p.residual:.3e}")
     mx, my = rep_matrices(p)
-    phix = evaluate_group_ring(_DRDX, mx, my)
-    phiy = evaluate_group_ring(_DRDY, mx, my)
+    phix, phiy = fox_jacobian(RELATOR, mx, my)
     cx = presentation_complex(mx, my, phix, phiy)
     chain_val = torsion(cx).value    # raises NotAcyclic at the u -> 1 zeros
     denom = det2(mx - E2)            # equals 2 - u
@@ -117,10 +116,7 @@ def torus_torsion_oracle(imga: np.ndarray, imgb: np.ndarray) -> TorsionValue:
     """Torsion of the twisted torus presentation complex (relator the
     commutator a b a^-1 b^-1) for commuting images; |tau| = 1 whenever
     some peripheral trace differs from 2."""
-    from .words import parse_word
-    comm = parse_word("xyXY")
-    drdx = evaluate_group_ring(fox_derivative(comm, X), imga, imgb)
-    drdy = evaluate_group_ring(fox_derivative(comm, Y), imga, imgb)
+    drdx, drdy = fox_jacobian(_COMMUTATOR, imga, imgb)
     cx = presentation_complex(imga, imgb, drdx, drdy)
     val = torsion(cx)
     return TorsionValue(val.value, sign_ambiguous=True)

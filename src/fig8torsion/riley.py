@@ -15,6 +15,7 @@ and as a word-evaluation oracle.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,8 @@ class RileyPoint:
 
 def _check_s(s: complex) -> complex:
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise SingularParameter(f"s = {s} is not finite")
     if abs(s) <= S_ZERO_TOL:
         raise SingularParameter("s = 0")
     return s
@@ -123,8 +126,7 @@ def longitude_matrix_closed(p: RileyPoint) -> np.ndarray:
     s, t = _check_s(p.s), p.t
     s2, s3, s4 = s * s, s ** 3, s ** 4
     t2, t3, t4 = t * t, t ** 3, t ** 4
-    l11 = (1 - t / s2 + s2 * t - t2 + t2 / s4 - t2 / s2 + s2 * t2
-           - t3 - t3 / s2)
+    l11 = longitude_l11(s, t)
     l12 = t / s3 + s3 * t - t2 / s - s * t2
     l21 = (t2 / s3 - 2 * t2 / s - 2 * s * t2 + s3 * t2
            + t3 / s3 - 2 * t3 / s - 2 * s * t3 + s3 * t3

@@ -1,5 +1,7 @@
 """Words in the free group on {x, y}, free reduction, evaluation under a
-2x2 representation, and Fox free-derivative calculus.
+2x2 representation, and Fox free-derivative calculus: symbolic
+(`fox_derivative`, `evaluate_group_ring`) and as one prefix pass that
+evaluates both derivatives at once (`fox_jacobian`).
 
 A word is a tuple of nonzero ints: +1/-1 for x/x^-1, +2/-2 for y/y^-1,
 always stored freely reduced.  The canonical text form is the compact
@@ -87,7 +89,7 @@ class GroupRingElement:
     """Integer-coefficient formal sum of reduced words.
 
     Just enough structure for Fox calculus: construction, addition of a
-    single term, evaluation, and JSON round-trip.
+    single term, evaluation, and JSON output.
     """
 
     __slots__ = ("terms",)
@@ -122,13 +124,6 @@ class GroupRingElement:
         return [{"word": word_to_text(w), "coeff": c}
                 for w, c in sorted(self.terms.items())]
 
-    @classmethod
-    def from_json(cls, data) -> "GroupRingElement":
-        el = cls()
-        for item in data:
-            el.add_term(parse_word(item["word"]), int(item["coeff"]))
-        return el
-
 
 def fox_derivative(w, g: int) -> GroupRingElement:
     """Free derivative d(w)/d(g) for g in {X, Y}.
@@ -154,3 +149,26 @@ def evaluate_group_ring(e: GroupRingElement,
     for w, c in e.terms.items():
         out += c * evaluate_word(w, imgx, imgy)
     return out
+
+
+def fox_jacobian(w, imgx: np.ndarray,
+                 imgy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Phi(dw/dx), Phi(dw/dy)) in one pass over w.
+
+    Keeps the running prefix product P = Phi(w[:k]): a letter g adds P
+    to the g-block, a letter g^-1 subtracts the next prefix P Phi(g)^-1.
+    For a reduced w the terms and their products are those of
+    evaluate_group_ring(fox_derivative(w, g), ...), in the same order.
+    """
+    imgs = {X: imgx, Y: imgy,
+            -X: mat2_inverse(imgx), -Y: mat2_inverse(imgy)}
+    blocks = {X: np.zeros((2, 2), dtype=complex),
+              Y: np.zeros((2, 2), dtype=complex)}
+    prefix = E2
+    for a in w:
+        if a > 0:
+            blocks[a] += prefix
+        prefix = prefix @ imgs[a]
+        if a < 0:
+            blocks[-a] -= prefix
+    return blocks[X], blocks[Y]

@@ -34,6 +34,17 @@ def test_riley_singular_exit_2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [("torsion", "--s", "nan,0"),
+                                  ("riley", "--s", "inf,0"),
+                                  ("torsion", "--s", "1e200,0")])
+def test_non_finite_or_overflow_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert [ln for ln in err.splitlines() if ln.startswith("error:")]
+    assert "Traceback" not in err
+
+
 def test_usage_error_exit_1():
     with pytest.raises(SystemExit) as exc:
         main(["riley", "--s", "not-a-number"])

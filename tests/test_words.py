@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from fig8torsion.errors import WordParseError
 from fig8torsion.linalg import E2, mat2
 from fig8torsion.riley import rep_matrices, solve_t
 from fig8torsion.words import (X, Y, GroupRingElement, evaluate_group_ring,
-                               evaluate_word, fox_derivative, parse_word,
-                               word_concat, word_inverse, word_to_text)
+                               evaluate_word, fox_derivative, fox_jacobian,
+                               parse_word, reduce_word, word_concat,
+                               word_inverse, word_to_text)
 
 
 def random_unimodular(rng):
@@ -30,7 +32,6 @@ def test_parse_basic():
 
 def test_parse_print_roundtrip():
     rng = np.random.default_rng(0)
-    from fig8torsion.words import reduce_word
     for _ in range(100):
         w = reduce_word(random_word(rng, int(rng.integers(0, 12))))
         assert parse_word(word_to_text(w)) == w
@@ -60,7 +61,6 @@ def test_evaluate_longitude_geometric_trace():
 
 def test_evaluate_homomorphism_random():
     rng = np.random.default_rng(1)
-    from fig8torsion.words import reduce_word
     for _ in range(100):
         a = reduce_word(random_word(rng, 6))
         b = reduce_word(random_word(rng, 6))
@@ -82,16 +82,44 @@ def test_fox_axioms():
         {(): 1, parse_word("xYX"): -1})
 
 
-def test_fox_fundamental_identity_random():
-    rng = np.random.default_rng(2)
-    from fig8torsion.words import reduce_word
-    for _ in range(100):
-        r = reduce_word(random_word(rng, int(rng.integers(1, 10))))
+reduced_words = st.lists(st.sampled_from([X, -X, Y, -Y]),
+                         max_size=12).map(reduce_word)
+
+
+@st.composite
+def unimodular(draw):
+    """SL(2, C) matrix with entries of modulus <= 2: entries with real
+    and imaginary parts in [-1, 1], scaled by 1/sqrt(det), |det| >= 1/2."""
+    part = st.floats(-1, 1)
+    a, b, c, d = (complex(draw(part), draw(part)) for _ in range(4))
+    det = a * d - b * c
+    assume(abs(det) >= 0.5)
+    return mat2(a, b, c, d) / np.sqrt(det)
+
+
+@given(reduced_words, unimodular(), unimodular())
+def test_fox_fundamental_identity_random(r, mx, my):
+    # sum_g Phi(dr/dg) (Phi(g) - E) = Phi(r) - E, for the symbolic
+    # derivatives and for the one-pass evaluation
+    rhs = evaluate_word(r, mx, my) - E2
+    tol = 1e-9 * max(1, np.max(np.abs(rhs)))
+    symbolic = (evaluate_group_ring(fox_derivative(r, X), mx, my),
+                evaluate_group_ring(fox_derivative(r, Y), mx, my))
+    for phix, phiy in (symbolic, fox_jacobian(r, mx, my)):
+        lhs = phix @ (mx - E2) + phiy @ (my - E2)
+        assert np.max(np.abs(lhs - rhs)) <= tol
+
+
+def test_fox_jacobian_matches_symbolic_random():
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        w = reduce_word(random_word(rng, int(rng.integers(0, 16))))
         mx, my = random_unimodular(rng), random_unimodular(rng)
-        lhs = (evaluate_group_ring(fox_derivative(r, X), mx, my) @ (mx - E2)
-               + evaluate_group_ring(fox_derivative(r, Y), mx, my) @ (my - E2))
-        rhs = evaluate_word(r, mx, my) - E2
-        assert np.max(np.abs(lhs - rhs)) <= 1e-9 * max(1, np.max(np.abs(rhs)))
+        phix, phiy = fox_jacobian(w, mx, my)
+        assert np.array_equal(
+            phix, evaluate_group_ring(fox_derivative(w, X), mx, my))
+        assert np.array_equal(
+            phiy, evaluate_group_ring(fox_derivative(w, Y), mx, my))
 
 
 def test_evaluate_group_ring():
@@ -128,4 +156,5 @@ def test_group_ring_json_roundtrip():
     el = GroupRingElement({(): 2, parse_word("xYX"): -1, (Y, Y): 3})
     data = el.to_json()
     assert all(set(item) == {"word", "coeff"} for item in data)
-    assert GroupRingElement.from_json(data) == el
+    assert data == [{"word": "", "coeff": 2}, {"word": "xYX", "coeff": -1},
+                    {"word": "yy", "coeff": 3}]
