@@ -8,10 +8,8 @@ from .errors import (DegenerateLeadingCoefficient, DegenerateU,
                      DimensionMismatch, Fig8Error, InvalidSlope, NotAcyclic,
                      OffVariety, SingularMatrix, SingularParameter,
                      WordParseError)
-from .linalg import (E2, mat2, mat2_inverse, mat2_mul, nullspace, rank,
-                     solve_quadratic)
-from .riley import (RileyPoint, is_peripherally_acyclic,
-                    longitude_matrix_closed, longitude_matrix_word,
+from .linalg import E2, mat2, mat2_inverse, rank, solve_quadratic, svd
+from .riley import (RileyPoint, longitude_matrix_closed, longitude_matrix_word,
                     longitude_trace, longitude_word, make_point, rep_matrices,
                     riley_poly, solve_t, trace_u)
 from .surgery import (SurgerySlope, SurgerySolution,

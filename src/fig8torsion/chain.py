@@ -7,6 +7,8 @@ basis of C_i.  The exponent in degree i is (-1)^(i+1), so the one-map
 complex 0 -> C --[2]--> C -> 0 has torsion 1/2; this convention
 reproduces tau(solid torus) = 1/det(rho(l) - E).
 
+Ranks, image bases and lifts all come from one singular value
+decomposition per boundary map (`linalg.svd`, one rank threshold).
 The value does not depend on the choice of the b_i or of the lifts;
 `torsion_with_basis_perturbation` verifies that with randomized choices.
 """
@@ -18,10 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotAcyclic
-from .linalg import nullspace, pivot_columns, rank
+from .linalg import rank, svd
 
 DDZERO_RTOL = 1e-10      # tolerance on d o d = 0, relative to max entry
-ACYCLIC_RTOL = 1e-9      # rank threshold used by is_acyclic / torsion
 
 
 @dataclass(frozen=True)
@@ -75,18 +76,20 @@ class TorsionValue:
     sign_ambiguous: bool = False
 
 
-def _ranks(c: ChainComplex, rtol: float) -> list[int]:
-    # ranks[i] = rank of d_i for i in 0..top+1 (zero maps at both ends)
-    return [0] + [rank(c.boundary(i), rtol) for i in range(1, c.top + 1)] + [0]
+def _svds(c: ChainComplex) -> list:
+    # svds[i] = svd of d_{i+1} : C_{i+1} -> C_i for i in 0..top (the last
+    # is the zero map from C_{top+1} = 0)
+    return [svd(c.boundary(i)) for i in range(1, c.top + 2)]
 
 
-def _acyclic_ranks(c: ChainComplex, r: list[int]) -> bool:
+def _acyclic(c: ChainComplex, svds: list) -> bool:
+    r = [0] + [s[3] for s in svds]      # r[i] = rank d_i
     return all(r[i] + r[i + 1] == c.dims[i] for i in range(c.top + 1))
 
 
-def is_acyclic(c: ChainComplex, rtol: float = ACYCLIC_RTOL) -> bool:
+def is_acyclic(c: ChainComplex) -> bool:
     """True iff rank d_i + rank d_{i+1} = dim C_i in every degree."""
-    return _acyclic_ranks(c, _ranks(c, rtol))
+    return _acyclic(c, _svds(c))
 
 
 def _alternating_product(c: ChainComplex, bases, lifts) -> complex:
@@ -108,50 +111,44 @@ def _alternating_product(c: ChainComplex, bases, lifts) -> complex:
     return complex(tau)
 
 
-def torsion(c: ChainComplex, rtol: float = ACYCLIC_RTOL) -> TorsionValue:
-    """Torsion with image bases chosen by greedy column pivoting."""
-    if not is_acyclic(c, rtol):
+def torsion(c: ChainComplex) -> TorsionValue:
+    """Torsion from one SVD d_{i+1} = U S V^H per boundary: the image
+    basis in C_i is U_r (orthonormal, r = rank d_{i+1}) and its lift to
+    C_{i+1} is V_r S_r^-1."""
+    svds = _svds(c)
+    if not _acyclic(c, svds):
         raise NotAcyclic("homology does not vanish")
-    bases, lifts = [], []
-    for i in range(c.top + 1):
-        d_next = c.boundary(i + 1)
-        piv = pivot_columns(d_next, rtol)
-        bases.append(d_next[:, piv])
-        lift = np.zeros((c.dims[i + 1] if i < c.top else 0, len(piv)),
-                        dtype=complex)
-        for k, j in enumerate(piv):
-            lift[j, k] = 1.0
-        lifts.append(lift)
+    bases = [u[:, :r] for u, _, _, r in svds]
+    lifts = [vh[:r].conj().T / sv[:r] for _, sv, vh, r in svds]
     return TorsionValue(_alternating_product(c, bases, lifts))
 
 
-def torsion_with_basis_perturbation(c: ChainComplex, seed: int,
-                                    rtol: float = ACYCLIC_RTOL) -> TorsionValue:
+def torsion_with_basis_perturbation(c: ChainComplex,
+                                    seed: int) -> TorsionValue:
     """Same torsion, but with randomized image bases and randomized lift
     representatives; agreement with `torsion` exercises choice
     independence."""
-    ranks = _ranks(c, rtol)
-    if not _acyclic_ranks(c, ranks):
+    svds = _svds(c)
+    if not _acyclic(c, svds):
         raise NotAcyclic("homology does not vanish")
     rng = np.random.default_rng(seed)
     bases, lifts = [], []
-    for i in range(c.top + 1):
+    for i, (_, _, vh, r) in enumerate(svds):
         d_next = c.boundary(i + 1)
-        r = ranks[i + 1]
         dim_src = d_next.shape[1]
         for _ in range(50):
             g = rng.normal(size=(dim_src, r)) + 1j * rng.normal(size=(dim_src, r))
             b = d_next @ g
-            if r == 0 or rank(b, rtol) == r:
+            if r == 0 or rank(b) == r:
                 break
         else:
             raise NotAcyclic("could not draw a full-rank random image basis")
-        ker = nullspace(d_next, rtol) if dim_src else np.zeros((0, 0), complex)
+        ker = vh[r:].conj().T
         lift = g
         if ker.size and r:
             shift = rng.normal(size=(ker.shape[1], r)) \
                 + 1j * rng.normal(size=(ker.shape[1], r))
             lift = g + ker @ shift
         bases.append(b)
-        lifts.append(lift if i < c.top else np.zeros((0, r), dtype=complex))
+        lifts.append(lift)
     return TorsionValue(_alternating_product(c, bases, lifts))

@@ -4,7 +4,8 @@ Complex numbers are passed as "re,im" pairs.  Exit codes: 0 success,
 1 usage or parse error, 2 invalid mathematical input (including a
 non-finite value or an overflow), 3 verification failure.  Tolerances,
 the output format and the verify seed can be set by flags or an
-optional JSON config file; flags win.
+optional JSON config file; flags win.  A subcommand accepts only the
+flags it reads, and --config.
 """
 
 from __future__ import annotations
@@ -72,11 +73,16 @@ def _load_config(ns) -> RunConfig:
     return cfg
 
 
-def _add_common(sub):
-    sub.add_argument("--format", choices=["json", "csv", "pretty"])
-    sub.add_argument("--tol-variety", dest="tol_variety", type=float)
-    sub.add_argument("--tol-compare", dest="tol_compare", type=float)
-    sub.add_argument("--seed", type=int)
+_FLAGS = {"format": {"choices": ["json", "csv", "pretty"]},
+          "tol-variety": {"type": float},
+          "tol-compare": {"type": float},
+          "seed": {"type": int}}
+
+
+def _add_flags(sub, *names):
+    """The named flags, which the subcommand reads, and --config."""
+    for name in names:
+        sub.add_argument(f"--{name}", **_FLAGS[name])
     sub.add_argument("--config", help="JSON config file (flags win)")
 
 
@@ -165,25 +171,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("riley", help="solve the variety over a given s")
     sub.add_argument("--s", type=parse_complex, required=True,
                      metavar="RE,IM")
-    _add_common(sub)
+    _add_flags(sub, "format")
     sub.set_defaults(func=cmd_riley)
 
     sub = subs.add_parser("torsion", help="full torsion report at a point")
     sub.add_argument("--s", type=parse_complex, required=True,
                      metavar="RE,IM")
     sub.add_argument("--branch", choices=["+", "-"], default="+")
-    _add_common(sub)
+    _add_flags(sub, "format", "tol-compare")
     sub.set_defaults(func=cmd_torsion)
 
     sub = subs.add_parser("surgery", help="tabulate p/q surgery solutions")
     sub.add_argument("--p", type=int, required=True)
     sub.add_argument("--q", type=int, required=True)
-    _add_common(sub)
+    _add_flags(sub, "format", "tol-variety")
     sub.set_defaults(func=cmd_surgery)
 
     sub = subs.add_parser("verify", help="run the self-verification suite")
     sub.add_argument("--samples", type=int, default=200)
-    _add_common(sub)
+    _add_flags(sub, "seed")
     sub.set_defaults(func=cmd_verify)
     return parser
 

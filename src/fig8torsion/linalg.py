@@ -1,20 +1,22 @@
-"""Small dense complex linear algebra: 2x2 matrices, quadratics,
-rank / nullspace with explicit tolerances.
+"""Small dense complex linear algebra: 2x2 matrices, quadratics, and
+the singular value decomposition that decides rank, image and kernel.
 
 Everything here works on plain numpy arrays with dtype complex128.
-All matrices in this project are tiny (at most 4x4), so the rank and
-kernel routines use Gauss-Jordan elimination with full pivoting rather
-than anything asymptotically clever.
+All matrices in this project are tiny (at most 4x4); one LAPACK SVD
+per matrix gives its rank, an image basis with a lift, and a kernel
+basis, all under the one rank threshold RANK_RTOL on the singular
+values, which are the matrix's conditioning.
 """
 
 from __future__ import annotations
+
+import cmath
 
 import numpy as np
 
 from .errors import DegenerateLeadingCoefficient, SingularMatrix
 
-# default tolerances, overridable per call
-PIVOT_RTOL = 1e-9        # pivot threshold, relative to the largest entry
+RANK_RTOL = 1e-9         # rank threshold, relative to max(1, largest sigma)
 SINGULAR_TOL = 1e-12     # |det| below this means "singular" for 2x2 inverses
 
 E2 = np.eye(2, dtype=complex)
@@ -26,16 +28,9 @@ def mat2(a11, a12, a21, a22) -> np.ndarray:
 
 
 def _check_finite(m: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.isfinite(m).all():
         raise OverflowError("non-finite entry in matrix result")
     return m
-
-
-def mat2_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two 2x2 complex matrices; raises OverflowError if the
-    result has a non-finite entry."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _check_finite(a @ b)
 
 
 def det2(a: np.ndarray) -> complex:
@@ -60,104 +55,42 @@ def solve_quadratic(a: complex, b: complex, c: complex,
     with the principal square root of the discriminant, so branch labels
     are reproducible.  Computed with the cancellation-free pairing
     (one root from the formula, the other from the product c/a).
+    Raises OverflowError on a non-finite coefficient or root.
     """
+    if not all(cmath.isfinite(z) for z in (a, b, c)):
+        raise OverflowError(f"non-finite coefficient in {(a, b, c)}")
     if abs(a) <= tol:
         raise DegenerateLeadingCoefficient(f"|a| = {abs(a):.3e} <= {tol:.1e}")
-    d = np.sqrt(complex(b * b - 4 * a * c))
-    plus_num, minus_num = -b + d, -b - d
-    if abs(plus_num) >= abs(minus_num):
-        r_plus = plus_num / (2 * a)
-        r_minus = c / (a * r_plus) if r_plus != 0 else minus_num / (2 * a)
-    else:
-        r_minus = minus_num / (2 * a)
-        r_plus = c / (a * r_minus) if r_minus != 0 else plus_num / (2 * a)
-    return complex(r_plus), complex(r_minus)
+    with np.errstate(all="ignore"):     # an overflow is raised below
+        d = np.sqrt(complex(b * b - 4 * a * c))
+        plus_num, minus_num = -b + d, -b - d
+        if abs(plus_num) >= abs(minus_num):
+            r_plus = plus_num / (2 * a)
+            r_minus = c / (a * r_plus) if r_plus != 0 else minus_num / (2 * a)
+        else:
+            r_minus = minus_num / (2 * a)
+            r_plus = c / (a * r_minus) if r_minus != 0 else plus_num / (2 * a)
+    roots = complex(r_plus), complex(r_minus)
+    if not all(cmath.isfinite(z) for z in roots):
+        raise OverflowError(f"non-finite root of {(a, b, c)}")
+    return roots
 
 
-def _pivot_tol(m: np.ndarray, rtol: float) -> float:
-    scale = np.max(np.abs(m)) if m.size else 0.0
-    return rtol * max(1.0, scale)
+def svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Full singular value decomposition m = u diag(sv) vh (u and vh
+    square unitary, sv descending) and the numerical rank r: the number
+    of singular values above RANK_RTOL * max(1, sv_max).
 
-
-def row_reduce(m: np.ndarray, rtol: float = PIVOT_RTOL):
-    """Gauss-Jordan elimination with full pivoting.
-
-    Returns (reduced, row_ops_det_ignored, col_perm, rank).  `reduced` is
-    the matrix in the permuted column order with an identity block in the
-    top-left rank x rank corner.
+    u[:, :r] is an orthonormal basis of the image, vh[:r].conj().T / sv[:r]
+    lifts it (m maps it onto u[:, :r]) and vh[r:].conj().T is an
+    orthonormal basis of the kernel.  Raises OverflowError on a
+    non-finite entry.
     """
-    a = np.array(m, dtype=complex, copy=True)
-    rows, cols = a.shape
-    tol = _pivot_tol(a, rtol)
-    perm = list(range(cols))
-    r = 0
-    while r < min(rows, cols):
-        sub = np.abs(a[r:, r:])
-        if sub.size == 0:
-            break
-        i, j = np.unravel_index(np.argmax(sub), sub.shape)
-        if sub[i, j] <= tol:
-            break
-        i += r
-        j += r
-        a[[r, i], :] = a[[i, r], :]
-        a[:, [r, j]] = a[:, [j, r]]
-        perm[r], perm[j] = perm[j], perm[r]
-        a[r, :] /= a[r, r]
-        for k in range(rows):
-            if k != r and a[k, r] != 0:
-                a[k, :] -= a[k, r] * a[r, :]
-        r += 1
-    return a, perm, r
+    u, sv, vh = np.linalg.svd(_check_finite(np.asarray(m, dtype=complex)))
+    tol = RANK_RTOL * np.max(sv, initial=1.0)
+    return u, sv, vh, int(np.count_nonzero(sv > tol))
 
 
-def rank(m: np.ndarray, rtol: float = PIVOT_RTOL) -> int:
-    """Numerical rank; rank of an empty matrix is 0."""
-    if m.size == 0:
-        return 0
-    return row_reduce(m, rtol)[2]
-
-
-def nullspace(m: np.ndarray, rtol: float = PIVOT_RTOL) -> np.ndarray:
-    """Basis for the kernel of m, returned as the columns of a
-    (cols x nullity) array.  May have zero columns."""
-    m = np.asarray(m, dtype=complex)
-    rows, cols = m.shape
-    if cols == 0:
-        return np.zeros((0, 0), dtype=complex)
-    if rows == 0 or m.size == 0 or not m.any():
-        return np.eye(cols, dtype=complex)
-    a, perm, r = row_reduce(m, rtol)
-    n_free = cols - r
-    basis = np.zeros((cols, n_free), dtype=complex)
-    # permuted coords: a ~ [I F; 0 0], kernel = span of [-F; I]
-    f = a[:r, r:cols]
-    for k in range(n_free):
-        vec = np.zeros(cols, dtype=complex)
-        vec[:r] = -f[:, k]
-        vec[r + k] = 1.0
-        basis[[perm[i] for i in range(cols)], k] = vec
-    return basis
-
-
-def pivot_columns(m: np.ndarray, rtol: float = PIVOT_RTOL) -> list[int]:
-    """Greedy column selection for an image basis: repeatedly pick the
-    column with the largest residual norm after projecting out the
-    already-chosen ones (modified Gram-Schmidt with column pivoting)."""
-    m = np.asarray(m, dtype=complex)
-    if m.size == 0:
-        return []
-    work = m.copy()
-    norms0 = np.linalg.norm(m, axis=0)
-    tol = rtol * max(1.0, float(np.max(norms0)))
-    chosen: list[int] = []
-    for _ in range(min(m.shape)):
-        norms = np.linalg.norm(work, axis=0)
-        norms[chosen] = -1.0
-        j = int(np.argmax(norms))
-        if norms[j] <= tol:
-            break
-        q = work[:, j] / norms[j]
-        work -= np.outer(q, q.conj() @ work)
-        chosen.append(j)
-    return chosen
+def rank(m: np.ndarray) -> int:
+    """Numerical rank (see `svd`); rank of an empty matrix is 0."""
+    return svd(m)[3]

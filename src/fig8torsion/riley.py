@@ -153,12 +153,3 @@ def longitude_trace(p: RileyPoint) -> complex:
     s2, s4 = s * s, s ** 4
     t2, t3 = t * t, t ** 3
     return (2 - 2 * t2 + t2 / s4 + s4 * t2 - 2 * t3 - t3 / s2 - s2 * t3)
-
-
-def is_peripherally_acyclic(p: RileyPoint, tol: float = 1e-8) -> bool:
-    """True iff some peripheral element among x, l, xl has trace != 2,
-    which makes the restriction to the boundary torus acyclic."""
-    mx, _ = rep_matrices(p)
-    ml = longitude_matrix_word(p)
-    traces = (np.trace(mx), np.trace(ml), np.trace(mx @ ml))
-    return any(abs(tr - 2) > tol for tr in traces)

@@ -42,6 +42,10 @@ def test_malformed_complex():
 def test_is_acyclic():
     assert is_acyclic(two_term(E2))
     assert not is_acyclic(two_term(np.zeros((1, 1))))
+    # the one rank threshold: sigma > 1e-9 * max(1, sigma_max) counts
+    tiny = two_term(np.diag([1.0, 2e-9]))
+    assert is_acyclic(tiny)
+    assert abs(torsion(tiny).value - 5e8) <= 1e-12 * 5e8
     # twisted torus complex at s = 2: tr rho(x) = 2.5 != 2
     assert is_acyclic(torus_complex_at(solve_t(2.0)[0]))
 
@@ -58,6 +62,8 @@ def test_torsion_conventions():
 def test_torsion_not_acyclic():
     with pytest.raises(NotAcyclic):
         torsion(two_term(np.zeros((1, 1))))
+    with pytest.raises(NotAcyclic):
+        torsion(two_term(np.diag([1.0, 5e-10])))
     with pytest.raises(NotAcyclic):
         torsion_with_basis_perturbation(two_term(np.zeros((1, 1))), 0)
 

@@ -36,7 +36,9 @@ def test_riley_singular_exit_2(capsys):
 
 @pytest.mark.parametrize("argv", [("torsion", "--s", "nan,0"),
                                   ("riley", "--s", "inf,0"),
-                                  ("torsion", "--s", "1e200,0")])
+                                  ("torsion", "--s", "1e200,0"),
+                                  ("riley", "--s", "1e200,0"),
+                                  ("riley", "--s", "1e50,0")])
 def test_non_finite_or_overflow_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -52,6 +54,16 @@ def test_usage_error_exit_1():
     with pytest.raises(SystemExit) as exc:
         main(["bogus-command"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("argv", [("verify", "--format", "json"),
+                                  ("riley", "--s", "1,0",
+                                   "--tol-compare", "1e-3")])
+def test_unread_flag_exit_1(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_torsion_pretty(capsys):

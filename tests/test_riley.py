@@ -8,7 +8,7 @@ from fig8torsion.errors import SingularParameter
 from fig8torsion.linalg import E2, mat2
 from fig8torsion.riley import (LONGITUDE, longitude_matrix_closed,
                                longitude_matrix_word, longitude_trace,
-                               longitude_word, is_peripherally_acyclic,
+                               longitude_word,
                                make_point, rep_matrices, riley_poly, solve_t,
                                trace_u)
 
@@ -174,13 +174,6 @@ def test_branch_symmetry_s_inverse():
             scale = max(1.0, abs(longitude_trace(pt)))
             assert abs(longitude_trace(pt) - longitude_trace(mirrored)) \
                 <= 1e-8 * scale
-
-
-def test_is_peripherally_acyclic():
-    for pt in solve_t(2.0):
-        assert is_peripherally_acyclic(pt)
-    assert is_peripherally_acyclic(solve_t(1.0)[0])
-    assert not is_peripherally_acyclic(make_point(1.0, 0.0))
 
 
 def test_riley_point_json():
