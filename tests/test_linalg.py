@@ -101,8 +101,21 @@ def test_rank_nullity_random():
         if ns.size:
             assert np.max(np.abs(m @ ns)) <= 1e-8 * max(1, np.max(np.abs(m)))
             assert_orthonormal(ns)
-        # the lift V_r S_r^-1 maps onto the image basis U_r
-        u, sv, vh, _ = svd(m)
+
+
+def test_pivot_columns_span_image():
+    # the first r left singular vectors are a basis of the image, and the
+    # lift V_r S_r^-1 maps onto them
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        rows, cols = rng.integers(1, 5, size=2)
+        m = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+        if rng.random() < 0.5 and cols > 1:     # force rank deficiency
+            m[:, -1] = m[:, 0] * complex(rng.normal(), rng.normal())
+        u, sv, vh, r = svd(m)
+        assert r == rank(m)
         image, lift = u[:, :r], vh[:r].conj().T / sv[:r]
-        assert np.max(np.abs(m @ lift - image)) <= 1e-10
         assert rank(image) == r
+        assert np.max(np.abs(m @ lift - image)) <= 1e-10
+        # every column of m lies in the span of the image basis
+        assert np.max(np.abs(m - image @ (image.conj().T @ m))) <= 1e-10
