@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotAcyclic
-from .linalg import rank, svd
+from .linalg import _check_finite, rank, svd
 
 DDZERO_RTOL = 1e-10      # tolerance on d o d = 0, relative to max entry
 
@@ -37,6 +37,7 @@ class ChainComplex:
     dims: tuple[int, ...]
     boundaries: tuple[np.ndarray, ...]
 
+    @np.errstate(all="ignore")  # an overflow in d o d is raised, not warned
     def __post_init__(self):
         if len(self.boundaries) != len(self.dims) - 1:
             raise DimensionMismatch(
@@ -52,7 +53,7 @@ class ChainComplex:
         for i in range(len(self.boundaries) - 1):
             lo, hi = self.boundaries[i], self.boundaries[i + 1]
             if lo.size and hi.size:
-                err = float(np.max(np.abs(lo @ hi)))
+                err = float(np.max(np.abs(_check_finite(lo @ hi))))
                 if err > DDZERO_RTOL * scale:
                     raise DimensionMismatch(
                         f"d_{i + 1} o d_{i + 2} = 0 fails: residual {err:.3e}")

@@ -2,10 +2,11 @@
 
 Complex numbers are passed as "re,im" pairs.  Exit codes: 0 success,
 1 usage or parse error, 2 invalid mathematical input (including a
-non-finite value or an overflow), 3 verification failure.  Tolerances,
-the output format and the verify seed can be set by flags or an
-optional JSON config file; flags win.  A subcommand accepts only the
-flags it reads, and --config.
+non-finite value, an overflow, or a surgery slope whose polynomial
+degree exceeds MAX_SURGERY_DEGREE), 3 verification failure.
+Tolerances, the output format and the verify seed can be set by flags
+or an optional JSON config file; flags win.  A subcommand accepts only
+the flags it reads, and --config.
 """
 
 from __future__ import annotations
@@ -15,14 +16,18 @@ import json
 import sys
 from dataclasses import dataclass, field
 
-from .errors import Fig8Error
+from .errors import Fig8Error, InvalidSlope
 from .riley import solve_t
-from .surgery import (CSV_HEADER, SurgerySlope, solve_surgery, table_to_csv,
-                      table_to_json)
+from .surgery import (CSV_HEADER, SurgerySlope, polynomial_degree,
+                      solve_surgery, table_to_csv, table_to_json)
 from .formulas import full_report
 from .verify import run_all
 
 EXIT_OK, EXIT_USAGE, EXIT_MATH, EXIT_VERIFY = 0, 1, 2, 3
+# time and memory grow with the degree 2 max(4|q|, |p|) of the surgery
+# polynomial: 800 (slope 1/100) takes ~1.6 s and ~41 MB, 1600 (1/200)
+# ~7.2 s and ~71 MB
+MAX_SURGERY_DEGREE = 800
 
 
 class _Parser(argparse.ArgumentParser):
@@ -138,6 +143,11 @@ def cmd_torsion(ns) -> int:
 def cmd_surgery(ns) -> int:
     cfg = _load_config(ns)
     slope = SurgerySlope(ns.p, ns.q)
+    degree = polynomial_degree(slope)
+    if degree > MAX_SURGERY_DEGREE:
+        raise InvalidSlope(f"slope {ns.p}/{ns.q} needs a degree-{degree} "
+                           f"surgery polynomial; the limit is "
+                           f"{MAX_SURGERY_DEGREE}")
     rows = solve_surgery(slope, tol=cfg.tol_variety)
     if cfg.fmt == "json":
         print(table_to_json(rows))

@@ -28,7 +28,8 @@ def mat2(a11, a12, a21, a22) -> np.ndarray:
 
 
 def _check_finite(m: np.ndarray) -> np.ndarray:
-    if not np.isfinite(m).all():
+    # count_nonzero is the cheapest exact test on these tiny arrays
+    if np.count_nonzero(np.isfinite(m)) != m.size:
         raise OverflowError("non-finite entry in matrix result")
     return m
 

@@ -10,7 +10,9 @@ Every irreducible representation is conjugate to
 and the pair (s, t) is a homomorphism exactly when the defining
 polynomial vanishes.  This module provides that polynomial, its two
 t-branches for a given s, and the longitude image both in closed form
-and as a word-evaluation oracle.
+and as a word-evaluation oracle.  The closed forms also take arrays of
+points, and `rep_stacks` gives the generator images as (N, 2, 2)
+stacks.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import numpy as np
 
 from .errors import SingularParameter
 from .linalg import mat2, solve_quadratic
-from .words import evaluate_word, parse_word, word_concat, word_inverse
+from .words import (X, Y, evaluate_word, parse_word, word_concat,
+                    word_inverse)
 
 VARIETY_TOL = 1e-10      # membership: |R12| <= tol * max(1, |s|^2, |t|^2)
 S_ZERO_TOL = 1e-13
@@ -66,7 +69,18 @@ class RileyPoint:
                 "residual": self.residual}
 
 
-def _check_s(s: complex) -> complex:
+def _check_s(s):
+    """s as a complex number, or as a complex array if it is an ndarray;
+    raises SingularParameter unless every s is finite and above
+    S_ZERO_TOL in modulus."""
+    if isinstance(s, np.ndarray):
+        s = s.astype(complex, copy=False)
+        finite = np.isfinite(s)
+        if not finite.all():
+            raise SingularParameter(f"s = {s[~finite][0]} is not finite")
+        if not (np.abs(s) > S_ZERO_TOL).all():
+            raise SingularParameter("s = 0")
+        return s
     s = complex(s)
     if not cmath.isfinite(s):
         raise SingularParameter(f"s = {s} is not finite")
@@ -84,6 +98,22 @@ def rep_matrices(p: RileyPoint) -> tuple[np.ndarray, np.ndarray]:
     """The images of the generators x and y (both unimodular)."""
     s = _check_s(p.s)
     return (mat2(s, 1, 0, 1 / s), mat2(s, 0, -p.t, 1 / s))
+
+
+def rep_stacks(s: np.ndarray, t: np.ndarray) -> dict[int, np.ndarray]:
+    """The images of x, y, x^-1 and y^-1, keyed by letter, as (N, 2, 2)
+    stacks over the N points (s[k], t[k]).  Both generators are
+    unimodular, so the inverses are exact:
+    x^-1 -> [[1/s, -1], [0, s]] and y^-1 -> [[1/s, 0], [t, s]]."""
+    s = _check_s(np.asarray(s))
+    t = np.asarray(t, dtype=complex)
+    one, zero, inv = np.ones_like(s), np.zeros_like(s), 1 / s
+
+    def stack(a11, a12, a21, a22):
+        return np.stack([a11, a12, a21, a22], axis=-1).reshape(-1, 2, 2)
+
+    return {X: stack(s, one, zero, inv), -X: stack(inv, -one, zero, s),
+            Y: stack(s, zero, -t, inv), -Y: stack(inv, zero, t, s)}
 
 
 def riley_poly(s: complex, t: complex) -> complex:
@@ -109,8 +139,8 @@ def solve_t(s: complex) -> tuple[RileyPoint, RileyPoint]:
             RileyPoint(s, t_minus, "-", abs(riley_poly(s, t_minus))))
 
 
-def trace_u(s: complex) -> complex:
-    """Meridian trace u = s + 1/s."""
+def trace_u(s):
+    """Meridian trace u = s + 1/s; s may be an array."""
     s = _check_s(s)
     return s + 1 / s
 
@@ -123,7 +153,13 @@ def longitude_matrix_word(p: RileyPoint) -> np.ndarray:
 
 def longitude_matrix_closed(p: RileyPoint) -> np.ndarray:
     """Longitude image from the closed-form entries l_ij(s, t)."""
-    s, t = _check_s(p.s), p.t
+    return mat2(*longitude_entries(p.s, p.t))
+
+
+def longitude_entries(s, t) -> tuple:
+    """Closed-form entries (l11, l12, l21, l22) of the longitude image;
+    s and t may be arrays of one shape."""
+    s = _check_s(s)
     s2, s3, s4 = s * s, s ** 3, s ** 4
     t2, t3, t4 = t * t, t ** 3, t ** 4
     l11 = longitude_l11(s, t)
@@ -133,12 +169,13 @@ def longitude_matrix_closed(p: RileyPoint) -> np.ndarray:
            - t4 / s - s * t4)
     l22 = (1 + t / s2 - s2 * t - t2 + t2 / s2 - s2 * t2 + s4 * t2
            - t3 - s2 * t3)
-    return mat2(l11, l12, l21, l22)
+    return l11, l12, l21, l22
 
 
-def longitude_l11(s: complex, t: complex) -> complex:
+def longitude_l11(s, t):
     """Closed-form entry l11 alone (the longitude eigenvalue aligned
-    with the eigenvalue s of the meridian image, on the variety)."""
+    with the eigenvalue s of the meridian image, on the variety); s and
+    t may be arrays of one shape."""
     s = _check_s(s)
     s2, s4 = s * s, s ** 4
     t2, t3 = t * t, t ** 3
@@ -147,9 +184,15 @@ def longitude_l11(s: complex, t: complex) -> complex:
 
 
 def longitude_trace(p: RileyPoint) -> complex:
+    """Closed-form longitude trace at p (see `trace_l`)."""
+    return trace_l(p.s, p.t)
+
+
+def trace_l(s, t):
     """Closed-form longitude trace
-    tr = 2 - 2 t^2 + t^2/s^4 + s^4 t^2 - 2 t^3 - t^3/s^2 - s^2 t^3."""
-    s, t = _check_s(p.s), p.t
+    tr = 2 - 2 t^2 + t^2/s^4 + s^4 t^2 - 2 t^3 - t^3/s^2 - s^2 t^3;
+    s and t may be arrays of one shape."""
+    s = _check_s(s)
     s2, s4 = s * s, s ** 4
     t2, t3 = t * t, t ** 3
     return (2 - 2 * t2 + t2 / s4 + s4 * t2 - 2 * t3 - t3 / s2 - s2 * t3)

@@ -17,6 +17,12 @@ and its roots are all the candidates.  f is the same for p/q and -p/q,
 and z and 1/z give the same character; every candidate is re-verified
 against the authoritative matrix residual ||rho(x)^p rho(l)^q - E||
 before being reported.
+
+The candidates of a slope are filtered all at once, on (N, 2, 2)
+stacks: the variety check, the matrix residual, the l21 check, the
+closed-form l11 and tr rho(l), and the character dedup.
+`surgery_residual` is the N = 1 call of the same residual, so a check
+that re-tests a row gets the bits the solver filtered on.
 """
 
 from __future__ import annotations
@@ -28,10 +34,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateU, InvalidSlope, OffVariety
-from .linalg import E2, mat2_inverse
-from .riley import (RileyPoint, longitude_l11, longitude_matrix_closed,
-                    longitude_matrix_word, longitude_trace, make_point,
-                    rep_matrices, solve_t, trace_u)
+from .linalg import E2
+from .riley import (LONGITUDE, RileyPoint, longitude_entries, longitude_l11,
+                    make_point, rep_stacks, solve_t, trace_l, trace_u)
+from .words import X, word_inverse, word_product
 from .formulas import torsion_surgered
 
 L21_TOL = 1e-8
@@ -97,33 +103,59 @@ class SurgerySolution:
         return ",".join(cells)
 
 
+def _aligned_l11(s: np.ndarray, t: np.ndarray,
+                 l21_tol: float = L21_TOL) -> tuple[np.ndarray, np.ndarray,
+                                                    np.ndarray]:
+    """(l11, |l21|, aligned) of the closed-form longitude at each point
+    of the stacks s, t; aligned is |l21| <= l21_tol * max(1, max |l_ij|)."""
+    entries = longitude_entries(s, t)
+    l21 = np.abs(entries[2])
+    scale = np.maximum(1.0, np.max(np.abs(entries), axis=0))
+    return entries[0], l21, l21 <= l21_tol * scale
+
+
 def aligned_longitude_eigenvalue(p: RileyPoint, l21_tol: float = L21_TOL) -> complex:
     """l11 of the closed-form longitude matrix: on the variety l21
     vanishes, so l11 is the eigenvalue of rho(l) on rho(x)'s
     s-eigenvector.  Raises OffVariety when l21 is not small."""
-    ml = longitude_matrix_closed(p)
-    scale = max(1.0, float(np.max(np.abs(ml))))
-    if abs(ml[1, 0]) > l21_tol * scale:
-        raise OffVariety(f"|l21| = {abs(ml[1, 0]):.3e}")
-    return complex(ml[0, 0])
+    l11, l21, aligned = _aligned_l11(np.array([p.s]), np.array([p.t]),
+                                     l21_tol)
+    if not aligned[0]:
+        raise OffVariety(f"|l21| = {l21[0]:.3e}")
+    return complex(l11[0])
 
 
-def _matrix_power(m: np.ndarray, n: int) -> np.ndarray:
-    if n < 0:
-        return np.linalg.matrix_power(mat2_inverse(m), -n)
-    return np.linalg.matrix_power(m, n)
+def _relation_residuals(s: np.ndarray, t: np.ndarray,
+                        slope: SurgerySlope) -> np.ndarray:
+    """||rho(x)^p rho(l)^q - E|| at each point of the stacks s, t, with
+    rho(l) multiplied out from its word.  A negative power takes the
+    exact inverse images of `rep_stacks`: x^-1, and rho(l)^-1 from the
+    inverse longitude word."""
+    imgs = rep_stacks(s, t)
+    mx = imgs[X] if slope.p >= 0 else imgs[-X]
+    ml = word_product(LONGITUDE if slope.q >= 0 else word_inverse(LONGITUDE),
+                      imgs)
+    power = np.linalg.matrix_power
+    rel = power(mx, abs(slope.p)) @ power(ml, abs(slope.q)) - E2
+    return np.linalg.norm(rel, axis=(1, 2))
 
 
 def surgery_residual(pt: RileyPoint, slope: SurgerySlope) -> tuple[complex, float]:
     """(scalar, matrix) residuals of the surgery relation x^p l^q = 1:
     the scalar form s^p lam^q - 1 and the Frobenius norm
-    ||rho(x)^p rho(l)^q - E||.  The matrix norm is authoritative."""
+    ||rho(x)^p rho(l)^q - E||.  The matrix norm is authoritative; it is
+    the N = 1 case of the residual `solve_surgery` filters on, bit for
+    bit."""
     lam = longitude_l11(pt.s, pt.t)
     scalar = pt.s ** slope.p * lam ** slope.q - 1
-    mx, _ = rep_matrices(pt)
-    ml = longitude_matrix_word(pt)
-    mat = _matrix_power(mx, slope.p) @ _matrix_power(ml, slope.q) - E2
-    return complex(scalar), float(np.linalg.norm(mat))
+    mat = _relation_residuals(np.array([pt.s]), np.array([pt.t]), slope)
+    return complex(scalar), float(mat[0])
+
+
+def polynomial_degree(slope: SurgerySlope) -> int:
+    """Degree 2n of z^n f(z), n = max(4|q|, |p|), before trimming: the
+    size of the companion matrix whose eigenvalues give the candidates."""
+    return 2 * max(4 * abs(slope.q), abs(slope.p))
 
 
 def _surgery_polynomial(slope: SurgerySlope) -> np.ndarray:
@@ -131,7 +163,7 @@ def _surgery_polynomial(slope: SurgerySlope) -> np.ndarray:
     first.  Zeros are trimmed at both ends: at |p| = 4|q| the extreme
     terms cancel, and a trailing zero is a root z = 0, no solution."""
     p, q = abs(slope.p), abs(slope.q)
-    n = max(4 * q, p)
+    n = polynomial_degree(slope) // 2
     coeffs = np.zeros(2 * n + 1)
     for power, c in ((p, 1), (-p, 1), (4 * q, -1), (2 * q, 1), (0, 2),
                      (-2 * q, 1), (-4 * q, -1)):
@@ -164,62 +196,74 @@ def _candidates(slope: SurgerySlope) -> list[RileyPoint]:
     return points
 
 
+def _first_distinct(u: np.ndarray, trl: np.ndarray,
+                    tol: float) -> np.ndarray:
+    """Indices of the rows kept by a first-kept character dedup: row i is
+    dropped when a kept row j < i has |u_i - u_j| <= tol * max(1, |u_j|)
+    and the same for trl."""
+    def near(v):    # near(v)[i, j]: v_i is within tol of v_j
+        return np.abs(v[:, None] - v) <= tol * np.maximum(1.0, np.abs(v))
+    earlier = np.tril(near(u) & near(trl), -1)
+    keep = np.ones(len(u), dtype=bool)
+    # a row with no earlier match is kept whatever the rows before it do
+    for i in np.flatnonzero(earlier.any(axis=1)):
+        keep[i] = not (earlier[i] & keep).any()
+    return np.flatnonzero(keep)
+
+
 def solve_surgery(slope: SurgerySlope,
                   tol: float = 1e-10) -> list[SurgerySolution]:
     """Every character satisfying the surgery relation: the roots of f
-    (see the module docstring) that lie on the variety within tol and
-    have matrix residual <= max(tol, 1e-9); deduplicated by character
-    (u, tr rho(l)) within 10*tol, sorted by |u| then arg(u)."""
+    (see the module docstring) that lie on the variety within tol, have
+    matrix residual <= max(tol, 1e-9) and a vanishing l21; deduplicated
+    by character (u, tr rho(l)) within 10*tol, sorted by |u| then arg(u).
+    All candidates are filtered at once, on (N, 2, 2) stacks."""
     # (p, q) and (-p, -q) impose the same relation; normalizing the sign
     # gives both slopes the same candidates, not just the same characters
     root_slope = slope
     if slope.p < 0 or (slope.p == 0 and slope.q < 0):
         root_slope = SurgerySlope(-slope.p, -slope.q)
-    solutions: list[SurgerySolution] = []
-    for pt in _candidates(root_slope):
-        s = pt.s
-        if not pt.on_variety(tol):
-            continue
-        _, mat_res = surgery_residual(pt, slope)
+    points = _candidates(root_slope)
+    s = np.array([pt.s for pt in points])
+    t = np.array([pt.t for pt in points])
+    residual = np.array([pt.residual for pt in points])
+    # a candidate far off the variety may overflow; its non-finite
+    # residuals fail the comparisons below, which reject it
+    with np.errstate(all="ignore"):
+        # RileyPoint.on_variety(tol) on the stack
+        on_variety = residual <= tol * np.maximum(
+            1.0, np.maximum(np.abs(s) ** 2, np.abs(t) ** 2))
+        mat_res = _relation_residuals(s, t, slope)
+        lam, _, aligned = _aligned_l11(s, t)
+        u, trl = trace_u(s), trace_l(s, t)
+        parabolic = np.abs(s * s - 1) <= PARABOLIC_TOL
+        degenerate = np.abs(u * u - 5) <= DEGENERATE_U2_TOL
+    rows = np.flatnonzero(on_variety & (mat_res <= max(tol, 1e-9)) & aligned)
+    # character dedup (also merges z <-> 1/z, i.e. s <-> 1/s)
+    rows = rows[_first_distinct(u[rows], trl[rows], 10 * tol)]
+
+    solutions = []
+    for k in rows:
+        u_k = complex(u[k])
         flags = []
-        if abs(s * s - 1) <= PARABOLIC_TOL:
+        if parabolic[k]:
             flags.append("parabolic")
-        if mat_res > max(tol, 1e-9):
-            continue
-        u = trace_u(s)
-        if abs(u * u - 5) <= DEGENERATE_U2_TOL:
+        if degenerate[k]:
             flags.append("degenerate")
         try:
-            tau = torsion_surgered(u)
+            tau = torsion_surgered(u_k)
         except DegenerateU:
             tau = None
             if "degenerate" not in flags:
                 flags.append("degenerate")
-        try:
-            lam = aligned_longitude_eigenvalue(pt)
-        except OffVariety:
-            continue
         solutions.append(SurgerySolution(
-            point=pt, u=u, trace_l=complex(longitude_trace(pt)), lam=lam,
-            relation_residual=mat_res, torsion=tau, flags=flags))
-
-    # character dedup (also merges z <-> 1/z, i.e. s <-> 1/s)
-    dedup_tol = 10 * tol
-    unique: list[SurgerySolution] = []
-    for sol in solutions:
-        dup = False
-        for kept in unique:
-            if (abs(sol.u - kept.u) <= dedup_tol * max(1.0, abs(kept.u))
-                    and abs(sol.trace_l - kept.trace_l)
-                    <= dedup_tol * max(1.0, abs(kept.trace_l))):
-                dup = True
-                break
-        if not dup:
-            unique.append(sol)
-    unique.sort(key=lambda sol: (abs(sol.u),
-                                 math.atan2(sol.u.imag, sol.u.real),
-                                 sol.point.branch))
-    return unique
+            point=points[k], u=u_k, trace_l=complex(trl[k]),
+            lam=complex(lam[k]), relation_residual=float(mat_res[k]),
+            torsion=tau, flags=flags))
+    solutions.sort(key=lambda sol: (abs(sol.u),
+                                    math.atan2(sol.u.imag, sol.u.real),
+                                    sol.point.branch))
+    return solutions
 
 
 def table_to_csv(solutions: list[SurgerySolution]) -> str:

@@ -16,7 +16,7 @@ import re
 import numpy as np
 
 from .errors import WordParseError
-from .linalg import E2, mat2_inverse
+from .linalg import E2, _check_finite, mat2_inverse
 
 X, Y = 1, 2
 _CHAR = {X: "x", -X: "X", Y: "y", -Y: "Y"}
@@ -75,8 +75,14 @@ def word_concat(a, b) -> tuple[int, ...]:
 
 def evaluate_word(w, imgx: np.ndarray, imgy: np.ndarray) -> np.ndarray:
     """Image of w under the representation x -> imgx, y -> imgy."""
-    imgs = {X: imgx, Y: imgy,
-            -X: mat2_inverse(imgx), -Y: mat2_inverse(imgy)}
+    return word_product(w, {X: imgx, Y: imgy,
+                            -X: mat2_inverse(imgx), -Y: mat2_inverse(imgy)})
+
+
+def word_product(w, imgs: dict) -> np.ndarray:
+    """Product of imgs[a] over the letters a of w, where imgs maps each
+    of X, Y, -X, -Y to a 2x2 matrix or to an (N, 2, 2) stack (E2 @ stack
+    broadcasts, so a stack gives the N images at once)."""
     out = E2.copy()
     for a in w:
         out = out @ imgs[a]
@@ -151,6 +157,7 @@ def evaluate_group_ring(e: GroupRingElement,
     return out
 
 
+@np.errstate(all="ignore")      # an overflow is raised, not warned
 def fox_jacobian(w, imgx: np.ndarray,
                  imgy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Phi(dw/dx), Phi(dw/dy)) in one pass over w.
@@ -159,6 +166,7 @@ def fox_jacobian(w, imgx: np.ndarray,
     to the g-block, a letter g^-1 subtracts the next prefix P Phi(g)^-1.
     For a reduced w the terms and their products are those of
     evaluate_group_ring(fox_derivative(w, g), ...), in the same order.
+    Raises OverflowError when a block is not finite.
     """
     imgs = {X: imgx, Y: imgy,
             -X: mat2_inverse(imgx), -Y: mat2_inverse(imgy)}
@@ -171,4 +179,4 @@ def fox_jacobian(w, imgx: np.ndarray,
         prefix = prefix @ imgs[a]
         if a < 0:
             blocks[-a] -= prefix
-    return blocks[X], blocks[Y]
+    return _check_finite(blocks[X]), _check_finite(blocks[Y])

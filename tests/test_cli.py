@@ -38,7 +38,8 @@ def test_riley_singular_exit_2(capsys):
                                   ("riley", "--s", "inf,0"),
                                   ("torsion", "--s", "1e200,0"),
                                   ("riley", "--s", "1e200,0"),
-                                  ("riley", "--s", "1e50,0")])
+                                  ("riley", "--s", "1e50,0"),
+                                  ("torsion", "--s", "1e35,0.3")])
 def test_non_finite_or_overflow_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -101,6 +102,15 @@ def test_surgery_invalid_slope(capsys):
     code, _, err = run(capsys, "surgery", "--p", "6", "--q", "4")
     assert code == 2
     assert "error" in err
+
+
+def test_surgery_slope_bound_exit_2(capsys):
+    # 1/101 needs a degree-808 surgery polynomial, past the CLI's 800
+    code, out, err = run(capsys, "surgery", "--p", "1", "--q", "101")
+    assert code == 2
+    assert out == ""
+    assert [ln for ln in err.splitlines() if ln.startswith("error:")]
+    assert "Traceback" not in err
 
 
 def test_surgery_csv(capsys):

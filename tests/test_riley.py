@@ -6,11 +6,13 @@ import pytest
 
 from fig8torsion.errors import SingularParameter
 from fig8torsion.linalg import E2, mat2
-from fig8torsion.riley import (LONGITUDE, longitude_matrix_closed,
+from fig8torsion.riley import (LONGITUDE, longitude_entries, longitude_l11,
+                               longitude_matrix_closed,
                                longitude_matrix_word, longitude_trace,
                                longitude_word,
-                               make_point, rep_matrices, riley_poly, solve_t,
-                               trace_u)
+                               make_point, rep_matrices, rep_stacks,
+                               riley_poly, solve_t, trace_l, trace_u)
+from fig8torsion.verify import sample_variety_points
 
 
 def random_s(rng):
@@ -62,6 +64,46 @@ def test_companion_identity_r21():
         r21 = (3 * t - t / s2 - s2 * t + 3 * t * t - t * t / s2
                - s2 * t * t + t ** 3)
         assert abs(r21 - t * riley_poly(s, t)) <= 1e-10 * max(1, abs(t)) ** 3
+
+
+def test_singular_parameter_in_array():
+    # one bad s anywhere in a stack rejects the whole stack
+    for bad in (0.0, np.nan):
+        s = np.array([2.0, 0.5j, bad, -1.5])
+        for call in (lambda: trace_u(s), lambda: longitude_l11(s, s),
+                     lambda: rep_stacks(s, s)):
+            with pytest.raises(SingularParameter):
+                call()
+
+
+def test_closed_forms_on_arrays():
+    # the same expressions on arrays; numpy's complex division rounds
+    # differently from Python's, so the values agree to rounding, taken
+    # relative to the largest monomial bound |s|^+-4 |t|^4
+    pts = sample_variety_points(200, seed=9)
+    s = np.array([pt.s for pt in pts])
+    t = np.array([pt.t for pt in pts])
+    l11, l21, trl = longitude_l11(s, t), longitude_entries(s, t)[2], \
+        trace_l(s, t)
+    for k, pt in enumerate(pts):
+        scale = max(1.0, abs(pt.s), 1 / abs(pt.s)) ** 4 \
+            * max(1.0, abs(pt.t)) ** 4
+        for array_value, scalar in (
+                (l11[k], longitude_l11(pt.s, pt.t)),
+                (l21[k], longitude_matrix_closed(pt)[1, 0]),
+                (trl[k], longitude_trace(pt))):
+            assert abs(array_value - scalar) <= 1e-13 * scale
+
+
+def test_rep_stacks_match_rep_matrices():
+    # images of x, y, x^-1, y^-1 (letters 1, 2, -1, -2) on one stack
+    pts = sample_variety_points(20, seed=10)
+    imgs = rep_stacks([pt.s for pt in pts], [pt.t for pt in pts])
+    for k, pt in enumerate(pts):
+        scale = max(1.0, abs(pt.s), 1 / abs(pt.s), abs(pt.t)) ** 2
+        for g, img in zip((1, 2), rep_matrices(pt)):
+            assert np.max(np.abs(imgs[g][k] - img)) <= 1e-15 * scale
+            assert np.max(np.abs(imgs[-g][k] @ img - E2)) <= 1e-15 * scale
 
 
 def test_solve_t_branches():

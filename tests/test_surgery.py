@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from fig8torsion.errors import InvalidSlope, OffVariety
 from fig8torsion.linalg import E2
 from fig8torsion.riley import (longitude_matrix_word, longitude_trace,
                                make_point, rep_matrices, solve_t)
-from fig8torsion.surgery import (CSV_HEADER, SurgerySlope,
+from fig8torsion.surgery import (CSV_HEADER, SurgerySlope, _candidates,
+                                 _relation_residuals,
                                  aligned_longitude_eigenvalue, solve_surgery,
                                  surgery_residual, table_to_csv, table_to_json)
 from fig8torsion.formulas import torsion_surgered
@@ -108,6 +111,26 @@ def test_character_count(p, q, count):
     """Every root of the A-polynomial relation that survives the filters
     is a row: the table is complete for the slope."""
     assert len(solve_surgery(SurgerySlope(p, q))) == count
+
+
+def test_solver_residual_is_one_point_residual():
+    """The solver filters on the stacked residual; surgery_residual, which
+    every check re-tests a row with, is its N = 1 call and gives the same
+    bits, for the rows and for every candidate."""
+    slopes = [(p, q) for q in range(1, 5) for p in range(-6, 7)
+              if math.gcd(p, q) == 1]
+    assert len(slopes) == 33
+    for p, q in slopes + [(29, 6), (36, 5), (-39, 14), (1, 16)]:
+        slope = SurgerySlope(p, q)
+        for row in solve_surgery(slope):
+            assert row.relation_residual \
+                == surgery_residual(row.point, slope)[1], (p, q)
+        points = _candidates(slope)
+        stacked = _relation_residuals(np.array([pt.s for pt in points]),
+                                      np.array([pt.t for pt in points]),
+                                      slope)
+        one_point = [surgery_residual(pt, slope)[1] for pt in points]
+        assert stacked.tolist() == one_point, (p, q)
 
 
 def test_slope_sign_symmetry():
