@@ -8,13 +8,13 @@ Run:  python3 demos/demo_riley_variety.py
 
 import numpy as np
 
-from fig8torsion import (longitude_matrix_closed, longitude_matrix_word,
-                         longitude_trace, longitude_word, rep_matrices,
+from fig8torsion import (LONGITUDE, longitude_matrix_closed,
+                         longitude_matrix_word, longitude_trace, rep_matrices,
                          solve_t, trace_u, word_to_text)
 from fig8torsion.words import evaluate_word, parse_word
 
 print("The knot group is <x, y | wx = yw> with w = x y^-1 x^-1 y.")
-print("Longitude word l = w^-1 wtilde =", word_to_text(longitude_word()))
+print("Longitude word l = w^-1 wtilde =", word_to_text(LONGITUDE))
 print()
 
 for s in (1.0, 2.0, 0.5 + 0.5j):

@@ -6,14 +6,13 @@ from .chain import (ChainComplex, TorsionValue, is_acyclic, torsion,
                     torsion_with_basis_perturbation)
 from .errors import (DegenerateLeadingCoefficient, DegenerateU,
                      DimensionMismatch, Fig8Error, InvalidSlope, NotAcyclic,
-                     OffVariety, SingularMatrix, SingularParameter,
-                     WordParseError)
+                     SingularMatrix, SingularParameter, WordParseError)
 from .linalg import E2, mat2, mat2_inverse, rank, solve_quadratic, svd
-from .riley import (RileyPoint, longitude_matrix_closed, longitude_matrix_word,
-                    longitude_trace, longitude_word, make_point, rep_matrices,
-                    riley_poly, solve_t, trace_u)
-from .surgery import (SurgerySlope, SurgerySolution,
-                      aligned_longitude_eigenvalue, solve_surgery,
+from .riley import (LONGITUDE, RileyPoint, longitude_entries,
+                    longitude_matrix_closed, longitude_matrix_word,
+                    longitude_trace, make_point, rep_matrices, riley_poly,
+                    solve_t, trace_u)
+from .surgery import (SurgerySlope, SurgerySolution, solve_surgery,
                       surgery_residual)
 from .formulas import (TorsionReport, full_report, torsion_exterior_closed,
                        torsion_exterior_oracle, torsion_solid_torus_closed,

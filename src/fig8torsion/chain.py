@@ -22,7 +22,12 @@ import numpy as np
 from .errors import DimensionMismatch, NotAcyclic
 from .linalg import _check_finite, rank, svd
 
+EPS = float(np.finfo(float).eps)
 DDZERO_RTOL = 1e-10      # tolerance on d o d = 0, relative to max entry
+# a d o d residual within this many n * eps * max|d_i| * max|d_{i+1}| (n the
+# inner dimension) is the rounding error of the product itself: the entries
+# are too large for double precision, which is an overflow, not bad data
+DDZERO_ROUNDING = 8
 
 
 @dataclass(frozen=True)
@@ -55,6 +60,12 @@ class ChainComplex:
             if lo.size and hi.size:
                 err = float(np.max(np.abs(_check_finite(lo @ hi))))
                 if err > DDZERO_RTOL * scale:
+                    rounding = (DDZERO_ROUNDING * lo.shape[1] * EPS
+                                * np.max(np.abs(lo)) * np.max(np.abs(hi)))
+                    if err <= rounding:
+                        raise OverflowError(
+                            f"d_{i + 1} o d_{i + 2} = 0 is lost to rounding: "
+                            f"residual {err:.3e}")
                     raise DimensionMismatch(
                         f"d_{i + 1} o d_{i + 2} = 0 fails: residual {err:.3e}")
 

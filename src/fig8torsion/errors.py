@@ -33,10 +33,5 @@ class DegenerateU(Fig8Error):
     """Meridian trace u at a zero of u^2(u^2-5); closed forms blow up."""
 
 
-class OffVariety(Fig8Error):
-    """An operation that needs a representation-variety point got one
-    whose defining-polynomial residual exceeds tolerance."""
-
-
 class InvalidSlope(Fig8Error):
     """Surgery slope (p, q) not coprime or equal to (0, 0)."""

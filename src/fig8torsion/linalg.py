@@ -57,7 +57,13 @@ def solve_quadratic(a: complex, b: complex, c: complex,
     are reproducible.  Computed with the cancellation-free pairing
     (one root from the formula, the other from the product c/a).
     Raises OverflowError on a non-finite coefficient or root.
+
+    a, b and c may also be complex ndarrays of one shape; then the
+    roots are two arrays, paired the same way root by root, and an
+    error is raised if any coefficient or root is out of range.
     """
+    if isinstance(a, np.ndarray):
+        return _solve_quadratic_arrays(a, b, c, tol)
     if not all(cmath.isfinite(z) for z in (a, b, c)):
         raise OverflowError(f"non-finite coefficient in {(a, b, c)}")
     if abs(a) <= tol:
@@ -75,6 +81,31 @@ def solve_quadratic(a: complex, b: complex, c: complex,
     if not all(cmath.isfinite(z) for z in roots):
         raise OverflowError(f"non-finite root of {(a, b, c)}")
     return roots
+
+
+def _solve_quadratic_arrays(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                            tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """`solve_quadratic` on stacks: the same pairing, root by root."""
+    # count_nonzero is the cheapest exact test on these short arrays
+    if any(np.count_nonzero(np.isfinite(v)) != v.size for v in (a, b, c)):
+        raise OverflowError("non-finite coefficient")
+    small_a = np.abs(a) <= tol
+    if np.count_nonzero(small_a):
+        raise DegenerateLeadingCoefficient(
+            f"|a| = {np.abs(a[small_a][0]):.3e} <= {tol:.1e}")
+    with np.errstate(all="ignore"):     # an overflow is raised below
+        d = np.sqrt(b * b - 4 * a * c)
+        plus_big = np.abs(-b + d) >= np.abs(-b - d)
+        # the root of larger modulus from the formula, the other from c/a
+        r_big = (-b + np.where(plus_big, d, -d)) / (2 * a)
+        r_small = c / (a * r_big)
+        # r_big = 0 only when b = c = 0, where both roots are 0
+        r_small[r_big == 0] = 0
+    if (np.count_nonzero(np.isfinite(r_big)) != r_big.size
+            or np.count_nonzero(np.isfinite(r_small)) != r_small.size):
+        raise OverflowError("non-finite root")
+    return (np.where(plus_big, r_big, r_small),
+            np.where(plus_big, r_small, r_big))
 
 
 def svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:

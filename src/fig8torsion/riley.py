@@ -38,11 +38,6 @@ RELATOR = word_concat(word_concat(W_WORD, parse_word("x")),
 LONGITUDE = word_concat(word_inverse(W_WORD), WTILDE_WORD)   # YxyXXyxY
 
 
-def longitude_word() -> tuple[int, ...]:
-    """The longitude l = w^-1 wtilde as a reduced word (length 8)."""
-    return LONGITUDE
-
-
 @dataclass(frozen=True)
 class RileyPoint:
     """A parameter point (s, t), its branch label, and the defining
@@ -76,9 +71,9 @@ def _check_s(s):
     if isinstance(s, np.ndarray):
         s = s.astype(complex, copy=False)
         finite = np.isfinite(s)
-        if not finite.all():
+        if np.count_nonzero(finite) != s.size:
             raise SingularParameter(f"s = {s[~finite][0]} is not finite")
-        if not (np.abs(s) > S_ZERO_TOL).all():
+        if np.count_nonzero(np.abs(s) > S_ZERO_TOL) != s.size:
             raise SingularParameter("s = 0")
         return s
     s = complex(s)
@@ -124,17 +119,23 @@ def riley_poly(s: complex, t: complex) -> complex:
     return 3 - 1 / s2 - s2 + 3 * t - t / s2 - s2 * t + t * t
 
 
-def solve_t(s: complex) -> tuple[RileyPoint, RileyPoint]:
-    """The two t-branches over a given s:
+def _t_branches(s):
+    """(t+, t-), the roots of R12(s, t) = 0 in t:
     t = (1 - 3 s^2 + s^4 +- sqrt(1 - 2 s^2 - s^4 - 2 s^6 + s^8)) / (2 s^2).
 
     The "+" branch uses the principal square root (via solve_quadratic's
     deterministic pairing of s^2 t^2 + A t + A = 0, A = 3 s^2 - 1 - s^4).
-    """
-    s = _check_s(s)
+    s is a complex number or a complex array, not checked here; an array
+    gives arrays t+ and t-."""
     s2 = s * s
     a_coef = 3 * s2 - 1 - s2 * s2
-    t_plus, t_minus = solve_quadratic(s2, a_coef, a_coef)
+    return solve_quadratic(s2, a_coef, a_coef)
+
+
+def solve_t(s: complex) -> tuple[RileyPoint, RileyPoint]:
+    """The two t-branches over a given s (see `_t_branches`), as points."""
+    s = _check_s(s)
+    t_plus, t_minus = _t_branches(s)
     return (RileyPoint(s, t_plus, "+", abs(riley_poly(s, t_plus))),
             RileyPoint(s, t_minus, "-", abs(riley_poly(s, t_minus))))
 

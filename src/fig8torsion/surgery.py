@@ -18,9 +18,13 @@ and z and 1/z give the same character; every candidate is re-verified
 against the authoritative matrix residual ||rho(x)^p rho(l)^q - E||
 before being reported.
 
-The candidates of a slope are filtered all at once, on (N, 2, 2)
+The candidate stage runs on stacks: all roots of a slope at once get
+s, lambda, the t-branch whose l11 is nearest lambda (with the double-root
+polish and the branch-point rule applied through masks) and the variety
+residual.  The candidates are then filtered all at once, on (N, 2, 2)
 stacks: the variety check, the matrix residual, the l21 check, the
-closed-form l11 and tr rho(l), and the character dedup.
+closed-form l11 and tr rho(l), and the character dedup; a RileyPoint is
+built only for each row kept.
 `surgery_residual` is the N = 1 call of the same residual, so a check
 that re-tests a row gets the bits the solver filtered on.
 """
@@ -33,10 +37,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateU, InvalidSlope, OffVariety
+from .errors import DegenerateU, InvalidSlope
 from .linalg import E2
-from .riley import (LONGITUDE, RileyPoint, longitude_entries, longitude_l11,
-                    make_point, rep_stacks, solve_t, trace_l, trace_u)
+from .riley import (LONGITUDE, RileyPoint, _t_branches, longitude_entries,
+                    longitude_l11, rep_stacks, riley_poly, trace_l, trace_u)
 from .words import X, word_inverse, word_product
 from .formulas import torsion_surgered
 
@@ -103,26 +107,15 @@ class SurgerySolution:
         return ",".join(cells)
 
 
-def _aligned_l11(s: np.ndarray, t: np.ndarray,
-                 l21_tol: float = L21_TOL) -> tuple[np.ndarray, np.ndarray,
-                                                    np.ndarray]:
-    """(l11, |l21|, aligned) of the closed-form longitude at each point
-    of the stacks s, t; aligned is |l21| <= l21_tol * max(1, max |l_ij|)."""
+def _aligned_l11(s: np.ndarray,
+                 t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(l11, aligned) of the closed-form longitude at each point of the
+    stacks s, t: on the variety l21 vanishes, so l11 is the eigenvalue
+    of rho(l) on rho(x)'s s-eigenvector; aligned is
+    |l21| <= L21_TOL * max(1, max |l_ij|)."""
     entries = longitude_entries(s, t)
-    l21 = np.abs(entries[2])
     scale = np.maximum(1.0, np.max(np.abs(entries), axis=0))
-    return entries[0], l21, l21 <= l21_tol * scale
-
-
-def aligned_longitude_eigenvalue(p: RileyPoint, l21_tol: float = L21_TOL) -> complex:
-    """l11 of the closed-form longitude matrix: on the variety l21
-    vanishes, so l11 is the eigenvalue of rho(l) on rho(x)'s
-    s-eigenvector.  Raises OffVariety when l21 is not small."""
-    l11, l21, aligned = _aligned_l11(np.array([p.s]), np.array([p.t]),
-                                     l21_tol)
-    if not aligned[0]:
-        raise OffVariety(f"|l21| = {l21[0]:.3e}")
-    return complex(l11[0])
+    return entries[0], np.abs(entries[2]) <= L21_TOL * scale
 
 
 def _relation_residuals(s: np.ndarray, t: np.ndarray,
@@ -168,32 +161,40 @@ def _surgery_polynomial(slope: SurgerySlope) -> np.ndarray:
     for power, c in ((p, 1), (-p, 1), (4 * q, -1), (2 * q, 1), (0, 2),
                      (-2 * q, 1), (-4 * q, -1)):
         coeffs[n - power] += c
-    return np.trim_zeros(coeffs)
+    nonzero = np.flatnonzero(coeffs)
+    return coeffs[nonzero[0]:nonzero[-1] + 1]
 
 
-def _candidates(slope: SurgerySlope) -> list[RileyPoint]:
-    """One variety point per root z of f: s = z^q with the t-branch whose
-    aligned longitude eigenvalue l11 is nearest lambda = z^-p."""
+def _candidates(slope: SurgerySlope) -> tuple[np.ndarray, ...]:
+    """The candidates of all roots z of f at once, as stacks
+    (s, lam, t, branch, residual): s = z^q, lam = z^-p, the t-branch
+    whose aligned longitude eigenvalue l11 is nearest lam, its label
+    "+" or "-", and |R12(s, t)|."""
     coeffs = _surgery_polynomial(slope)
-    df = np.polyder(coeffs)
-    d2f = np.polyder(df)
-    points = []
-    for z in np.roots(coeffs):
-        z = complex(z)
-        s = z ** slope.q
-        if abs(s * s + 1) <= DOUBLE_ROOT_TOL:
-            for _ in range(3):
-                z -= np.polyval(df, z) / np.polyval(d2f, z)
-            s = z ** slope.q
-        lam = z ** -slope.p
-        plus, minus = solve_t(s)
-        pt = min(plus, minus, key=lambda b: abs(longitude_l11(s, b.t) - lam))
-        if abs(plus.t - minus.t) <= BRANCH_POINT_TOL:
-            s2, s4 = s * s, s ** 4
-            t = (s4 * lam - s4 * s2 + s4 + 2 * s2 - 1) / (s2 * (s4 - 1))
-            pt = make_point(s, t, pt.branch)
-        points.append(pt)
-    return points
+    z = np.roots(coeffs).astype(complex)
+    s = z ** slope.q
+    double = np.abs(s * s + 1) <= DOUBLE_ROOT_TOL
+    if double.any():
+        df = np.polyder(coeffs)
+        d2f = np.polyder(df)
+        zd = z[double]
+        for _ in range(3):
+            zd = zd - np.polyval(df, zd) / np.polyval(d2f, zd)
+        z[double] = zd
+        s[double] = zd ** slope.q
+    lam = z ** -slope.p
+    t_plus, t_minus = _t_branches(s)
+    l11_plus, l11_minus = longitude_l11(s, np.stack([t_plus, t_minus]))
+    minus = np.abs(l11_minus - lam) < np.abs(l11_plus - lam)
+    t = np.where(minus, t_minus, t_plus)
+    meet = np.abs(t_plus - t_minus) <= BRANCH_POINT_TOL
+    if meet.any():
+        s2 = s[meet] * s[meet]
+        s4 = s2 * s2
+        t[meet] = ((s4 * lam[meet] - s4 * s2 + s4 + 2 * s2 - 1)
+                   / (s2 * (s4 - 1)))
+    return (s, lam, t, np.where(minus, "-", "+"),
+            np.abs(riley_poly(s, t)))
 
 
 def _first_distinct(u: np.ndarray, trl: np.ndarray,
@@ -216,25 +217,23 @@ def solve_surgery(slope: SurgerySlope,
     """Every character satisfying the surgery relation: the roots of f
     (see the module docstring) that lie on the variety within tol, have
     matrix residual <= max(tol, 1e-9) and a vanishing l21; deduplicated
-    by character (u, tr rho(l)) within 10*tol, sorted by |u| then arg(u).
-    All candidates are filtered at once, on (N, 2, 2) stacks."""
+    by character (u, tr rho(l)) within 10*tol, sorted by |u| then arg(u)
+    (see `_row_key`).  All candidates are made and filtered at once, on
+    stacks."""
     # (p, q) and (-p, -q) impose the same relation; normalizing the sign
     # gives both slopes the same candidates, not just the same characters
     root_slope = slope
     if slope.p < 0 or (slope.p == 0 and slope.q < 0):
         root_slope = SurgerySlope(-slope.p, -slope.q)
-    points = _candidates(root_slope)
-    s = np.array([pt.s for pt in points])
-    t = np.array([pt.t for pt in points])
-    residual = np.array([pt.residual for pt in points])
     # a candidate far off the variety may overflow; its non-finite
     # residuals fail the comparisons below, which reject it
     with np.errstate(all="ignore"):
+        s, _, t, branch, residual = _candidates(root_slope)
         # RileyPoint.on_variety(tol) on the stack
         on_variety = residual <= tol * np.maximum(
             1.0, np.maximum(np.abs(s) ** 2, np.abs(t) ** 2))
         mat_res = _relation_residuals(s, t, slope)
-        lam, _, aligned = _aligned_l11(s, t)
+        lam, aligned = _aligned_l11(s, t)
         u, trl = trace_u(s), trace_l(s, t)
         parabolic = np.abs(s * s - 1) <= PARABOLIC_TOL
         degenerate = np.abs(u * u - 5) <= DEGENERATE_U2_TOL
@@ -256,14 +255,30 @@ def solve_surgery(slope: SurgerySlope,
             tau = None
             if "degenerate" not in flags:
                 flags.append("degenerate")
+        point = RileyPoint(complex(s[k]), complex(t[k]), str(branch[k]),
+                           float(residual[k]))
         solutions.append(SurgerySolution(
-            point=points[k], u=u_k, trace_l=complex(trl[k]),
+            point=point, u=u_k, trace_l=complex(trl[k]),
             lam=complex(lam[k]), relation_residual=float(mat_res[k]),
             torsion=tau, flags=flags))
-    solutions.sort(key=lambda sol: (abs(sol.u),
-                                    math.atan2(sol.u.imag, sol.u.real),
-                                    sol.point.branch))
+    solutions.sort(key=_row_key)
     return solutions
+
+
+_PI_10 = round(math.pi, 10)
+
+
+def _row_key(sol: SurgerySolution) -> tuple[float, float, str]:
+    """Sort key (|u|, arg u, branch) with |u| to 10 significant digits
+    and arg u to 1e-10, in (-pi, pi]: far above the ~1e-14 rounding
+    noise in u and far below the dedup distance, so rows whose |u| tie
+    in exact arithmetic (u and -conj(u)) keep their order when u moves
+    in the last bits."""
+    u = sol.u
+    arg = round(math.atan2(u.imag, u.real), 10)
+    if arg == -_PI_10:      # -pi and pi are one direction
+        arg = _PI_10
+    return float(f"{abs(u):.9e}"), arg, sol.point.branch
 
 
 def table_to_csv(solutions: list[SurgerySolution]) -> str:

@@ -48,6 +48,17 @@ def test_non_finite_or_overflow_exit_2(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("s", ["1e20,0", "1e30,0"])
+def test_boundary_product_overflow_exit_2(capsys, s):
+    """Fox matrices with entries this large leave d o d = 0 to rounding:
+    that is reported as an overflow, not as a malformed complex."""
+    code, out, err = run(capsys, "torsion", "--s", s)
+    assert code == 2
+    assert out == ""
+    assert [ln for ln in err.splitlines()
+            if ln.startswith("error: numeric overflow")]
+
+
 def test_usage_error_exit_1():
     with pytest.raises(SystemExit) as exc:
         main(["riley", "--s", "not-a-number"])

@@ -76,6 +76,33 @@ def test_quadratic_residuals_random():
             assert abs(a * r * r + b * r + c) <= 1e-10 * scale * max(1, abs(r)) ** 2
 
 
+def test_quadratic_arrays_match_scalar_random():
+    """The ndarray form pairs the roots as the scalar form does; numpy's
+    array complex arithmetic differs from CPython's in the last bits, so
+    the roots agree to 1e-15 relative, not bit for bit."""
+    rng = np.random.default_rng(5)
+    n = 2000
+    a, b, c = (rng.normal(size=n) + 1j * rng.normal(size=n)
+               for _ in range(3))
+    a[0], b[0], c[0] = 1, 0, 0          # b = c = 0: both roots 0
+    plus, minus = solve_quadratic(a, b, c)
+    for k in range(n):
+        for got, want in zip((plus[k], minus[k]),
+                             solve_quadratic(a[k].item(), b[k].item(),
+                                             c[k].item())):
+            assert abs(got - want) <= 1e-15 * abs(want)
+
+
+def test_quadratic_arrays_errors():
+    one = np.ones(3, dtype=complex)
+    with pytest.raises(DegenerateLeadingCoefficient):
+        solve_quadratic(np.array([1, 0, 1], dtype=complex), one, one)
+    with pytest.raises(OverflowError):
+        solve_quadratic(one, np.array([1, np.inf, 1]), one)
+    with pytest.raises(OverflowError):      # b * b overflows
+        solve_quadratic(one, np.full(3, 1e200 + 0j), one)
+
+
 def test_nullspace_examples():
     assert kernel(np.eye(2, dtype=complex)).shape[1] == 0
     basis = kernel(np.array([[1.0, 1.0]], dtype=complex))

@@ -9,10 +9,10 @@ from fig8torsion.linalg import E2, mat2
 from fig8torsion.riley import (LONGITUDE, longitude_entries, longitude_l11,
                                longitude_matrix_closed,
                                longitude_matrix_word, longitude_trace,
-                               longitude_word,
                                make_point, rep_matrices, rep_stacks,
                                riley_poly, solve_t, trace_l, trace_u)
 from fig8torsion.verify import sample_variety_points
+from fig8torsion.words import word_to_text
 
 
 def random_s(rng):
@@ -150,8 +150,8 @@ def test_homomorphism_relation_on_variety():
 
 
 def test_longitude_word():
-    lw = longitude_word()
-    assert lw == LONGITUDE
+    lw = LONGITUDE
+    assert word_to_text(lw) == "YxyXXyxY"   # w^-1 wtilde, w = xYXy
     assert len(lw) == 8
     assert sum(1 for a in lw if abs(a) == 1 and a > 0) \
         == sum(1 for a in lw if abs(a) == 1 and a < 0)   # x-degree 0

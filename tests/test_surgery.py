@@ -1,15 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from fig8torsion.errors import InvalidSlope, OffVariety
+from fig8torsion.errors import InvalidSlope
 from fig8torsion.linalg import E2
-from fig8torsion.riley import (longitude_matrix_word, longitude_trace,
+from fig8torsion.riley import (RileyPoint, longitude_entries, longitude_l11,
+                               longitude_matrix_word, longitude_trace,
                                make_point, rep_matrices, solve_t)
-from fig8torsion.surgery import (CSV_HEADER, SurgerySlope, _candidates,
-                                 _relation_residuals,
-                                 aligned_longitude_eigenvalue, solve_surgery,
+from fig8torsion.surgery import (BRANCH_POINT_TOL, CSV_HEADER, SurgerySlope,
+                                 _aligned_l11, _candidates,
+                                 _relation_residuals, _row_key, solve_surgery,
                                  surgery_residual, table_to_csv, table_to_json)
 from fig8torsion.formulas import torsion_surgered
 from fig8torsion.verify import sample_variety_points
@@ -25,25 +27,29 @@ def test_slope_validation():
 
 
 def test_aligned_eigenvalue_geometric():
-    lam = aligned_longitude_eigenvalue(solve_t(1.0)[0])
-    assert abs(lam - (-1)) < 1e-10
+    pt = solve_t(1.0)[0]
+    assert abs(longitude_entries(pt.s, pt.t)[0] - (-1)) < 1e-10
 
 
 def test_aligned_eigenvalue_properties_random():
+    """On the variety l21 = 0, so the aligned eigenvalue lam = l11 has
+    lam + 1/lam = tr rho(l) and lam * l22 = det rho(l) = 1."""
     for pt in sample_variety_points(50, seed=0):
-        lam = aligned_longitude_eigenvalue(pt)
+        lam, _, l21, l22 = longitude_entries(pt.s, pt.t)
         trl = longitude_trace(pt)
         scale = max(1.0, abs(lam), abs(trl))
+        assert abs(l21) <= 1e-8 * scale
         assert abs(lam + 1 / lam - trl) <= 1e-8 * scale
-        # lam * l22 = det L = 1 with l21 = 0
-        from fig8torsion.riley import longitude_matrix_closed
-        l22 = longitude_matrix_closed(pt)[1, 1]
         assert abs(lam * l22 - 1) <= 1e-8 * scale
 
 
 def test_aligned_eigenvalue_off_variety():
-    with pytest.raises(OffVariety):
-        aligned_longitude_eigenvalue(make_point(2.0, 0.7))
+    """Off the variety l21 does not vanish, and the solver's l21 check
+    refuses the point."""
+    pt = make_point(2.0, 0.7)
+    _, aligned = _aligned_l11(np.array([pt.s]), np.array([pt.t]))
+    assert not aligned[0]
+    assert abs(longitude_entries(pt.s, pt.t)[2]) > 1e-3
 
 
 def test_surgery_residual_nonzero_cases():
@@ -125,12 +131,59 @@ def test_solver_residual_is_one_point_residual():
         for row in solve_surgery(slope):
             assert row.relation_residual \
                 == surgery_residual(row.point, slope)[1], (p, q)
-        points = _candidates(slope)
-        stacked = _relation_residuals(np.array([pt.s for pt in points]),
-                                      np.array([pt.t for pt in points]),
-                                      slope)
-        one_point = [surgery_residual(pt, slope)[1] for pt in points]
+        s, _, t, _, _ = _candidates(slope)
+        stacked = _relation_residuals(s, t, slope)
+        one_point = [surgery_residual(RileyPoint(sk, tk), slope)[1]
+                     for sk, tk in zip(s.tolist(), t.tolist())]
         assert stacked.tolist() == one_point, (p, q)
+
+
+# rows whose |u| tie in exact arithmetic (u and -conj(u)) abound here
+TIED_SLOPES = [(-18, 13), (10, 7), (32, 7)]
+
+
+@pytest.mark.parametrize("p, q", [
+    (2, 5), (13, 5), (1, 8), (3, 8), (-3, 1), (3, 2), (4, 1), (0, 1),
+    (1, 0)] + TIED_SLOPES)
+def test_stacked_candidates_match_scalar(p, q):
+    """Every stacked candidate has the t and the branch that the scalar
+    solve_t(s) and the nearest-l11 choice give.  Where the two branches
+    meet, t comes from the branch-point rule instead, so those are
+    exempt."""
+    s, lam, t, branch, _ = _candidates(SurgerySlope(p, q))
+    checked = 0
+    for sk, lk, tk, bk in zip(s.tolist(), lam.tolist(), t.tolist(),
+                              branch.tolist()):
+        plus, minus = solve_t(sk)
+        if abs(plus.t - minus.t) <= BRANCH_POINT_TOL:
+            continue
+        pick = min(plus, minus,
+                   key=lambda b: abs(longitude_l11(sk, b.t) - lk))
+        assert bk == pick.branch, (p, q, sk)
+        assert abs(tk - pick.t) <= 1e-12 * abs(pick.t), (p, q, sk)
+        checked += 1
+    # only the roots at u = +-1 and u^2 = 5 are exempt: at most 4 here
+    assert checked >= len(s) - 4
+
+
+@pytest.mark.parametrize("p, q", TIED_SLOPES)
+def test_row_order_stable_under_last_bit_changes(p, q):
+    """Moving every u by a few ulps leaves the row order as it is."""
+    rows = solve_surgery(SurgerySlope(p, q))
+    assert any(abs(abs(a.u) - abs(b.u)) <= 1e-12 * abs(a.u)
+               for a, b in zip(rows, rows[1:]))
+    rng = np.random.default_rng([abs(p), q])
+
+    def nudge(x):
+        for _ in range(rng.integers(1, 4)):
+            x = np.nextafter(x, rng.choice([-np.inf, np.inf]))
+        return float(x)
+
+    for _ in range(20):
+        moved = [dataclasses.replace(
+                     row, u=complex(nudge(row.u.real), nudge(row.u.imag)))
+                 for row in rows]
+        assert sorted(moved, key=_row_key) == moved
 
 
 def test_slope_sign_symmetry():
