@@ -4,9 +4,9 @@ Complex numbers are passed as "re,im" pairs.  Exit codes: 0 success,
 1 usage or parse error, 2 invalid mathematical input (including a
 non-finite value, an overflow, or a surgery slope whose polynomial
 degree exceeds MAX_SURGERY_DEGREE), 3 verification failure.
-Tolerances, the output format and the verify seed can be set by flags
-or an optional JSON config file; flags win.  A subcommand accepts only
-the flags it reads, and --config.
+The output format and the verify seed can be set by flags or by the
+"format" and "seed" keys of a JSON config file (--config); flags win.
+A subcommand accepts only the flags it reads, and --config.
 """
 
 from __future__ import annotations
@@ -14,13 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 from .errors import Fig8Error, InvalidSlope
 from .riley import solve_t
 from .surgery import (CSV_HEADER, SurgerySlope, polynomial_degree,
                       solve_surgery, table_to_csv, table_to_json)
-from .formulas import full_report
+from .formulas import REPORT_CSV_HEADER, full_report
 from .verify import run_all
 
 EXIT_OK, EXIT_USAGE, EXIT_MATH, EXIT_VERIFY = 0, 1, 2, 3
@@ -28,6 +27,7 @@ EXIT_OK, EXIT_USAGE, EXIT_MATH, EXIT_VERIFY = 0, 1, 2, 3
 # polynomial: 800 (slope 1/100) takes ~1.6 s and ~41 MB, 1600 (1/200)
 # ~7.2 s and ~71 MB
 MAX_SURGERY_DEGREE = 800
+RILEY_CSV_HEADER = "s_re,s_im,t_re,t_im,branch,residual"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -36,14 +36,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-@dataclass
-class RunConfig:
-    tol_variety: float = 1e-10
-    tol_compare: float = 1e-8
-    fmt: str = "pretty"
-    seed: int = 0
 
 
 def parse_complex(text: str) -> complex:
@@ -55,40 +47,24 @@ def parse_complex(text: str) -> complex:
             f"expected 're,im' pair, got {text!r}") from exc
 
 
-def _load_config(ns) -> RunConfig:
-    cfg = RunConfig()
-    if ns.config:
-        with open(ns.config) as fh:
-            data = json.load(fh)
-        for key in ("tol_variety", "tol_compare"):
-            if key in data:
-                setattr(cfg, key, float(data[key]))
-        if "format" in data:
-            cfg.fmt = data["format"]
-        if "seed" in data:
-            cfg.seed = int(data["seed"])
-    for attr, flag in (("tol_variety", "tol_variety"),
-                       ("tol_compare", "tol_compare"),
-                       ("seed", "seed")):
-        val = getattr(ns, flag, None)
-        if val is not None:
-            setattr(cfg, attr, val)
-    if getattr(ns, "format", None):
-        cfg.fmt = ns.format
-    return cfg
+def parse_seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
-_FLAGS = {"format": {"choices": ["json", "csv", "pretty"]},
-          "tol-variety": {"type": float},
-          "tol-compare": {"type": float},
-          "seed": {"type": int}}
+_FLAGS = {"format": {"choices": ["json", "csv", "pretty"],
+                     "default": "pretty"},
+          "seed": {"type": parse_seed, "default": 0}}
 
 
 def _add_flags(sub, *names):
     """The named flags, which the subcommand reads, and --config."""
     for name in names:
         sub.add_argument(f"--{name}", **_FLAGS[name])
-    sub.add_argument("--config", help="JSON config file (flags win)")
+    sub.add_argument("--config",
+                     help='JSON file of "format"/"seed" values (flags win)')
 
 
 def _fmt_cx(z: complex) -> str:
@@ -96,10 +72,14 @@ def _fmt_cx(z: complex) -> str:
 
 
 def cmd_riley(ns) -> int:
-    cfg = _load_config(ns)
     points = solve_t(ns.s)
-    if cfg.fmt == "json":
+    if ns.format == "json":
         print(json.dumps([pt.to_json() for pt in points], indent=2))
+    elif ns.format == "csv":
+        print(RILEY_CSV_HEADER)
+        for pt in points:
+            print(f"{pt.s.real:.17g},{pt.s.imag:.17g},{pt.t.real:.17g},"
+                  f"{pt.t.imag:.17g},{pt.branch},{pt.residual:.17g}")
     else:
         for pt in points:
             print(f"branch {pt.branch}: t = {_fmt_cx(pt.t)}   "
@@ -108,12 +88,14 @@ def cmd_riley(ns) -> int:
 
 
 def cmd_torsion(ns) -> int:
-    cfg = _load_config(ns)
     plus, minus = solve_t(ns.s)
     pt = plus if ns.branch == "+" else minus
-    rep = full_report(pt, compare_tol=cfg.tol_compare)
-    if cfg.fmt == "json":
+    rep = full_report(pt)
+    if ns.format == "json":
         print(json.dumps(rep.to_json(), indent=2))
+        return EXIT_OK
+    if ns.format == "csv":
+        print(REPORT_CSV_HEADER, rep.to_csv_row(), sep="\n")
         return EXIT_OK
     print(f"point: s = {_fmt_cx(pt.s)}, t = {_fmt_cx(pt.t)} "
           f"(branch {pt.branch}), u = {_fmt_cx(rep.u)}")
@@ -141,17 +123,16 @@ def cmd_torsion(ns) -> int:
 
 
 def cmd_surgery(ns) -> int:
-    cfg = _load_config(ns)
     slope = SurgerySlope(ns.p, ns.q)
     degree = polynomial_degree(slope)
     if degree > MAX_SURGERY_DEGREE:
         raise InvalidSlope(f"slope {ns.p}/{ns.q} needs a degree-{degree} "
                            f"surgery polynomial; the limit is "
                            f"{MAX_SURGERY_DEGREE}")
-    rows = solve_surgery(slope, tol=cfg.tol_variety)
-    if cfg.fmt == "json":
+    rows = solve_surgery(slope)
+    if ns.format == "json":
         print(table_to_json(rows))
-    elif cfg.fmt == "csv":
+    elif ns.format == "csv":
         print(table_to_csv(rows), end="")
     else:
         print(f"slope {ns.p}/{ns.q}: {len(rows)} solution(s)")
@@ -162,8 +143,7 @@ def cmd_surgery(ns) -> int:
 
 
 def cmd_verify(ns) -> int:
-    cfg = _load_config(ns)
-    results = run_all(samples=ns.samples, seed=cfg.seed)
+    results = run_all(samples=ns.samples, seed=ns.seed)
     for res in results:
         print(res.line())
     n_fail = sum(not r.passed for r in results)
@@ -188,13 +168,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--s", type=parse_complex, required=True,
                      metavar="RE,IM")
     sub.add_argument("--branch", choices=["+", "-"], default="+")
-    _add_flags(sub, "format", "tol-compare")
+    _add_flags(sub, "format")
     sub.set_defaults(func=cmd_torsion)
 
     sub = subs.add_parser("surgery", help="tabulate p/q surgery solutions")
     sub.add_argument("--p", type=int, required=True)
     sub.add_argument("--q", type=int, required=True)
-    _add_flags(sub, "format", "tol-variety")
+    _add_flags(sub, "format")
     sub.set_defaults(func=cmd_surgery)
 
     sub = subs.add_parser("verify", help="run the self-verification suite")
@@ -204,9 +184,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _with_config(parser, argv: list[str], ns) -> list[str]:
+    """argv with the --config file's values inserted as flags after the
+    subcommand name, for the flags that subcommand registers, so that
+    argparse checks them and a later flag on the command line wins."""
+    try:
+        with open(ns.config) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        parser.error(f"config file {ns.config}: {exc}")
+    if not isinstance(data, dict) or not set(data) <= set(_FLAGS):
+        parser.error(f"config file {ns.config}: expected a JSON object "
+                     f"with keys among {', '.join(_FLAGS)}")
+    flags = [f"--{key}={val}" for key, val in data.items() if hasattr(ns, key)]
+    at = argv.index(ns.command) + 1
+    return argv[:at] + flags + argv[at:]
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     ns = parser.parse_args(argv)
+    if ns.config:
+        ns = parser.parse_args(_with_config(parser, argv, ns))
     try:
         return ns.func(ns)
     except Fig8Error as exc:

@@ -29,6 +29,7 @@ from .words import fox_jacobian, parse_word
 
 DEGENERATE_TOL = 1e-8    # |u^2 (u^2 - 5)| below this is degenerate
 NONACYCLIC_TOL = 1e-8    # |2 - tr rho(l)| below this is non-acyclic
+COMPARE_TOL = 1e-8       # relative gap up to which a report check passes
 
 _COMMUTATOR = parse_word("xyXY")
 
@@ -168,7 +169,7 @@ class TorsionReport:
 
     def to_csv_row(self) -> str:
         def fmt(z):
-            return "" if z is None else f"{z.real:.17g},{z.imag:.17g}"
+            return "," if z is None else f"{z.real:.17g},{z.imag:.17g}"
         oracle = self.tau_exterior_oracle
         cells = [fmt(self.u), fmt(self.tau_exterior_closed),
                  fmt(None if oracle is None else oracle.value),
@@ -184,10 +185,10 @@ REPORT_CSV_HEADER = ("u_re,u_im,tauext_re,tauext_im,oracle_re,oracle_im,"
                      "tauM_re,tauM_im,flags,annotations")
 
 
-def full_report(p: RileyPoint, compare_tol: float = 1e-8) -> TorsionReport:
-    """Evaluate every torsion quantity at p and cross-check:
-    closed-vs-oracle (up to sign), trace-form vs u-form for the solid
-    torus, and the product identity against the surgered closed form."""
+def full_report(p: RileyPoint) -> TorsionReport:
+    """Evaluate every torsion quantity at p and cross-check, to a relative
+    gap of COMPARE_TOL: closed-vs-oracle (up to sign), trace-form vs
+    u-form for the solid torus, and the product identity for tau(M)."""
     u = trace_u(p.s)
     rep = TorsionReport(u=u)
     rep.tau_exterior_closed = torsion_exterior_closed(u)
@@ -211,20 +212,20 @@ def full_report(p: RileyPoint, compare_tol: float = 1e-8) -> TorsionReport:
 
     if rep.tau_exterior_oracle is not None:
         ok = relerr(abs(rep.tau_exterior_oracle.value),
-                    abs(rep.tau_exterior_closed)) <= compare_tol
+                    abs(rep.tau_exterior_closed)) <= COMPARE_TOL
         rep.flags["exterior_oracle_abs"] = "pass" if ok else "fail"
     else:
         rep.flags["exterior_oracle_abs"] = "skipped"
 
     if rep.tau_solid_trace is not None and rep.tau_solid_closed is not None:
-        ok = relerr(rep.tau_solid_trace, rep.tau_solid_closed) <= compare_tol
+        ok = relerr(rep.tau_solid_trace, rep.tau_solid_closed) <= COMPARE_TOL
         rep.flags["solid_trace_vs_u"] = "pass" if ok else "fail"
     else:
         rep.flags["solid_trace_vs_u"] = "skipped"
 
     if rep.tau_surgered is not None and rep.tau_solid_closed is not None:
         prod = rep.tau_exterior_closed * rep.tau_solid_closed
-        ok = relerr(rep.tau_surgered, prod) <= compare_tol
+        ok = relerr(rep.tau_surgered, prod) <= COMPARE_TOL
         rep.flags["product_identity"] = "pass" if ok else "fail"
     else:
         rep.flags["product_identity"] = "skipped"

@@ -18,6 +18,7 @@ from .errors import DegenerateLeadingCoefficient, SingularMatrix
 
 RANK_RTOL = 1e-9         # rank threshold, relative to max(1, largest sigma)
 SINGULAR_TOL = 1e-12     # |det| below this means "singular" for 2x2 inverses
+LEADING_TOL = 1e-12      # |a| below this: a z^2 + b z + c is not a quadratic
 
 E2 = np.eye(2, dtype=complex)
 
@@ -38,18 +39,18 @@ def det2(a: np.ndarray) -> complex:
     return a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
 
 
-def mat2_inverse(a: np.ndarray, tol: float = SINGULAR_TOL) -> np.ndarray:
-    """Inverse via the adjugate; raises SingularMatrix when |det| <= tol."""
+def mat2_inverse(a: np.ndarray) -> np.ndarray:
+    """Inverse via the adjugate; SingularMatrix if |det| <= SINGULAR_TOL."""
     d = det2(a)
-    if abs(d) <= tol:
-        raise SingularMatrix(f"|det| = {abs(d):.3e} <= {tol:.1e}")
+    if abs(d) <= SINGULAR_TOL:
+        raise SingularMatrix(f"|det| = {abs(d):.3e} <= {SINGULAR_TOL:.1e}")
     return _check_finite(
         np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]], dtype=complex) / d
     )
 
 
-def solve_quadratic(a: complex, b: complex, c: complex,
-                    tol: float = 1e-12) -> tuple[complex, complex]:
+def solve_quadratic(a: complex, b: complex,
+                    c: complex) -> tuple[complex, complex]:
     """Both roots of a z^2 + b z + c = 0.
 
     The first returned root is the "+" branch: (-b + sqrt(disc)) / (2a)
@@ -63,11 +64,12 @@ def solve_quadratic(a: complex, b: complex, c: complex,
     error is raised if any coefficient or root is out of range.
     """
     if isinstance(a, np.ndarray):
-        return _solve_quadratic_arrays(a, b, c, tol)
+        return _solve_quadratic_arrays(a, b, c)
     if not all(cmath.isfinite(z) for z in (a, b, c)):
         raise OverflowError(f"non-finite coefficient in {(a, b, c)}")
-    if abs(a) <= tol:
-        raise DegenerateLeadingCoefficient(f"|a| = {abs(a):.3e} <= {tol:.1e}")
+    if abs(a) <= LEADING_TOL:
+        raise DegenerateLeadingCoefficient(
+            f"|a| = {abs(a):.3e} <= {LEADING_TOL:.1e}")
     with np.errstate(all="ignore"):     # an overflow is raised below
         d = np.sqrt(complex(b * b - 4 * a * c))
         plus_num, minus_num = -b + d, -b - d
@@ -83,16 +85,16 @@ def solve_quadratic(a: complex, b: complex, c: complex,
     return roots
 
 
-def _solve_quadratic_arrays(a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                            tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _solve_quadratic_arrays(a: np.ndarray, b: np.ndarray,
+                            c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`solve_quadratic` on stacks: the same pairing, root by root."""
     # count_nonzero is the cheapest exact test on these short arrays
     if any(np.count_nonzero(np.isfinite(v)) != v.size for v in (a, b, c)):
         raise OverflowError("non-finite coefficient")
-    small_a = np.abs(a) <= tol
+    small_a = np.abs(a) <= LEADING_TOL
     if np.count_nonzero(small_a):
         raise DegenerateLeadingCoefficient(
-            f"|a| = {np.abs(a[small_a][0]):.3e} <= {tol:.1e}")
+            f"|a| = {np.abs(a[small_a][0]):.3e} <= {LEADING_TOL:.1e}")
     with np.errstate(all="ignore"):     # an overflow is raised below
         d = np.sqrt(b * b - 4 * a * c)
         plus_big = np.abs(-b + d) >= np.abs(-b - d)

@@ -84,9 +84,9 @@ def _check_s(s):
     return s
 
 
-def make_point(s: complex, t: complex, branch: str = "?") -> RileyPoint:
+def make_point(s: complex, t: complex) -> RileyPoint:
     s = _check_s(s)
-    return RileyPoint(s, complex(t), branch, abs(riley_poly(s, t)))
+    return RileyPoint(s, complex(t), residual=abs(riley_poly(s, t)))
 
 
 def rep_matrices(p: RileyPoint) -> tuple[np.ndarray, np.ndarray]:

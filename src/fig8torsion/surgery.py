@@ -39,14 +39,16 @@ import numpy as np
 
 from .errors import DegenerateU, InvalidSlope
 from .linalg import E2
-from .riley import (LONGITUDE, RileyPoint, _t_branches, longitude_entries,
-                    longitude_l11, rep_stacks, riley_poly, trace_l, trace_u)
+from .riley import (LONGITUDE, VARIETY_TOL, RileyPoint, _t_branches,
+                    longitude_entries, longitude_l11, rep_stacks, riley_poly,
+                    trace_l, trace_u)
 from .words import X, word_inverse, word_product
 from .formulas import torsion_surgered
 
+RELATION_TOL = 1e-9      # ||rho(x)^p rho(l)^q - E|| at most this: a row
+DEDUP_RTOL = 1e-9        # u and tr rho(l) both this close: one character
 L21_TOL = 1e-8
 PARABOLIC_TOL = 1e-6     # |s^2 - 1| below this: eigenvalue eqn degenerates
-DEGENERATE_U2_TOL = 1e-6  # |u^2 - 5| annotation threshold
 # s = +-i (u = 0, lambda = 1; slopes with 4 | p): z is a double root of f,
 # which np.roots gives only to ~1e-8; polish it on f', where it is simple
 DOUBLE_ROOT_TOL = 1e-6    # |s^2 + 1| below this
@@ -197,13 +199,13 @@ def _candidates(slope: SurgerySlope) -> tuple[np.ndarray, ...]:
             np.abs(riley_poly(s, t)))
 
 
-def _first_distinct(u: np.ndarray, trl: np.ndarray,
-                    tol: float) -> np.ndarray:
+def _first_distinct(u: np.ndarray, trl: np.ndarray) -> np.ndarray:
     """Indices of the rows kept by a first-kept character dedup: row i is
-    dropped when a kept row j < i has |u_i - u_j| <= tol * max(1, |u_j|)
-    and the same for trl."""
-    def near(v):    # near(v)[i, j]: v_i is within tol of v_j
-        return np.abs(v[:, None] - v) <= tol * np.maximum(1.0, np.abs(v))
+    dropped when a kept row j < i has
+    |u_i - u_j| <= DEDUP_RTOL * max(1, |u_j|) and the same for trl."""
+    def near(v):    # near(v)[i, j]: v_i is within DEDUP_RTOL of v_j
+        return (np.abs(v[:, None] - v)
+                <= DEDUP_RTOL * np.maximum(1.0, np.abs(v)))
     earlier = np.tril(near(u) & near(trl), -1)
     keep = np.ones(len(u), dtype=bool)
     # a row with no earlier match is kept whatever the rows before it do
@@ -212,14 +214,14 @@ def _first_distinct(u: np.ndarray, trl: np.ndarray,
     return np.flatnonzero(keep)
 
 
-def solve_surgery(slope: SurgerySlope,
-                  tol: float = 1e-10) -> list[SurgerySolution]:
+def solve_surgery(slope: SurgerySlope) -> list[SurgerySolution]:
     """Every character satisfying the surgery relation: the roots of f
-    (see the module docstring) that lie on the variety within tol, have
-    matrix residual <= max(tol, 1e-9) and a vanishing l21; deduplicated
-    by character (u, tr rho(l)) within 10*tol, sorted by |u| then arg(u)
-    (see `_row_key`).  All candidates are made and filtered at once, on
-    stacks."""
+    (see the module docstring) on the variety within VARIETY_TOL, with
+    matrix residual <= RELATION_TOL and a vanishing l21; deduplicated by
+    character (u, tr rho(l)) within DEDUP_RTOL and sorted by `_row_key`.
+    A row is degenerate, with torsion None, exactly when
+    `torsion_surgered` raises DegenerateU.  All candidates are made and
+    filtered at once, on stacks."""
     # (p, q) and (-p, -q) impose the same relation; normalizing the sign
     # gives both slopes the same candidates, not just the same characters
     root_slope = slope
@@ -229,32 +231,26 @@ def solve_surgery(slope: SurgerySlope,
     # residuals fail the comparisons below, which reject it
     with np.errstate(all="ignore"):
         s, _, t, branch, residual = _candidates(root_slope)
-        # RileyPoint.on_variety(tol) on the stack
-        on_variety = residual <= tol * np.maximum(
+        # RileyPoint.on_variety() on the stack
+        on_variety = residual <= VARIETY_TOL * np.maximum(
             1.0, np.maximum(np.abs(s) ** 2, np.abs(t) ** 2))
         mat_res = _relation_residuals(s, t, slope)
         lam, aligned = _aligned_l11(s, t)
         u, trl = trace_u(s), trace_l(s, t)
         parabolic = np.abs(s * s - 1) <= PARABOLIC_TOL
-        degenerate = np.abs(u * u - 5) <= DEGENERATE_U2_TOL
-    rows = np.flatnonzero(on_variety & (mat_res <= max(tol, 1e-9)) & aligned)
+    rows = np.flatnonzero(on_variety & (mat_res <= RELATION_TOL) & aligned)
     # character dedup (also merges z <-> 1/z, i.e. s <-> 1/s)
-    rows = rows[_first_distinct(u[rows], trl[rows], 10 * tol)]
+    rows = rows[_first_distinct(u[rows], trl[rows])]
 
     solutions = []
     for k in rows:
         u_k = complex(u[k])
-        flags = []
-        if parabolic[k]:
-            flags.append("parabolic")
-        if degenerate[k]:
-            flags.append("degenerate")
+        flags = ["parabolic"] if parabolic[k] else []
         try:
             tau = torsion_surgered(u_k)
         except DegenerateU:
             tau = None
-            if "degenerate" not in flags:
-                flags.append("degenerate")
+            flags.append("degenerate")
         point = RileyPoint(complex(s[k]), complex(t[k]), str(branch[k]),
                            float(residual[k]))
         solutions.append(SurgerySolution(

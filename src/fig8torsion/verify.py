@@ -19,7 +19,8 @@ from .errors import NotAcyclic
 from .linalg import mat2
 from .riley import (RileyPoint, longitude_matrix_closed, longitude_matrix_word,
                     longitude_trace, rep_matrices, solve_t, trace_u)
-from .surgery import SurgerySlope, solve_surgery, surgery_residual
+from .surgery import (RELATION_TOL, SurgerySlope, solve_surgery,
+                      surgery_residual)
 from .formulas import (full_report, torsion_exterior_closed,
                        torsion_exterior_oracle, torsion_solid_torus_closed,
                        torsion_solid_torus_from_trace, torsion_surgered,
@@ -41,17 +42,16 @@ class CheckResult:
                 f" (tol {self.tol:.1e}){extra}")
 
 
-def sample_variety_points(n: int, seed: int,
-                          exclude_2mu: float = 1e-3) -> list[RileyPoint]:
+def sample_variety_points(n: int, seed: int) -> list[RileyPoint]:
     """n random variety points: |s| log-uniform in [0.3, 3], uniform
-    angle, alternating branches, excluding |2 - u| < exclude_2mu."""
+    angle, alternating branches, excluding |2 - u| < 1e-3."""
     rng = np.random.default_rng(seed)
     pts: list[RileyPoint] = []
     while len(pts) < n:
         r = math.exp(rng.uniform(math.log(0.3), math.log(3.0)))
         theta = rng.uniform(0.0, 2 * math.pi)
         s = r * cmath.exp(1j * theta)
-        if abs(2 - trace_u(s)) < exclude_2mu:
+        if abs(2 - trace_u(s)) < 1e-3:
             continue
         plus, minus = solve_t(s)
         pts.append(plus if len(pts) % 2 == 0 else minus)
@@ -208,12 +208,11 @@ def check_product_identity(n: int, seed: int) -> CheckResult:
                        detail=f"{n} random u")
 
 
-def check_surgery_solver(slopes=None) -> CheckResult:
+def check_surgery_solver() -> CheckResult:
     """Slope (1,0) finds nothing; every solution on other slopes
-    satisfies both residuals and the torsion formula."""
-    slopes = slopes if slopes is not None else [
-        (1, 0), (1, 1), (2, 1), (3, 1), (5, 1), (1, 2), (3, 2), (5, 3),
-        (-1, 2), (4, 1)]
+    satisfies both residuals to RELATION_TOL and the torsion formula."""
+    slopes = [(1, 0), (1, 1), (2, 1), (3, 1), (5, 1), (1, 2), (3, 2), (5, 3),
+              (-1, 2), (4, 1)]
     worst = 0.0
     n_sol = 0
     ok = True
@@ -226,7 +225,7 @@ def check_surgery_solver(slopes=None) -> CheckResult:
             n_sol += 1
             _, mat_res = surgery_residual(sol.point, slope)
             worst = max(worst, mat_res, sol.point.residual)
-            if mat_res > 1e-9 or sol.point.residual > 1e-9:
+            if mat_res > RELATION_TOL or sol.point.residual > RELATION_TOL:
                 ok = False
             if sol.torsion is not None:
                 err = _relerr(sol.torsion, torsion_surgered(sol.u))
@@ -235,7 +234,8 @@ def check_surgery_solver(slopes=None) -> CheckResult:
                     ok = False
             elif "degenerate" not in sol.flags:
                 ok = False
-    return CheckResult("surgery solver residuals + torsion", ok, worst, 1e-9,
+    return CheckResult("surgery solver residuals + torsion", ok, worst,
+                       RELATION_TOL,
                        detail=f"{len(slopes)} slopes, {n_sol} solutions")
 
 

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from fig8torsion.cli import main
+from fig8torsion.cli import RILEY_CSV_HEADER, main
+from fig8torsion.formulas import REPORT_CSV_HEADER
 from fig8torsion.surgery import CSV_HEADER
 
 
@@ -70,7 +71,11 @@ def test_usage_error_exit_1():
 
 @pytest.mark.parametrize("argv", [("verify", "--format", "json"),
                                   ("riley", "--s", "1,0",
-                                   "--tol-compare", "1e-3")])
+                                   "--tol-compare", "1e-3"),
+                                  ("surgery", "--p", "2", "--q", "5",
+                                   "--tol-variety", "1e-14"),
+                                  ("torsion", "--s", "1,0",
+                                   "--tol-compare", "1")])
 def test_unread_flag_exit_1(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
@@ -101,6 +106,24 @@ def test_torsion_degenerate_annotated(capsys):
     assert code == 0
     assert "degenerate" in out
     assert "omitted" in out
+
+
+GOLDEN = (1 + 5 ** 0.5) / 2      # u = sqrt(5): degenerate, non-acyclic
+
+
+@pytest.mark.parametrize("argv, header, n_rows", [
+    (("riley", "--s", "2,0"), RILEY_CSV_HEADER, 2),
+    (("torsion", "--s", "2,0"), REPORT_CSV_HEADER, 1),
+    (("torsion", "--s", f"{GOLDEN},0"), REPORT_CSV_HEADER, 1)],
+    ids=["riley", "torsion", "torsion-degenerate"])
+def test_csv_format(capsys, argv, header, n_rows):
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == header
+    assert len(lines) == 1 + n_rows
+    n_cells = len(header.split(","))
+    assert all(len(ln.split(",")) == n_cells for ln in lines[1:])
 
 
 def test_surgery_empty(capsys):
@@ -158,3 +181,27 @@ def test_config_file(tmp_path, capsys):
     assert code == 0
     with pytest.raises(json.JSONDecodeError):
         json.loads(out)
+
+
+@pytest.mark.parametrize("argv, text", [
+    (("surgery", "--p", "2", "--q", "5"), None),           # missing file
+    (("surgery", "--p", "2", "--q", "5"), "{not json"),
+    (("verify", "--samples", "0"), '{"seed": "abc"}'),
+    (("verify", "--samples", "0"), '{"seed": -3}'),
+    (("riley", "--s", "1,0"), '{"format": "xml"}'),
+    (("surgery", "--p", "2", "--q", "5"), '{"format": "xml"}'),
+    (("riley", "--s", "1,0"), '["format", "json"]'),
+    (("surgery", "--p", "2", "--q", "5"), '{"tol_variety": "nan"}'),
+    (("torsion", "--s", "1,0"), '{"tol_compare": 1}'),
+    (("riley", "--s", "1,0"), '{"format": "json", "colour": "red"}')])
+def test_config_file_fault_exit_1(tmp_path, capsys, argv, text):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", str(cfg)])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1
+    assert "Traceback" not in err

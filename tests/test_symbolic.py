@@ -1,0 +1,73 @@
+"""Exact certificates, in sympy, for the closed forms that the numeric
+tests check only at sample points: the longitude entries and trace
+against the word product, l21 and the A-polynomial trace modulo R12
+(hence the trace identity), and the surgery polynomial against its
+definition."""
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from fig8torsion import riley                              # noqa: E402
+from fig8torsion.riley import (LONGITUDE, longitude_entries,  # noqa: E402
+                               riley_poly, trace_l)
+from fig8torsion.surgery import SurgerySlope, _surgery_polynomial  # noqa: E402
+from fig8torsion.words import X, Y                         # noqa: E402
+
+s, t, z = sympy.symbols("s t z")
+# tr rho(l) modulo R12: the figure-eight A-polynomial lambda + 1/lambda
+A_TRACE = s**4 - s**2 - 2 - s**-2 + s**-4
+
+
+@pytest.fixture
+def symbolic(monkeypatch):
+    # _check_s calls complex(), which a sympy symbol refuses
+    monkeypatch.setattr(riley, "_check_s", lambda v: v)
+
+
+def _longitude_word_matrix():
+    imgs = {X: sympy.Matrix([[s, 1], [0, 1 / s]]),
+            Y: sympy.Matrix([[s, 0], [-t, 1 / s]])}
+    imgs[-X], imgs[-Y] = imgs[X].inv(), imgs[Y].inv()
+    m = sympy.eye(2)
+    for letter in LONGITUDE:
+        m = m * imgs[letter]
+    return m
+
+
+def _is_zero_mod_r12(expr, r12) -> bool:
+    # R12 is monic in t, so division in t leaves a remainder of degree
+    # < 2 with coefficients rational in s
+    return sympy.cancel(sympy.rem(sympy.together(expr), r12, t)) == 0
+
+
+def test_longitude_closed_forms_exact(symbolic):
+    word = _longitude_word_matrix()
+    for closed, exact in zip(longitude_entries(s, t), word):
+        assert sympy.expand(closed - exact) == 0
+    assert sympy.expand(trace_l(s, t) - word.trace()) == 0
+
+
+def test_longitude_modulo_r12(symbolic):
+    r12 = sympy.expand(riley_poly(s, t))
+    assert sympy.expand(r12 - (3 - s**-2 - s**2 + 3 * t - t / s**2
+                               - s**2 * t + t**2)) == 0
+    _, _, l21, _ = longitude_entries(s, t)
+    assert _is_zero_mod_r12(l21, r12)
+    assert _is_zero_mod_r12(trace_l(s, t) - A_TRACE, r12)
+    # hence the trace identity 2 - tr rho(l) = u^2 (5 - u^2), u = s + 1/s
+    u = s + 1 / s
+    assert sympy.expand(2 - A_TRACE - u**2 * (5 - u**2)) == 0
+
+
+@pytest.mark.parametrize("p, q", [(2, 5), (4, 1), (0, 1)])
+def test_surgery_polynomial_exact(p, q):
+    """z^n (z^p + z^-p - tr rho(l)(s = z^q)), n = max(4|q|, |p|), with
+    zeros trimmed at both ends; 4/1 has |p| = 4|q|, where the extreme
+    terms cancel."""
+    n = max(4 * abs(q), abs(p))
+    f = z**p + z**-p - A_TRACE.subs(s, z**q)
+    coeffs = sympy.Poly(sympy.expand(z**n * f), z).all_coeffs()
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    assert [int(c) for c in _surgery_polynomial(SurgerySlope(p, q))] == coeffs
