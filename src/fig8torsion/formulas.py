@@ -85,7 +85,7 @@ def torsion_exterior_oracle(p: RileyPoint) -> TorsionValue:
     agree up to sign; the result is only defined up to sign, so
     sign_ambiguous is set.
     """
-    if not p.on_variety(1e-8):
+    if not p.on_variety():
         raise NotAcyclic(
             f"(s, t) is not a homomorphism: |R12| = {p.residual:.3e}")
     mx, my = rep_matrices(p)

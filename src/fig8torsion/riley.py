@@ -53,9 +53,10 @@ class RileyPoint:
     branch: str = "?"        # "+", "-", or "?" for ad-hoc points
     residual: float = 0.0
 
-    def on_variety(self, tol: float = VARIETY_TOL) -> bool:
+    def on_variety(self) -> bool:
+        """Membership within VARIETY_TOL: the one variety test."""
         scale = max(1.0, abs(self.s) ** 2, abs(self.t) ** 2)
-        return self.residual <= tol * scale
+        return self.residual <= VARIETY_TOL * scale
 
     def to_json(self) -> dict:
         return {"s": {"re": self.s.real, "im": self.s.imag},
@@ -130,6 +131,15 @@ def _t_branches(s):
     s2 = s * s
     a_coef = 3 * s2 - 1 - s2 * s2
     return solve_quadratic(s2, a_coef, a_coef)
+
+
+def _t_from_l11(s, lam):
+    """The t at which l11 = lam: l11 modulo R12 is linear in t,
+    (s^2 - s^-2) t + s^2 - 1 - 2 s^-2 + s^-4; s and lam may be arrays of
+    one shape, not checked here."""
+    s2 = s * s
+    s4 = s2 * s2
+    return (s4 * lam - s4 * s2 + s4 + 2 * s2 - 1) / (s2 * (s4 - 1))
 
 
 def solve_t(s: complex) -> tuple[RileyPoint, RileyPoint]:

@@ -22,9 +22,9 @@ The candidate stage runs on stacks: all roots of a slope at once get
 s, lambda, the t-branch whose l11 is nearest lambda (with the double-root
 polish and the branch-point rule applied through masks) and the variety
 residual.  The candidates are then filtered all at once, on (N, 2, 2)
-stacks: the variety check, the matrix residual, the l21 check, the
-closed-form l11 and tr rho(l), and the character dedup; a RileyPoint is
-built only for each row kept.
+stacks: the variety check, the matrix residual (the one test that
+rejects a candidate on the variety), the closed-form l11 and tr rho(l),
+and the character dedup; a RileyPoint is built only for each row kept.
 `surgery_residual` is the N = 1 call of the same residual, so a check
 that re-tests a row gets the bits the solver filtered on.
 """
@@ -40,15 +40,13 @@ import numpy as np
 from .errors import DegenerateU, InvalidSlope
 from .linalg import E2
 from .riley import (LONGITUDE, VARIETY_TOL, RileyPoint, _t_branches,
-                    longitude_entries, longitude_l11, rep_stacks, riley_poly,
+                    _t_from_l11, longitude_l11, rep_stacks, riley_poly,
                     trace_l, trace_u)
 from .words import X, word_inverse, word_product
 from .formulas import torsion_surgered
 
 RELATION_TOL = 1e-9      # ||rho(x)^p rho(l)^q - E|| at most this: a row
 DEDUP_RTOL = 1e-9        # u and tr rho(l) both this close: one character
-L21_TOL = 1e-8
-PARABOLIC_TOL = 1e-6     # |s^2 - 1| below this: eigenvalue eqn degenerates
 # s = +-i (u = 0, lambda = 1; slopes with 4 | p): z is a double root of f,
 # which np.roots gives only to ~1e-8; polish it on f', where it is simple
 DOUBLE_ROOT_TOL = 1e-6    # |s^2 + 1| below this
@@ -107,17 +105,6 @@ class SurgerySolution:
                  f(self.point.residual), f(self.relation_residual),
                  ";".join(self.flags)]
         return ",".join(cells)
-
-
-def _aligned_l11(s: np.ndarray,
-                 t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(l11, aligned) of the closed-form longitude at each point of the
-    stacks s, t: on the variety l21 vanishes, so l11 is the eigenvalue
-    of rho(l) on rho(x)'s s-eigenvector; aligned is
-    |l21| <= L21_TOL * max(1, max |l_ij|)."""
-    entries = longitude_entries(s, t)
-    scale = np.maximum(1.0, np.max(np.abs(entries), axis=0))
-    return entries[0], np.abs(entries[2]) <= L21_TOL * scale
 
 
 def _relation_residuals(s: np.ndarray, t: np.ndarray,
@@ -191,10 +178,7 @@ def _candidates(slope: SurgerySlope) -> tuple[np.ndarray, ...]:
     t = np.where(minus, t_minus, t_plus)
     meet = np.abs(t_plus - t_minus) <= BRANCH_POINT_TOL
     if meet.any():
-        s2 = s[meet] * s[meet]
-        s4 = s2 * s2
-        t[meet] = ((s4 * lam[meet] - s4 * s2 + s4 + 2 * s2 - 1)
-                   / (s2 * (s4 - 1)))
+        t[meet] = _t_from_l11(s[meet], lam[meet])
     return (s, lam, t, np.where(minus, "-", "+"),
             np.abs(riley_poly(s, t)))
 
@@ -217,11 +201,13 @@ def _first_distinct(u: np.ndarray, trl: np.ndarray) -> np.ndarray:
 def solve_surgery(slope: SurgerySlope) -> list[SurgerySolution]:
     """Every character satisfying the surgery relation: the roots of f
     (see the module docstring) on the variety within VARIETY_TOL, with
-    matrix residual <= RELATION_TOL and a vanishing l21; deduplicated by
-    character (u, tr rho(l)) within DEDUP_RTOL and sorted by `_row_key`.
-    A row is degenerate, with torsion None, exactly when
-    `torsion_surgered` raises DegenerateU.  All candidates are made and
-    filtered at once, on stacks."""
+    matrix residual <= RELATION_TOL; deduplicated by character
+    (u, tr rho(l)) within DEDUP_RTOL and sorted by `_row_key`.  On the
+    variety l21 vanishes identically, and no s = +-1 candidate meets the
+    relation: there rho(x)^p rho(l)^q keeps the unipotent part p + q c,
+    c = +-2 sqrt(-3) the cusp shape.  A row is degenerate, with torsion
+    None, exactly when `torsion_surgered` raises DegenerateU.  All
+    candidates are made and filtered at once, on stacks."""
     # (p, q) and (-p, -q) impose the same relation; normalizing the sign
     # gives both slopes the same candidates, not just the same characters
     root_slope = slope
@@ -235,17 +221,16 @@ def solve_surgery(slope: SurgerySlope) -> list[SurgerySolution]:
         on_variety = residual <= VARIETY_TOL * np.maximum(
             1.0, np.maximum(np.abs(s) ** 2, np.abs(t) ** 2))
         mat_res = _relation_residuals(s, t, slope)
-        lam, aligned = _aligned_l11(s, t)
+        lam = longitude_l11(s, t)
         u, trl = trace_u(s), trace_l(s, t)
-        parabolic = np.abs(s * s - 1) <= PARABOLIC_TOL
-    rows = np.flatnonzero(on_variety & (mat_res <= RELATION_TOL) & aligned)
+    rows = np.flatnonzero(on_variety & (mat_res <= RELATION_TOL))
     # character dedup (also merges z <-> 1/z, i.e. s <-> 1/s)
     rows = rows[_first_distinct(u[rows], trl[rows])]
 
     solutions = []
     for k in rows:
         u_k = complex(u[k])
-        flags = ["parabolic"] if parabolic[k] else []
+        flags = []
         try:
             tau = torsion_surgered(u_k)
         except DegenerateU:

@@ -212,7 +212,7 @@ def test_branch_symmetry_s_inverse():
         s = random_s(rng)
         for pt in solve_t(s):
             mirrored = make_point(1 / s, pt.t)
-            assert mirrored.on_variety(1e-8)
+            assert mirrored.on_variety()
             scale = max(1.0, abs(longitude_trace(pt)))
             assert abs(longitude_trace(pt) - longitude_trace(mirrored)) \
                 <= 1e-8 * scale

@@ -9,8 +9,8 @@ from fig8torsion.linalg import E2
 from fig8torsion.riley import (RileyPoint, longitude_entries, longitude_l11,
                                longitude_matrix_word, longitude_trace,
                                make_point, rep_matrices, solve_t)
-from fig8torsion.surgery import (BRANCH_POINT_TOL, CSV_HEADER, SurgerySlope,
-                                 _aligned_l11, _candidates,
+from fig8torsion.surgery import (BRANCH_POINT_TOL, CSV_HEADER, RELATION_TOL,
+                                 SurgerySlope, _candidates,
                                  _relation_residuals, _row_key, solve_surgery,
                                  surgery_residual, table_to_csv, table_to_json)
 from fig8torsion.formulas import torsion_surgered
@@ -44,11 +44,10 @@ def test_aligned_eigenvalue_properties_random():
 
 
 def test_aligned_eigenvalue_off_variety():
-    """Off the variety l21 does not vanish, and the solver's l21 check
-    refuses the point."""
+    """Off the variety l21 does not vanish, and the variety test refuses
+    the point."""
     pt = make_point(2.0, 0.7)
-    _, aligned = _aligned_l11(np.array([pt.s]), np.array([pt.t]))
-    assert not aligned[0]
+    assert not pt.on_variety()
     assert abs(longitude_entries(pt.s, pt.t)[2]) > 1e-3
 
 
@@ -140,11 +139,12 @@ def test_solver_residual_is_one_point_residual():
 
 # rows whose |u| tie in exact arithmetic (u and -conj(u)) abound here
 TIED_SLOPES = [(-18, 13), (10, 7), (32, 7)]
+# the test_character_count slopes, then the tied ones
+CANDIDATE_SLOPES = [(2, 5), (13, 5), (1, 8), (3, 8), (-3, 1), (3, 2), (4, 1),
+                    (0, 1), (1, 0)] + TIED_SLOPES
 
 
-@pytest.mark.parametrize("p, q", [
-    (2, 5), (13, 5), (1, 8), (3, 8), (-3, 1), (3, 2), (4, 1), (0, 1),
-    (1, 0)] + TIED_SLOPES)
+@pytest.mark.parametrize("p, q", CANDIDATE_SLOPES)
 def test_stacked_candidates_match_scalar(p, q):
     """Every stacked candidate has the t and the branch that the scalar
     solve_t(s) and the nearest-l11 choice give.  Where the two branches
@@ -164,6 +164,29 @@ def test_stacked_candidates_match_scalar(p, q):
         checked += 1
     # only the roots at u = +-1 and u^2 = 5 are exempt: at most 4 here
     assert checked >= len(s) - 4
+
+
+@pytest.mark.parametrize(
+    "p, q", CANDIDATE_SLOPES + [(29, 6), (36, 5), (-39, 14), (1, 16)])
+def test_relation_residual_is_the_only_rejection(p, q):
+    """The facts that leave the matrix residual as the one test that
+    rejects a candidate on the variety: there l21 vanishes, and no
+    parabolic candidate (s = +-1) meets the relation, since rho(x)^p
+    rho(l)^q keeps the unipotent part p + q c, c = +-2 sqrt(-3).  The
+    candidates of p/q and of -p/-q are both checked, as solve_surgery
+    enumerates on one of them."""
+    slope = SurgerySlope(p, q)
+    for root in (slope, SurgerySlope(-p, -q)):
+        s, _, t, _, residual = _candidates(root)
+        mat_res = _relation_residuals(s, t, slope)
+        for sk, tk, rk, mk in zip(s.tolist(), t.tolist(), residual.tolist(),
+                                  mat_res.tolist()):
+            if RileyPoint(sk, tk, residual=rk).on_variety():
+                entries = longitude_entries(sk, tk)
+                scale = max(1.0, max(abs(e) for e in entries))
+                assert abs(entries[2]) <= 1e-8 * scale, (p, q, sk)
+            if abs(sk * sk - 1) <= 1e-6:
+                assert not mk <= RELATION_TOL, (p, q, sk)
 
 
 @pytest.mark.parametrize("p, q", TIED_SLOPES)

@@ -1,8 +1,8 @@
 """Exact certificates, in sympy, for the closed forms that the numeric
 tests check only at sample points: the longitude entries and trace
 against the word product, l21 and the A-polynomial trace modulo R12
-(hence the trace identity), and the surgery polynomial against its
-definition."""
+(hence the trace identity), l11 modulo R12 and the branch-point rule
+that inverts it, and the surgery polynomial against its definition."""
 
 import pytest
 
@@ -10,7 +10,7 @@ sympy = pytest.importorskip("sympy")
 
 from fig8torsion import riley                              # noqa: E402
 from fig8torsion.riley import (LONGITUDE, longitude_entries,  # noqa: E402
-                               riley_poly, trace_l)
+                               longitude_l11, riley_poly, trace_l)
 from fig8torsion.surgery import SurgerySlope, _surgery_polynomial  # noqa: E402
 from fig8torsion.words import X, Y                         # noqa: E402
 
@@ -58,6 +58,15 @@ def test_longitude_modulo_r12(symbolic):
     # hence the trace identity 2 - tr rho(l) = u^2 (5 - u^2), u = s + 1/s
     u = s + 1 / s
     assert sympy.expand(2 - A_TRACE - u**2 * (5 - u**2)) == 0
+
+
+def test_branch_point_rule_exact(symbolic):
+    """l11 is linear in t modulo R12, and `_t_from_l11`, which
+    `_candidates` uses where the two t-branches meet, inverts it."""
+    r12 = sympy.expand(riley_poly(s, t))
+    l11_reduced = (s**2 - s**-2) * t + s**2 - 1 - 2 * s**-2 + s**-4
+    assert _is_zero_mod_r12(longitude_l11(s, t) - l11_reduced, r12)
+    assert sympy.cancel(riley._t_from_l11(s, l11_reduced) - t) == 0
 
 
 @pytest.mark.parametrize("p, q", [(2, 5), (4, 1), (0, 1)])
