@@ -8,9 +8,9 @@ Run:  python3 demos/demo_riley_variety.py
 
 import numpy as np
 
-from fig8torsion import (LONGITUDE, longitude_matrix_closed,
-                         longitude_matrix_word, longitude_trace, rep_matrices,
-                         solve_t, trace_u, word_to_text)
+from fig8torsion import (LONGITUDE, longitude_l11, longitude_matrix_word,
+                         rep_matrices, solve_t, trace_l, trace_u,
+                         word_to_text)
 from fig8torsion.words import evaluate_word, parse_word
 
 print("The knot group is <x, y | wx = yw> with w = x y^-1 x^-1 y.")
@@ -28,12 +28,13 @@ for s in (1.0, 2.0, 0.5 + 0.5j):
         print(f"    ||rho(w)rho(x) - rho(y)rho(w)|| = "
               f"{np.linalg.norm(mw @ mx - my @ mw):.1e}")
 
-        # closed-form longitude vs multiplying out the word
-        diff = np.max(np.abs(longitude_matrix_closed(pt)
-                             - longitude_matrix_word(pt)))
-        print(f"    longitude closed form vs word evaluation: "
-              f"max entry diff {diff:.1e}")
-        print(f"    tr rho(l) = {longitude_trace(pt):.6g}")
+        # multiply out the longitude word, and compare its l11 and trace
+        # with the closed forms; on the variety its l21 vanishes
+        ml = longitude_matrix_word(pt)
+        l11, trl = longitude_l11(pt.s, pt.t), trace_l(pt.s, pt.t)
+        print(f"    word product: l11 = {ml[0, 0]:.6g}, "
+              f"tr rho(l) = {np.trace(ml):.6g}, |l21| = {abs(ml[1, 0]):.1e}")
+        print(f"    closed forms: l11 = {l11:.6g}, tr rho(l) = {trl:.6g}")
     print()
 
 print("At the geometric point (s = 1, + branch) the longitude has trace"

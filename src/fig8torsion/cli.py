@@ -47,7 +47,7 @@ def parse_complex(text: str) -> complex:
             f"expected 're,im' pair, got {text!r}") from exc
 
 
-def parse_seed(text: str) -> int:
+def parse_count(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(
             f"expected a non-negative integer, got {text!r}")
@@ -56,7 +56,7 @@ def parse_seed(text: str) -> int:
 
 _FLAGS = {"format": {"choices": ["json", "csv", "pretty"],
                      "default": "pretty"},
-          "seed": {"type": parse_seed, "default": 0}}
+          "seed": {"type": parse_count, "default": 0}}
 
 
 def _add_flags(sub, *names):
@@ -74,7 +74,7 @@ def _fmt_cx(z: complex) -> str:
 def cmd_riley(ns) -> int:
     points = solve_t(ns.s)
     if ns.format == "json":
-        print(json.dumps([pt.to_json() for pt in points], indent=2))
+        print(json.dumps([pt.to_json() for pt in points]))
     elif ns.format == "csv":
         print(RILEY_CSV_HEADER)
         for pt in points:
@@ -92,7 +92,7 @@ def cmd_torsion(ns) -> int:
     pt = plus if ns.branch == "+" else minus
     rep = full_report(pt)
     if ns.format == "json":
-        print(json.dumps(rep.to_json(), indent=2))
+        print(json.dumps(rep.to_json()))
         return EXIT_OK
     if ns.format == "csv":
         print(REPORT_CSV_HEADER, rep.to_csv_row(), sep="\n")
@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_surgery)
 
     sub = subs.add_parser("verify", help="run the self-verification suite")
-    sub.add_argument("--samples", type=int, default=200)
+    sub.add_argument("--samples", type=parse_count, default=200)
     _add_flags(sub, "seed")
     sub.set_defaults(func=cmd_verify)
     return parser

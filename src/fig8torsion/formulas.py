@@ -24,12 +24,13 @@ from .chain import ChainComplex, TorsionValue, torsion
 from .errors import DegenerateU, NotAcyclic
 from .linalg import E2, det2
 from .riley import (RileyPoint, RELATOR, longitude_matrix_word,
-                    longitude_trace, rep_matrices, trace_u)
+                    rep_matrices, trace_l, trace_u)
 from .words import fox_jacobian, parse_word
 
 DEGENERATE_TOL = 1e-8    # |u^2 (u^2 - 5)| below this is degenerate
 NONACYCLIC_TOL = 1e-8    # |2 - tr rho(l)| below this is non-acyclic
 COMPARE_TOL = 1e-8       # relative gap up to which a report check passes
+ROUTES_TOL = 1e-6        # relative |tau| gap between the two exterior routes
 
 _COMMUTATOR = parse_word("xyXY")
 
@@ -59,7 +60,7 @@ def torsion_surgered(u: complex) -> complex:
 def torsion_solid_torus_from_trace(p: RileyPoint) -> complex:
     """tau of the solid torus via 1/(2 - tr rho(l)) with the closed-form
     longitude trace."""
-    gap = 2 - longitude_trace(p)
+    gap = 2 - trace_l(p.s, p.t)
     if abs(gap) <= NONACYCLIC_TOL:
         raise NotAcyclic(f"|2 - tr rho(l)| = {abs(gap):.3e}")
     return 1 / gap
@@ -98,7 +99,7 @@ def torsion_exterior_oracle(p: RileyPoint) -> TorsionValue:
         # independent second route; the two must agree up to sign
         ratio = det2(phiy) / denom
         rel = abs(abs(chain_val) - abs(ratio)) / max(1.0, abs(ratio))
-        if rel > 1e-6:
+        if rel > ROUTES_TOL:
             raise NotAcyclic(
                 f"ratio and chain-complex torsions disagree in magnitude: "
                 f"{abs(ratio):.6e} vs {abs(chain_val):.6e}")
@@ -142,7 +143,8 @@ class TorsionReport:
 
     @property
     def all_pass(self) -> bool:
-        return all(v == "pass" for v in self.flags.values()) and self.flags
+        return bool(self.flags) and all(v == "pass"
+                                        for v in self.flags.values())
 
     @property
     def tau_surgered_reported(self) -> complex:

@@ -9,10 +9,10 @@ Every irreducible representation is conjugate to
 
 and the pair (s, t) is a homomorphism exactly when the defining
 polynomial vanishes.  This module provides that polynomial, its two
-t-branches for a given s, and the longitude image both in closed form
-and as a word-evaluation oracle.  The closed forms also take arrays of
-points, and `rep_stacks` gives the generator images as (N, 2, 2)
-stacks.
+t-branches for a given s, the longitude entry l11 and trace in closed
+form, and the whole longitude image as a word product, the oracle for
+both.  The closed forms also take arrays of points, and `rep_stacks`
+gives the generator images as (N, 2, 2) stacks.
 """
 
 from __future__ import annotations
@@ -133,13 +133,20 @@ def _t_branches(s):
     return solve_quadratic(s2, a_coef, a_coef)
 
 
-def _t_from_l11(s, lam):
-    """The t at which l11 = lam: l11 modulo R12 is linear in t,
-    (s^2 - s^-2) t + s^2 - 1 - 2 s^-2 + s^-4; s and lam may be arrays of
-    one shape, not checked here."""
+def _l11_coefficients(s):
+    """(a, b) with l11 = a t + b modulo R12: a = s^2 - s^-2 and
+    b = s^2 - 1 - 2 s^-2 + s^-4; s may be an array, not checked here."""
     s2 = s * s
-    s4 = s2 * s2
-    return (s4 * lam - s4 * s2 + s4 + 2 * s2 - 1) / (s2 * (s4 - 1))
+    inv2 = 1 / s2
+    return s2 - inv2, s2 - 1 - 2 * inv2 + inv2 * inv2
+
+
+def _t_from_l11(s, lam):
+    """The t at which l11 = lam on the variety, (lam - b)/a (see
+    `_l11_coefficients`); s and lam may be arrays of one shape, not
+    checked here."""
+    a, b = _l11_coefficients(s)
+    return (lam - b) / a
 
 
 def solve_t(s: complex) -> tuple[RileyPoint, RileyPoint]:
@@ -162,47 +169,22 @@ def longitude_matrix_word(p: RileyPoint) -> np.ndarray:
     return evaluate_word(LONGITUDE, mx, my)
 
 
-def longitude_matrix_closed(p: RileyPoint) -> np.ndarray:
-    """Longitude image from the closed-form entries l_ij(s, t)."""
-    return mat2(*longitude_entries(p.s, p.t))
-
-
-def longitude_entries(s, t) -> tuple:
-    """Closed-form entries (l11, l12, l21, l22) of the longitude image;
-    s and t may be arrays of one shape."""
-    s = _check_s(s)
-    s2, s3, s4 = s * s, s ** 3, s ** 4
-    t2, t3, t4 = t * t, t ** 3, t ** 4
-    l11 = longitude_l11(s, t)
-    l12 = t / s3 + s3 * t - t2 / s - s * t2
-    l21 = (t2 / s3 - 2 * t2 / s - 2 * s * t2 + s3 * t2
-           + t3 / s3 - 2 * t3 / s - 2 * s * t3 + s3 * t3
-           - t4 / s - s * t4)
-    l22 = (1 + t / s2 - s2 * t - t2 + t2 / s2 - s2 * t2 + s4 * t2
-           - t3 - s2 * t3)
-    return l11, l12, l21, l22
-
-
 def longitude_l11(s, t):
-    """Closed-form entry l11 alone (the longitude eigenvalue aligned
-    with the eigenvalue s of the meridian image, on the variety); s and
-    t may be arrays of one shape."""
+    """Entry l11 of the longitude image on the variety, a t + b (see
+    `_l11_coefficients`): the longitude eigenvalue aligned with the
+    eigenvalue s of the meridian image.  s and t may be arrays of one
+    shape."""
     s = _check_s(s)
-    s2, s4 = s * s, s ** 4
-    t2, t3 = t * t, t ** 3
-    return (1 - t / s2 + s2 * t - t2 + t2 / s4 - t2 / s2 + s2 * t2
-            - t3 - t3 / s2)
-
-
-def longitude_trace(p: RileyPoint) -> complex:
-    """Closed-form longitude trace at p (see `trace_l`)."""
-    return trace_l(p.s, p.t)
+    a, b = _l11_coefficients(s)
+    return a * t + b
 
 
 def trace_l(s, t):
     """Closed-form longitude trace
     tr = 2 - 2 t^2 + t^2/s^4 + s^4 t^2 - 2 t^3 - t^3/s^2 - s^2 t^3;
-    s and t may be arrays of one shape."""
+    s and t may be arrays of one shape.  It stays a function of t:
+    modulo R12 it is s^4 - s^2 - 2 - s^-2 + s^-4, the u-form that the
+    trace checks compare it with."""
     s = _check_s(s)
     s2, s4 = s * s, s ** 4
     t2, t3 = t * t, t ** 3

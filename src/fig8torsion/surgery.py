@@ -268,4 +268,4 @@ def table_to_csv(solutions: list[SurgerySolution]) -> str:
 
 
 def table_to_json(solutions: list[SurgerySolution]) -> str:
-    return json.dumps([sol.to_json() for sol in solutions], indent=2)
+    return json.dumps([sol.to_json() for sol in solutions])

@@ -17,8 +17,8 @@ import numpy as np
 from .chain import ChainComplex, torsion, torsion_with_basis_perturbation
 from .errors import DegenerateU, NotAcyclic
 from .linalg import mat2
-from .riley import (RileyPoint, longitude_matrix_closed, longitude_matrix_word,
-                    longitude_trace, rep_matrices, solve_t, trace_u)
+from .riley import (RileyPoint, longitude_l11, longitude_matrix_word,
+                    solve_t, trace_l, trace_u)
 from .surgery import (RELATION_TOL, SurgerySlope, solve_surgery,
                       surgery_residual)
 from .formulas import (full_report, torsion_exterior_closed,
@@ -69,7 +69,7 @@ def check_geometric_point() -> CheckResult:
     plus, _ = solve_t(1.0)
     worst = abs(plus.t - complex(-0.5, math.sqrt(3) / 2))
     worst = max(worst, plus.residual)
-    trl = longitude_trace(plus)
+    trl = trace_l(plus.s, plus.t)
     worst = max(worst, abs(trl - (-2)))
     u = trace_u(plus.s)
     worst = max(worst, abs(u - 2))
@@ -100,7 +100,7 @@ def check_trace_identity(points) -> CheckResult:
     worst = 0.0
     for pt in points:
         u = trace_u(pt.s)
-        lhs = 2 - longitude_trace(pt)
+        lhs = 2 - trace_l(pt.s, pt.t)
         rhs = -u ** 4 + 5 * u ** 2
         worst = max(worst, _relerr(lhs, rhs))
     return CheckResult("trace identity 2 - tr rho(l) = u^2(5 - u^2)",
@@ -109,19 +109,20 @@ def check_trace_identity(points) -> CheckResult:
 
 
 def check_longitude_lemma(points) -> CheckResult:
-    """Closed-form longitude entries match word evaluation; l21 ~ 0."""
-    worst_entry, worst_l21 = 0.0, 0.0
+    """Closed-form l11 and tr rho(l) match the word product, to 1e-9 of
+    its largest entry; the word's l21 vanishes, to 1e-8."""
+    worst_closed, worst_l21 = 0.0, 0.0
     for pt in points:
-        closed = longitude_matrix_closed(pt)
         word = longitude_matrix_word(pt)
         scale = max(1.0, float(np.max(np.abs(word))))
-        worst_entry = max(worst_entry,
-                          float(np.max(np.abs(closed - word))) / scale)
-        worst_l21 = max(worst_l21, abs(closed[1, 0]) / scale)
-    ok = worst_entry <= 1e-9 and worst_l21 <= 1e-8
-    return CheckResult("longitude closed form vs word evaluation",
-                       ok, max(worst_entry, worst_l21), 1e-8,
-                       detail=f"entry {worst_entry:.2e}, l21 {worst_l21:.2e}")
+        gap = max(abs(longitude_l11(pt.s, pt.t) - word[0, 0]),
+                  abs(trace_l(pt.s, pt.t) - np.trace(word)))
+        worst_closed = max(worst_closed, gap / scale)
+        worst_l21 = max(worst_l21, abs(word[1, 0]) / scale)
+    ok = worst_closed <= 1e-9 and worst_l21 <= 1e-8
+    return CheckResult("longitude l11 and trace vs word product",
+                       ok, worst_closed, 1e-9,
+                       detail=f"word l21 {worst_l21:.2e}, tol 1.0e-08")
 
 
 def random_acyclic_complex(rng) -> ChainComplex:

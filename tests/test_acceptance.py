@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from fig8torsion.riley import (longitude_matrix_closed, longitude_matrix_word,
-                               longitude_trace, solve_t, trace_u)
+from fig8torsion.riley import (longitude_l11, longitude_matrix_word, solve_t,
+                               trace_l, trace_u)
 from fig8torsion.surgery import SurgerySlope, solve_surgery, surgery_residual
 from fig8torsion.formulas import (full_report, torsion_exterior_closed,
                                  torsion_exterior_oracle,
@@ -33,7 +33,7 @@ def test_criterion_1_geometric_point_chain():
     plus, _ = solve_t(1.0)
     worst = abs(plus.t - complex(-0.5, math.sqrt(3) / 2))
     assert plus.residual <= 1e-12
-    worst = max(worst, abs(longitude_trace(plus) - (-2)))
+    worst = max(worst, abs(trace_l(plus.s, plus.t) - (-2)))
     u = trace_u(plus.s)
     worst = max(worst, abs(torsion_exterior_closed(u) - (-2)))
     worst = max(worst, abs(torsion_solid_torus_from_trace(plus) - 0.25))
@@ -59,7 +59,7 @@ def test_criterion_3_trace_identity(points200):
     worst = 0.0
     for pt in points200:
         u = trace_u(pt.s)
-        lhs = 2 - longitude_trace(pt)
+        lhs = 2 - trace_l(pt.s, pt.t)
         rhs = -u ** 4 + 5 * u ** 2
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
     report("criterion 3: trace identity 2 - tr = u^2(5 - u^2), 200 points",
@@ -67,17 +67,18 @@ def test_criterion_3_trace_identity(points200):
 
 
 def test_criterion_4_longitude_lemma(points200):
-    worst_entry, worst_l21 = 0.0, 0.0
+    worst_closed, worst_l21 = 0.0, 0.0
     for pt in points200:
-        closed = longitude_matrix_closed(pt)
         word = longitude_matrix_word(pt)
         scale = max(1.0, float(np.max(np.abs(word))))
-        worst_entry = max(worst_entry,
-                          float(np.max(np.abs(closed - word))) / scale)
-        worst_l21 = max(worst_l21, abs(closed[1, 0]) / scale)
-    report("criterion 4a: longitude entries vs word evaluation",
-           worst_entry, 1e-9)
-    report("criterion 4b: |l21| on the variety", worst_l21, 1e-8)
+        gap = max(abs(longitude_l11(pt.s, pt.t) - word[0, 0]),
+                  abs(trace_l(pt.s, pt.t) - np.trace(word)))
+        worst_closed = max(worst_closed, gap / scale)
+        worst_l21 = max(worst_l21, abs(word[1, 0]) / scale)
+    report("criterion 4a: closed l11 and tr rho(l) vs word product",
+           worst_closed, 1e-9)
+    report("criterion 4b: |l21| of the word product on the variety",
+           worst_l21, 1e-8)
 
 
 def test_criterion_5_chain_torsion():

@@ -67,6 +67,9 @@ def test_usage_error_exit_1():
     with pytest.raises(SystemExit) as exc:
         main(["bogus-command"])
     assert exc.value.code == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--samples", "-5"])
+    assert exc.value.code == 1
 
 
 @pytest.mark.parametrize("argv", [("verify", "--format", "json"),

@@ -1,4 +1,5 @@
-"""Each demo runs to completion, with any RuntimeWarning an error."""
+"""Each demo runs to completion under the suite's warning policy: any
+RuntimeWarning, DeprecationWarning or FutureWarning is an error."""
 
 import os
 import subprocess
@@ -19,7 +20,9 @@ def test_four_demos():
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
-                           str(demo)], env=env, capture_output=True,
-                          text=True, timeout=120)
+                           "-W", "error::DeprecationWarning",
+                           "-W", "error::FutureWarning", str(demo)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout

@@ -6,9 +6,7 @@ import pytest
 
 from fig8torsion.errors import SingularParameter
 from fig8torsion.linalg import E2, mat2
-from fig8torsion.riley import (LONGITUDE, longitude_entries, longitude_l11,
-                               longitude_matrix_closed,
-                               longitude_matrix_word, longitude_trace,
+from fig8torsion.riley import (LONGITUDE, longitude_l11, longitude_matrix_word,
                                make_point, rep_matrices, rep_stacks,
                                riley_poly, solve_t, trace_l, trace_u)
 from fig8torsion.verify import sample_variety_points
@@ -83,15 +81,13 @@ def test_closed_forms_on_arrays():
     pts = sample_variety_points(200, seed=9)
     s = np.array([pt.s for pt in pts])
     t = np.array([pt.t for pt in pts])
-    l11, l21, trl = longitude_l11(s, t), longitude_entries(s, t)[2], \
-        trace_l(s, t)
+    l11, trl = longitude_l11(s, t), trace_l(s, t)
     for k, pt in enumerate(pts):
         scale = max(1.0, abs(pt.s), 1 / abs(pt.s)) ** 4 \
             * max(1.0, abs(pt.t)) ** 4
         for array_value, scalar in (
                 (l11[k], longitude_l11(pt.s, pt.t)),
-                (l21[k], longitude_matrix_closed(pt)[1, 0]),
-                (trl[k], longitude_trace(pt))):
+                (trl[k], trace_l(pt.s, pt.t))):
             assert abs(array_value - scalar) <= 1e-13 * scale
 
 
@@ -167,16 +163,18 @@ def test_longitude_trivial_at_t_zero():
 
 
 def test_longitude_closed_vs_word():
+    # the closed l11 and trace against the word product, whose l21
+    # vanishes on the variety
     rng = np.random.default_rng(5)
     for _ in range(200):
         s = random_s(rng)
         for pt in solve_t(s):
-            closed = longitude_matrix_closed(pt)
             word = longitude_matrix_word(pt)
             scale = max(1.0, float(np.max(np.abs(word))))
-            assert np.max(np.abs(closed - word)) <= 1e-9 * scale
-            assert abs(np.linalg.det(closed) - 1) <= 1e-10 * scale ** 2
-            assert abs(closed[1, 0]) <= 1e-8 * scale
+            assert abs(longitude_l11(pt.s, pt.t) - word[0, 0]) <= 1e-9 * scale
+            assert abs(trace_l(pt.s, pt.t) - np.trace(word)) <= 1e-9 * scale
+            assert abs(np.linalg.det(word) - 1) <= 1e-10 * scale ** 2
+            assert abs(word[1, 0]) <= 1e-8 * scale
 
 
 def test_peripheral_commutation():
@@ -190,10 +188,10 @@ def test_peripheral_commutation():
             assert np.max(np.abs(mx @ ml - ml @ mx)) <= 1e-9 * scale
 
 
-def test_longitude_trace_values():
+def test_trace_l_values():
     plus, _ = solve_t(1.0)
-    assert abs(longitude_trace(plus) - (-2)) < 1e-12
-    assert abs(longitude_trace(make_point(1.0, 0.0)) - 2) < 1e-14
+    assert abs(trace_l(plus.s, plus.t) - (-2)) < 1e-12
+    assert abs(trace_l(1.0, 0.0) - 2) < 1e-14
 
 
 def test_trace_u():
@@ -206,16 +204,16 @@ def test_trace_u():
 
 
 def test_branch_symmetry_s_inverse():
-    # trace_u and longitude_trace agree at (s, t) and (1/s, t)
+    # trace_u and trace_l agree at (s, t) and (1/s, t)
     rng = np.random.default_rng(8)
     for _ in range(50):
         s = random_s(rng)
         for pt in solve_t(s):
             mirrored = make_point(1 / s, pt.t)
             assert mirrored.on_variety()
-            scale = max(1.0, abs(longitude_trace(pt)))
-            assert abs(longitude_trace(pt) - longitude_trace(mirrored)) \
-                <= 1e-8 * scale
+            trl = trace_l(pt.s, pt.t)
+            scale = max(1.0, abs(trl))
+            assert abs(trl - trace_l(mirrored.s, mirrored.t)) <= 1e-8 * scale
 
 
 def test_riley_point_json():

@@ -6,9 +6,8 @@ import pytest
 
 from fig8torsion.errors import InvalidSlope
 from fig8torsion.linalg import E2
-from fig8torsion.riley import (RileyPoint, longitude_entries, longitude_l11,
-                               longitude_matrix_word, longitude_trace,
-                               make_point, rep_matrices, solve_t)
+from fig8torsion.riley import (RileyPoint, longitude_l11, longitude_matrix_word,
+                               make_point, rep_matrices, solve_t, trace_l)
 from fig8torsion.surgery import (BRANCH_POINT_TOL, CSV_HEADER, RELATION_TOL,
                                  SurgerySlope, _candidates,
                                  _relation_residuals, _row_key, solve_surgery,
@@ -28,15 +27,17 @@ def test_slope_validation():
 
 def test_aligned_eigenvalue_geometric():
     pt = solve_t(1.0)[0]
-    assert abs(longitude_entries(pt.s, pt.t)[0] - (-1)) < 1e-10
+    assert abs(longitude_l11(pt.s, pt.t) - (-1)) < 1e-10
 
 
 def test_aligned_eigenvalue_properties_random():
     """On the variety l21 = 0, so the aligned eigenvalue lam = l11 has
-    lam + 1/lam = tr rho(l) and lam * l22 = det rho(l) = 1."""
+    lam + 1/lam = tr rho(l) and lam * l22 = det rho(l) = 1 (l21 and l22
+    from the word product)."""
     for pt in sample_variety_points(50, seed=0):
-        lam, _, l21, l22 = longitude_entries(pt.s, pt.t)
-        trl = longitude_trace(pt)
+        word = longitude_matrix_word(pt)
+        lam, l21, l22 = longitude_l11(pt.s, pt.t), word[1, 0], word[1, 1]
+        trl = trace_l(pt.s, pt.t)
         scale = max(1.0, abs(lam), abs(trl))
         assert abs(l21) <= 1e-8 * scale
         assert abs(lam + 1 / lam - trl) <= 1e-8 * scale
@@ -48,7 +49,7 @@ def test_aligned_eigenvalue_off_variety():
     the point."""
     pt = make_point(2.0, 0.7)
     assert not pt.on_variety()
-    assert abs(longitude_entries(pt.s, pt.t)[2]) > 1e-3
+    assert abs(longitude_matrix_word(pt)[1, 0]) > 1e-3
 
 
 def test_surgery_residual_nonzero_cases():
@@ -181,10 +182,11 @@ def test_relation_residual_is_the_only_rejection(p, q):
         mat_res = _relation_residuals(s, t, slope)
         for sk, tk, rk, mk in zip(s.tolist(), t.tolist(), residual.tolist(),
                                   mat_res.tolist()):
-            if RileyPoint(sk, tk, residual=rk).on_variety():
-                entries = longitude_entries(sk, tk)
-                scale = max(1.0, max(abs(e) for e in entries))
-                assert abs(entries[2]) <= 1e-8 * scale, (p, q, sk)
+            pt = RileyPoint(sk, tk, residual=rk)
+            if pt.on_variety():
+                word = longitude_matrix_word(pt)
+                scale = max(1.0, float(np.max(np.abs(word))))
+                assert abs(word[1, 0]) <= 1e-8 * scale, (p, q, sk)
             if abs(sk * sk - 1) <= 1e-6:
                 assert not mk <= RELATION_TOL, (p, q, sk)
 

@@ -1,16 +1,17 @@
 """Exact certificates, in sympy, for the closed forms that the numeric
-tests check only at sample points: the longitude entries and trace
-against the word product, l21 and the A-polynomial trace modulo R12
-(hence the trace identity), l11 modulo R12 and the branch-point rule
-that inverts it, and the surgery polynomial against its definition."""
+tests check only at sample points, against the longitude word product:
+the trace equals the word's, l11 and the A-polynomial trace agree with
+it modulo R12 (hence the trace identity), the word's l21 vanishes
+modulo R12, the branch-point rule inverts l11, and the surgery
+polynomial equals its definition."""
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 
 from fig8torsion import riley                              # noqa: E402
-from fig8torsion.riley import (LONGITUDE, longitude_entries,  # noqa: E402
-                               longitude_l11, riley_poly, trace_l)
+from fig8torsion.riley import (LONGITUDE, longitude_l11,  # noqa: E402
+                               riley_poly, trace_l)
 from fig8torsion.surgery import SurgerySlope, _surgery_polynomial  # noqa: E402
 from fig8torsion.words import X, Y                         # noqa: E402
 
@@ -43,17 +44,16 @@ def _is_zero_mod_r12(expr, r12) -> bool:
 
 def test_longitude_closed_forms_exact(symbolic):
     word = _longitude_word_matrix()
-    for closed, exact in zip(longitude_entries(s, t), word):
-        assert sympy.expand(closed - exact) == 0
     assert sympy.expand(trace_l(s, t) - word.trace()) == 0
+    r12 = sympy.expand(riley_poly(s, t))
+    assert _is_zero_mod_r12(longitude_l11(s, t) - word[0, 0], r12)
 
 
 def test_longitude_modulo_r12(symbolic):
     r12 = sympy.expand(riley_poly(s, t))
     assert sympy.expand(r12 - (3 - s**-2 - s**2 + 3 * t - t / s**2
                                - s**2 * t + t**2)) == 0
-    _, _, l21, _ = longitude_entries(s, t)
-    assert _is_zero_mod_r12(l21, r12)
+    assert _is_zero_mod_r12(_longitude_word_matrix()[1, 0], r12)
     assert _is_zero_mod_r12(trace_l(s, t) - A_TRACE, r12)
     # hence the trace identity 2 - tr rho(l) = u^2 (5 - u^2), u = s + 1/s
     u = s + 1 / s
@@ -61,11 +61,13 @@ def test_longitude_modulo_r12(symbolic):
 
 
 def test_branch_point_rule_exact(symbolic):
-    """l11 is linear in t modulo R12, and `_t_from_l11`, which
-    `_candidates` uses where the two t-branches meet, inverts it."""
+    """The word's l11 is linear in t modulo R12, `longitude_l11` is that
+    linear form, and `_t_from_l11`, which `_candidates` uses where the
+    two t-branches meet, inverts it."""
     r12 = sympy.expand(riley_poly(s, t))
     l11_reduced = (s**2 - s**-2) * t + s**2 - 1 - 2 * s**-2 + s**-4
-    assert _is_zero_mod_r12(longitude_l11(s, t) - l11_reduced, r12)
+    assert _is_zero_mod_r12(_longitude_word_matrix()[0, 0] - l11_reduced, r12)
+    assert sympy.expand(longitude_l11(s, t) - l11_reduced) == 0
     assert sympy.cancel(riley._t_from_l11(s, l11_reduced) - t) == 0
 
 

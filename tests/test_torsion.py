@@ -3,7 +3,8 @@ import pytest
 
 from fig8torsion.errors import DegenerateU, NotAcyclic
 from fig8torsion.riley import make_point, solve_t, trace_u
-from fig8torsion.formulas import (full_report, torsion_exterior_closed,
+from fig8torsion.formulas import (TorsionReport, full_report,
+                                 torsion_exterior_closed,
                                  torsion_exterior_oracle,
                                  torsion_solid_torus_closed,
                                  torsion_solid_torus_from_trace,
@@ -116,15 +117,20 @@ def test_torus_oracle():
 
 def test_full_report_geometric():
     rep = full_report(solve_t(1.0)[0])
-    assert rep.all_pass
+    assert rep.all_pass is True
     assert abs(rep.tau_surgered - (-0.5)) < 1e-10
     assert abs(rep.tau_surgered_reported - (-0.5)) < 1e-10
 
 
 def test_full_report_s2():
     rep = full_report(solve_t(2.0)[0])
-    assert rep.all_pass
+    assert rep.all_pass is True
     assert abs(rep.tau_surgered - 0.384) < 1e-10
+
+
+def test_all_pass_is_false_without_flags_or_with_one_not_pass():
+    assert full_report(make_point(1.0, 0.0)).all_pass is False
+    assert TorsionReport(u=2.5).all_pass is False
 
 
 def test_full_report_reducible():
