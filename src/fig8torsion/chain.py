@@ -7,15 +7,25 @@ basis of C_i.  The exponent in degree i is (-1)^(i+1), so the one-map
 complex 0 -> C --[2]--> C -> 0 has torsion 1/2; this convention
 reproduces tau(solid torus) = 1/det(rho(l) - E).
 
-Ranks, image bases and lifts all come from one singular value
-decomposition per boundary map (`linalg.svd`, one rank threshold).
-The value does not depend on the choice of the b_i or of the lifts;
+The ranks are forced by the dims: in an acyclic complex rank d_1 =
+dim C_0 and rank d_{i+1} = dim C_i - rank d_i, and the zero map out of
+C_top has rank 0 exactly when the Euler characteristic vanishes.  So
+dims that admit no acyclic complex raise NotAcyclic before any matrix
+is looked at, and one singular value decomposition per boundary map
+(`linalg.svd`, one rank threshold) only has to confirm its forced rank;
+it also gives the image basis and its lift.  The value does not depend
+on the choice of the b_i or of the lifts;
 `torsion_with_basis_perturbation` verifies that with randomized choices.
+
+A complex may hold (N, ., .) stacks of boundary matrices, N complexes
+with the same dims.  `torsion` and `is_acyclic` then work item by item
+and mask a non-acyclic item where a single complex raises NotAcyclic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
@@ -36,7 +46,8 @@ class ChainComplex:
 
     dims[i] is dim C_i; boundaries[i] is the matrix of the map
     C_{i+1} -> C_i (dims[i] rows, dims[i+1] columns), so there are
-    len(dims) - 1 boundary matrices.
+    len(dims) - 1 boundary matrices.  The boundaries may instead all be
+    (N, dims[i], dims[i+1]) stacks of one N: N complexes at once.
     """
 
     dims: tuple[int, ...]
@@ -44,109 +55,180 @@ class ChainComplex:
 
     @np.errstate(all="ignore")  # an overflow in d o d is raised, not warned
     def __post_init__(self):
+        if len(self.dims) < 2:
+            raise DimensionMismatch("a complex needs at least two dims")
         if len(self.boundaries) != len(self.dims) - 1:
             raise DimensionMismatch(
                 f"{len(self.dims)} dims need {len(self.dims) - 1} boundary "
                 f"maps, got {len(self.boundaries)}")
+        lead = self.boundaries[0].shape[:-2]
         for i, b in enumerate(self.boundaries):
-            if b.shape != (self.dims[i], self.dims[i + 1]):
+            if b.shape[:-2] != lead or len(lead) > 1:
                 raise DimensionMismatch(
-                    f"boundary {i + 1} has shape {b.shape}, expected "
+                    "boundaries are not all matrices or all stacks of one N")
+            if b.shape[-2:] != (self.dims[i], self.dims[i + 1]):
+                raise DimensionMismatch(
+                    f"boundary {i + 1} has shape {b.shape[-2:]}, expected "
                     f"({self.dims[i]}, {self.dims[i + 1]})")
-        scale = max([1.0] + [float(np.max(np.abs(b))) for b in self.boundaries
-                             if b.size])
-        for i in range(len(self.boundaries) - 1):
-            lo, hi = self.boundaries[i], self.boundaries[i + 1]
-            if lo.size and hi.size:
-                err = float(np.max(np.abs(_check_finite(lo @ hi))))
-                if err > DDZERO_RTOL * scale:
-                    rounding = (DDZERO_ROUNDING * lo.shape[1] * EPS
-                                * np.max(np.abs(lo)) * np.max(np.abs(hi)))
-                    if err <= rounding:
-                        raise OverflowError(
-                            f"d_{i + 1} o d_{i + 2} = 0 is lost to rounding: "
-                            f"residual {err:.3e}")
-                    raise DimensionMismatch(
-                        f"d_{i + 1} o d_{i + 2} = 0 fails: residual {err:.3e}")
+        stacks = self.stacks
+        for i in range(len(stacks) - 1):
+            lo, hi = stacks[i], stacks[i + 1]
+            err = np.abs(_check_finite(lo @ hi)).max(axis=(1, 2), initial=0.0)
+            # the scale is >= 1, so only an err above DDZERO_RTOL can fail
+            if err.max(initial=0.0) <= DDZERO_RTOL:
+                continue
+            scale = np.ones(self.size)
+            for b in stacks:
+                scale = np.maximum(scale,
+                                   np.abs(b).max(axis=(1, 2), initial=0.0))
+            bad = err > DDZERO_RTOL * scale
+            if bad.any():
+                k = np.argmax(bad)
+                rounding = (DDZERO_ROUNDING * lo.shape[2] * EPS
+                            * np.abs(lo[k]).max() * np.abs(hi[k]).max())
+                if err[k] <= rounding:
+                    raise OverflowError(
+                        f"d_{i + 1} o d_{i + 2} = 0 is lost to rounding: "
+                        f"residual {err[k]:.3e}")
+                raise DimensionMismatch(
+                    f"d_{i + 1} o d_{i + 2} = 0 fails: residual {err[k]:.3e}")
 
     @property
-    def top(self) -> int:
-        return len(self.dims) - 1
+    def stacked(self) -> bool:
+        return self.boundaries[0].ndim == 3
 
-    def boundary(self, i: int) -> np.ndarray:
-        """Matrix of d_i : C_i -> C_{i-1}; zero map outside 1..top."""
-        if 1 <= i <= self.top:
-            return self.boundaries[i - 1]
-        if i == 0:
-            return np.zeros((0, self.dims[0]), dtype=complex)
-        return np.zeros((self.dims[self.top], 0), dtype=complex)
+    @property
+    def stacks(self) -> tuple[np.ndarray, ...]:
+        """The boundaries as (N, ., .) stacks; N = 1 for one complex."""
+        if self.stacked:
+            return self.boundaries
+        return tuple(b[None] for b in self.boundaries)
+
+    @property
+    def size(self) -> int:
+        """N, the number of complexes held; 1 for one complex."""
+        return self.boundaries[0].shape[0] if self.stacked else 1
 
 
 @dataclass(frozen=True)
 class TorsionValue:
-    value: complex
+    """A torsion, or for a stack the (N,) torsions with the (N,) mask of
+    acyclic items; a masked item's value is NaN."""
+
+    value: Union[complex, np.ndarray]
     sign_ambiguous: bool = False
+    acyclic: Union[bool, np.ndarray] = True
 
 
-def _svds(c: ChainComplex) -> list:
-    # svds[i] = svd of d_{i+1} : C_{i+1} -> C_i for i in 0..top (the last
-    # is the zero map from C_{top+1} = 0)
-    return [svd(c.boundary(i)) for i in range(1, c.top + 2)]
+def stack_result(stacked: bool, tau: np.ndarray, acyclic: np.ndarray,
+                 sign_ambiguous: bool = False) -> TorsionValue:
+    """The TorsionValue of (N,) values and their acyclic mask: the
+    stack itself, or for one item (stacked False) its value, raising
+    NotAcyclic where the mask is False."""
+    if stacked:
+        return TorsionValue(np.where(acyclic, tau, np.nan), sign_ambiguous,
+                            acyclic)
+    if not acyclic[0]:
+        raise NotAcyclic("not acyclic")
+    return TorsionValue(complex(tau[0]), sign_ambiguous)
 
 
-def _acyclic(c: ChainComplex, svds: list) -> bool:
-    r = [0] + [s[3] for s in svds]      # r[i] = rank d_i
-    return all(r[i] + r[i + 1] == c.dims[i] for i in range(c.top + 1))
+def _forced_ranks(dims) -> list[int]:
+    """[rank d_1, ..., rank d_top] of an acyclic complex with these dims;
+    NotAcyclic if they are not all >= 0 or the Euler characteristic is
+    not 0 (the zero map C_{top+1} -> C_top would need a nonzero rank)."""
+    ranks, r = [], 0
+    for dim in dims:
+        r = dim - r
+        ranks.append(r)
+    if ranks.pop():
+        euler = sum((-1) ** i * dim for i, dim in enumerate(dims))
+        raise NotAcyclic(f"Euler characteristic {euler} is not 0")
+    if any(r < 0 for r in ranks):
+        raise NotAcyclic(f"dims {dims} admit no exact complex")
+    return ranks
 
 
-def is_acyclic(c: ChainComplex) -> bool:
-    """True iff rank d_i + rank d_{i+1} = dim C_i in every degree."""
-    return _acyclic(c, _svds(c))
+def _svds(c: ChainComplex, ranks) -> tuple[list, np.ndarray]:
+    """(u, sv, vh) of each boundary stack d_1..d_top, and the (N,) mask
+    of the items where every d_i has its forced rank.
+
+    A tall d is decomposed through d^H = V S U^H, so that the boundaries
+    of one wide shape share one LAPACK call (the two maps of a
+    presentation complex do)."""
+    n, stacks = c.size, c.stacks
+    tall = [b.shape[1] > b.shape[2] for b in stacks]
+    wide = [b.conj().mT if t else b for b, t in zip(stacks, tall)]
+    groups: dict = {}
+    for i, w in enumerate(wide):
+        groups.setdefault(w.shape[1:], []).append(i)
+    svds, acyclic = [None] * len(stacks), np.ones(n, dtype=bool)
+    for members in groups.values():
+        u, sv, vh, found = svd(np.concatenate([wide[i] for i in members]))
+        for j, i in enumerate(members):
+            part = slice(j * n, (j + 1) * n)
+            acyclic &= found[part] == ranks[i]
+            svds[i] = ((vh[part].conj().mT, sv[part], u[part].conj().mT)
+                       if tall[i] else (u[part], sv[part], vh[part]))
+    return svds, acyclic
 
 
-def _alternating_product(c: ChainComplex, bases, lifts) -> complex:
-    """bases[i]: columns spanning Im d_{i+1} inside C_i; lifts[i]: their
-    preimages in C_{i+1}.  Returns the alternating determinant product."""
-    tau = 1.0 + 0.0j
-    for i in range(c.top + 1):
-        cols = [bases[i]] if bases[i].size else []
-        if i >= 1 and lifts[i - 1].size:
-            cols.append(lifts[i - 1])
-        m = np.hstack(cols) if cols else np.zeros((c.dims[i], 0), dtype=complex)
-        if m.shape[0] != m.shape[1]:
-            raise NotAcyclic(
-                f"degree {i}: assembled basis is {m.shape}, not square")
-        d = np.linalg.det(m) if m.size else 1.0 + 0.0j
-        if abs(d) == 0.0:
-            raise NotAcyclic(f"degree {i}: assembled basis is singular")
-        tau = tau * d if (i + 1) % 2 == 0 else tau / d
-    return complex(tau)
+def is_acyclic(c: ChainComplex):
+    """True iff rank d_i + rank d_{i+1} = dim C_i in every degree, i.e.
+    every d_i has its forced rank; an (N,) mask for a stack."""
+    try:
+        acyclic = _svds(c, _forced_ranks(c.dims))[1]
+    except NotAcyclic:
+        acyclic = np.zeros(c.size, dtype=bool)
+    return acyclic if c.stacked else bool(acyclic[0])
 
 
+def _alternating_product(bases, lifts) -> tuple[np.ndarray, np.ndarray]:
+    """bases[i]: (N, dim C_i, rank d_{i+1}) columns spanning Im d_{i+1}
+    inside C_i, for i < top; lifts[i]: their preimages in C_{i+1}.
+    Returns the (N,) alternating determinant products and the mask of
+    items whose assembled bases are all nonsingular (the others divide
+    by 0: callers ignore floating-point errors)."""
+    # degree i: the basis of Im d_{i+1} beside the lift of that of Im d_i;
+    # C_0 has no lift, and C_top no image (of the zero map out of C_{top+1})
+    mats = [bases[0],
+            *(np.concatenate(pair, axis=2) for pair in zip(bases[1:], lifts)),
+            lifts[-1]]
+    dets = np.array([np.linalg.det(m) for m in mats])
+    tau = dets[1::2].prod(axis=0) / dets[::2].prod(axis=0)
+    return tau, (dets != 0).all(axis=0)
+
+
+@np.errstate(all="ignore")   # a non-acyclic item may divide by 0; masked
 def torsion(c: ChainComplex) -> TorsionValue:
     """Torsion from one SVD d_{i+1} = U S V^H per boundary: the image
-    basis in C_i is U_r (orthonormal, r = rank d_{i+1}) and its lift to
-    C_{i+1} is V_r S_r^-1."""
-    svds = _svds(c)
-    if not _acyclic(c, svds):
-        raise NotAcyclic("homology does not vanish")
-    bases = [u[:, :r] for u, _, _, r in svds]
-    lifts = [vh[:r].conj().T / sv[:r] for _, sv, vh, r in svds]
-    return TorsionValue(_alternating_product(c, bases, lifts))
+    basis in C_i is U_r (orthonormal, r the forced rank of d_{i+1}) and
+    its lift to C_{i+1} is V_r S_r^-1.  For a stack, value and acyclic
+    are (N,) arrays (see `TorsionValue`)."""
+    ranks = _forced_ranks(c.dims)
+    svds, acyclic = _svds(c, ranks)
+    bases = [u[:, :, :r] for (u, _, _), r in zip(svds, ranks)]
+    lifts = [vh[:, :r].conj().mT / sv[:, None, :r]
+             for (_, sv, vh), r in zip(svds, ranks)]
+    tau, nonsingular = _alternating_product(bases, lifts)
+    return stack_result(c.stacked, tau, acyclic & nonsingular)
 
 
+@np.errstate(all="ignore")   # a singular item divides by 0; masked
 def torsion_with_basis_perturbation(c: ChainComplex,
                                     seed: int) -> TorsionValue:
-    """Same torsion, but with randomized image bases and randomized lift
-    representatives; agreement with `torsion` exercises choice
-    independence."""
-    svds = _svds(c)
-    if not _acyclic(c, svds):
+    """Same torsion of one complex, but with randomized image bases and
+    randomized lift representatives; agreement with `torsion` exercises
+    choice independence."""
+    if c.stacked:
+        raise DimensionMismatch("random bases are drawn for one complex")
+    ranks = _forced_ranks(c.dims)
+    svds, acyclic = _svds(c, ranks)
+    if not acyclic[0]:
         raise NotAcyclic("homology does not vanish")
     rng = np.random.default_rng(seed)
     bases, lifts = [], []
-    for i, (_, _, vh, r) in enumerate(svds):
-        d_next = c.boundary(i + 1)
+    for d_next, (_, _, vh), r in zip(c.boundaries, svds, ranks):
         dim_src = d_next.shape[1]
         for _ in range(50):
             g = rng.normal(size=(dim_src, r)) + 1j * rng.normal(size=(dim_src, r))
@@ -155,12 +237,13 @@ def torsion_with_basis_perturbation(c: ChainComplex,
                 break
         else:
             raise NotAcyclic("could not draw a full-rank random image basis")
-        ker = vh[r:].conj().T
+        ker = vh[0, r:].conj().T
         lift = g
         if ker.size and r:
             shift = rng.normal(size=(ker.shape[1], r)) \
                 + 1j * rng.normal(size=(ker.shape[1], r))
             lift = g + ker @ shift
-        bases.append(b)
-        lifts.append(lift)
-    return TorsionValue(_alternating_product(c, bases, lifts))
+        bases.append(b[None])
+        lifts.append(lift[None])
+    tau, nonsingular = _alternating_product(bases, lifts)
+    return stack_result(False, tau, nonsingular)

@@ -10,22 +10,27 @@ Closed forms, with u = tr(rho(x)) = s + 1/s:
 The exterior oracle is the torsion of the twisted presentation
 2-complex of <x, y | w x w^-1 y^-1>, built from Fox derivatives; it
 pins the closed form down up to sign.  Both derivatives of the relator
-are evaluated in one prefix pass over it (`words.fox_jacobian`).
+are evaluated in one prefix pass over it (`words.fox_blocks`).
+
+`presentation_complex`, `torsion_exterior_oracle` (given a sequence of
+points) and `torus_torsion_oracle` (given (N, 2, 2) stacks) work on N
+points at once through the stacked chain torsion; a non-acyclic item
+is masked in the result, where the call on one point raises NotAcyclic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .chain import ChainComplex, TorsionValue, torsion
+from .chain import ChainComplex, TorsionValue, stack_result, torsion
 from .errors import DegenerateU, NotAcyclic
 from .linalg import E2, det2
 from .riley import (RileyPoint, RELATOR, longitude_matrix_word,
-                    rep_matrices, trace_l, trace_u)
-from .words import fox_jacobian, parse_word
+                    rep_stacks, trace_l, trace_u)
+from .words import X, Y, fox_blocks, fox_jacobian, parse_word
 
 DEGENERATE_TOL = 1e-8    # |u^2 (u^2 - 5)| below this is degenerate
 NONACYCLIC_TOL = 1e-8    # |2 - tr rho(l)| below this is non-acyclic
@@ -68,42 +73,48 @@ def torsion_solid_torus_from_trace(p: RileyPoint) -> complex:
 
 def presentation_complex(imgx: np.ndarray, imgy: np.ndarray,
                          drdx: np.ndarray, drdy: np.ndarray) -> ChainComplex:
-    """Twisted chain complex of a one-relator presentation on x, y.
+    """Twisted chain complex of a one-relator presentation on x, y, or
+    the stack of N of them for (N, 2, 2) stacks of images and blocks.
 
     Chains carry the transposed block matrices so that the fundamental
     Fox identity sum_g Phi(dr/dg) (Phi(g) - E) = 0 becomes d1 o d2 = 0.
     """
-    d2 = np.vstack([drdx.T, drdy.T])                       # C2 (2) -> C1 (4)
-    d1 = np.hstack([(imgx - E2).T, (imgy - E2).T])         # C1 (4) -> C0 (2)
+    d2 = np.concatenate([drdx.mT, drdy.mT], axis=-2)       # C2 (2) -> C1 (4)
+    d1 = np.concatenate([(imgx - E2).mT, (imgy - E2).mT],
+                        axis=-1)                           # C1 (4) -> C0 (2)
     return ChainComplex(dims=(2, 4, 2), boundaries=(d1, d2))
 
 
-def torsion_exterior_oracle(p: RileyPoint) -> TorsionValue:
-    """Torsion of the knot-exterior presentation complex.
+def torsion_exterior_oracle(p) -> TorsionValue:
+    """Torsion of the knot-exterior presentation complex at a point p,
+    or at each point of a sequence p of N points (see `TorsionValue`).
 
     Computed twice: as the torsion of the full 3-term complex, and as
     the determinant ratio det Phi(dr/dy) / det Phi(x - 1).  The two must
-    agree up to sign; the result is only defined up to sign, so
-    sign_ambiguous is set.
+    agree up to sign; an item where they do not is not acyclic.  The
+    result is only defined up to sign, so sign_ambiguous is set.  A
+    point off the variety raises NotAcyclic, for a sequence too.
     """
-    if not p.on_variety():
-        raise NotAcyclic(
-            f"(s, t) is not a homomorphism: |R12| = {p.residual:.3e}")
-    mx, my = rep_matrices(p)
-    phix, phiy = fox_jacobian(RELATOR, mx, my)
-    cx = presentation_complex(mx, my, phix, phiy)
-    chain_val = torsion(cx).value    # raises NotAcyclic at the u -> 1 zeros
-    denom = det2(mx - E2)            # equals 2 - u
-    if abs(denom) > NONACYCLIC_TOL:
-        # away from the parabolic meridian the determinant ratio is an
-        # independent second route; the two must agree up to sign
-        ratio = det2(phiy) / denom
-        rel = abs(abs(chain_val) - abs(ratio)) / max(1.0, abs(ratio))
-        if rel > ROUTES_TOL:
+    points = [p] if isinstance(p, RileyPoint) else p
+    for q in points:
+        if not q.on_variety():
             raise NotAcyclic(
-                f"ratio and chain-complex torsions disagree in magnitude: "
-                f"{abs(ratio):.6e} vs {abs(chain_val):.6e}")
-    return TorsionValue(chain_val, sign_ambiguous=True)
+                f"(s, t) is not a homomorphism: |R12| = {q.residual:.3e}")
+    imgs = rep_stacks(np.array([q.s for q in points], dtype=complex),
+                      np.array([q.t for q in points], dtype=complex))
+    mx, my = imgs[X], imgs[Y]
+    phix, phiy = fox_blocks(RELATOR, imgs)
+    chain = torsion(presentation_complex(mx, my, phix, phiy))
+    acyclic = chain.acyclic.copy()   # False at the u -> 1 zeros
+    denom, num = det2(np.stack([mx - E2, phiy]))   # denom equals 2 - u
+    # away from the parabolic meridian the determinant ratio is an
+    # independent second route; the two must agree up to sign
+    far = acyclic & (np.abs(denom) > NONACYCLIC_TOL)
+    ratio = np.abs(num[far] / denom[far])
+    acyclic[far] = (np.abs(np.abs(chain.value[far]) - ratio)
+                    <= ROUTES_TOL * np.maximum(1.0, ratio))
+    return stack_result(not isinstance(p, RileyPoint), chain.value, acyclic,
+                        sign_ambiguous=True)
 
 
 def torsion_solid_torus_oracle(p: RileyPoint) -> TorsionValue:
@@ -116,12 +127,12 @@ def torsion_solid_torus_oracle(p: RileyPoint) -> TorsionValue:
 
 def torus_torsion_oracle(imga: np.ndarray, imgb: np.ndarray) -> TorsionValue:
     """Torsion of the twisted torus presentation complex (relator the
-    commutator a b a^-1 b^-1) for commuting images; |tau| = 1 whenever
-    some peripheral trace differs from 2."""
+    commutator a b a^-1 b^-1) for commuting images, or for each item of
+    (N, 2, 2) stacks of them; |tau| = 1 whenever some peripheral trace
+    differs from 2."""
     drdx, drdy = fox_jacobian(_COMMUTATOR, imga, imgb)
-    cx = presentation_complex(imga, imgb, drdx, drdy)
-    val = torsion(cx)
-    return TorsionValue(val.value, sign_ambiguous=True)
+    val = torsion(presentation_complex(imga, imgb, drdx, drdy))
+    return replace(val, sign_ambiguous=True)
 
 
 @dataclass

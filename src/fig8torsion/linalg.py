@@ -6,6 +6,10 @@ All matrices in this project are tiny (at most 4x4); one LAPACK SVD
 per matrix gives its rank, an image basis with a lift, and a kernel
 basis, all under the one rank threshold RANK_RTOL on the singular
 values, which are the matrix's conditioning.
+
+`det2`, `mat2_inverse` and `svd` take an (N, ., .) stack of matrices
+as well as a single matrix, and work item by item; `solve_quadratic`
+takes arrays of coefficients.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ SINGULAR_TOL = 1e-12     # |det| below this means "singular" for 2x2 inverses
 LEADING_TOL = 1e-12      # |a| below this: a z^2 + b z + c is not a quadratic
 
 E2 = np.eye(2, dtype=complex)
+_ADJUGATE_SIGNS = np.array([[1, -1], [-1, 1]])
 
 
 def mat2(a11, a12, a21, a22) -> np.ndarray:
@@ -35,18 +40,21 @@ def _check_finite(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def det2(a: np.ndarray) -> complex:
-    return a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+def det2(a: np.ndarray):
+    """Determinant of a 2x2 matrix, or the (N,) determinants of a stack."""
+    return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
 
 
 def mat2_inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse via the adjugate; SingularMatrix if |det| <= SINGULAR_TOL."""
+    """Inverse via the adjugate, of a 2x2 matrix or of each item of an
+    (N, 2, 2) stack; SingularMatrix if some |det| <= SINGULAR_TOL."""
     d = det2(a)
-    if abs(d) <= SINGULAR_TOL:
-        raise SingularMatrix(f"|det| = {abs(d):.3e} <= {SINGULAR_TOL:.1e}")
-    return _check_finite(
-        np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]], dtype=complex) / d
-    )
+    if np.count_nonzero(np.abs(d) <= SINGULAR_TOL):
+        raise SingularMatrix(
+            f"|det| = {np.min(np.abs(d)):.3e} <= {SINGULAR_TOL:.1e}")
+    # [[a22, -a12], [-a21, a11]]: both axes reversed, transposed, signed
+    return _check_finite(a[..., ::-1, ::-1].mT * _ADJUGATE_SIGNS
+                         / d[..., None, None])
 
 
 def solve_quadratic(a: complex, b: complex,
@@ -118,11 +126,14 @@ def svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     u[:, :r] is an orthonormal basis of the image, vh[:r].conj().T / sv[:r]
     lifts it (m maps it onto u[:, :r]) and vh[r:].conj().T is an
     orthonormal basis of the kernel.  Raises OverflowError on a
-    non-finite entry.
+    non-finite entry.  For an (N, ., .) stack every output gains a
+    leading axis of length N, and r is an (N,) integer array.
     """
-    u, sv, vh = np.linalg.svd(_check_finite(np.asarray(m, dtype=complex)))
-    tol = RANK_RTOL * np.max(sv, initial=1.0)
-    return u, sv, vh, int(np.count_nonzero(sv > tol))
+    m = _check_finite(np.asarray(m, dtype=complex))
+    u, sv, vh = np.linalg.svd(m)
+    # sv is descending, so sv[..., :1] is sv_max (empty for an empty m)
+    r = (sv > RANK_RTOL * np.maximum(sv[..., :1], 1.0)).sum(axis=-1)
+    return u, sv, vh, int(r) if m.ndim == 2 else r
 
 
 def rank(m: np.ndarray) -> int:

@@ -101,15 +101,17 @@ def rep_stacks(s: np.ndarray, t: np.ndarray) -> dict[int, np.ndarray]:
     stacks over the N points (s[k], t[k]).  Both generators are
     unimodular, so the inverses are exact:
     x^-1 -> [[1/s, -1], [0, s]] and y^-1 -> [[1/s, 0], [t, s]]."""
-    s = _check_s(np.asarray(s))
-    t = np.asarray(t, dtype=complex)
-    one, zero, inv = np.ones_like(s), np.zeros_like(s), 1 / s
-
-    def stack(a11, a12, a21, a22):
-        return np.stack([a11, a12, a21, a22], axis=-1).reshape(-1, 2, 2)
-
-    return {X: stack(s, one, zero, inv), -X: stack(inv, -one, zero, s),
-            Y: stack(s, zero, -t, inv), -Y: stack(inv, zero, t, s)}
+    s = _check_s(np.asarray(s)).reshape(-1)
+    t = np.asarray(t, dtype=complex).reshape(-1)
+    inv = 1 / s
+    # entries (a11, a12, a21, a22) of x, x^-1, y, y^-1 at each point
+    entries = np.zeros((4, 4, s.size), dtype=complex)
+    entries[0::2, 0] = entries[1::2, 3] = s
+    entries[1::2, 0] = entries[0::2, 3] = inv
+    entries[0, 1], entries[1, 1] = 1, -1
+    entries[2, 2], entries[3, 2] = -t, t
+    imgs = entries.transpose(0, 2, 1).reshape(4, -1, 2, 2)
+    return {X: imgs[0], -X: imgs[1], Y: imgs[2], -Y: imgs[3]}
 
 
 def riley_poly(s: complex, t: complex) -> complex:

@@ -1,7 +1,10 @@
 """Words in the free group on {x, y}, free reduction, evaluation under a
 2x2 representation, and Fox free-derivative calculus: symbolic
 (`fox_derivative`, `evaluate_group_ring`) and as one prefix pass that
-evaluates both derivatives at once (`fox_jacobian`).
+evaluates both derivatives at once (`fox_jacobian`, or `fox_blocks`
+given the inverse images too).  `evaluate_word`, `word_product`,
+`fox_jacobian` and `fox_blocks` take (N, 2, 2) stacks of images as well
+as single 2x2 matrices and give the N values at once.
 
 A word is a tuple of nonzero ints: +1/-1 for x/x^-1, +2/-2 for y/y^-1,
 always stored freely reduced.  The canonical text form is the compact
@@ -157,10 +160,19 @@ def evaluate_group_ring(e: GroupRingElement,
     return out
 
 
-@np.errstate(all="ignore")      # an overflow is raised, not warned
 def fox_jacobian(w, imgx: np.ndarray,
                  imgy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Phi(dw/dx), Phi(dw/dy)) in one pass over w.
+    """(Phi(dw/dx), Phi(dw/dy)) under x -> imgx, y -> imgy (see
+    `fox_blocks`)."""
+    return fox_blocks(w, {X: imgx, Y: imgy,
+                          -X: mat2_inverse(imgx), -Y: mat2_inverse(imgy)})
+
+
+@np.errstate(all="ignore")      # an overflow is raised, not warned
+def fox_blocks(w, imgs: dict) -> tuple[np.ndarray, np.ndarray]:
+    """(Phi(dw/dx), Phi(dw/dy)) in one pass over w, with imgs as in
+    `word_product` (2x2 matrices or (N, 2, 2) stacks of one N; then so
+    are the blocks).
 
     Keeps the running prefix product P = Phi(w[:k]): a letter g adds P
     to the g-block, a letter g^-1 subtracts the next prefix P Phi(g)^-1.
@@ -168,10 +180,8 @@ def fox_jacobian(w, imgx: np.ndarray,
     evaluate_group_ring(fox_derivative(w, g), ...), in the same order.
     Raises OverflowError when a block is not finite.
     """
-    imgs = {X: imgx, Y: imgy,
-            -X: mat2_inverse(imgx), -Y: mat2_inverse(imgy)}
-    blocks = {X: np.zeros((2, 2), dtype=complex),
-              Y: np.zeros((2, 2), dtype=complex)}
+    blocks = {X: np.zeros(imgs[X].shape, dtype=complex),
+              Y: np.zeros(imgs[X].shape, dtype=complex)}
     prefix = E2
     for a in w:
         if a > 0:

@@ -1,0 +1,254 @@
+"""The stacked chain-torsion path: every item of an (N, ., .) call
+equals the call on that item alone, non-acyclic items are masked, and
+the stacked verify checks agree with per-point reference loops.
+
+Items agree to STACK_RTOL, not bit for bit: numpy's vectorized complex
+arithmetic on a long array rounds differently in the last bits from its
+loop over a one-item array."""
+
+import math
+
+import numpy as np
+import pytest
+
+from fig8torsion import chain
+from fig8torsion.chain import ChainComplex, is_acyclic, torsion
+from fig8torsion.errors import NotAcyclic, SingularMatrix
+from fig8torsion.formulas import (presentation_complex,
+                                  torsion_exterior_closed,
+                                  torsion_exterior_oracle,
+                                  torus_torsion_oracle)
+from fig8torsion.linalg import E2, mat2, mat2_inverse
+from fig8torsion.riley import (LONGITUDE, RELATOR, longitude_l11,
+                               longitude_matrix_word, rep_stacks, solve_t,
+                               trace_l, trace_u)
+from fig8torsion.verify import (check_product_identity, check_torus_oracle,
+                                random_commuting_pair, run_all,
+                                sample_variety_points)
+from fig8torsion import verify
+from fig8torsion.words import X, Y, fox_jacobian, parse_word, word_product
+
+STACK_RTOL = 1e-14
+REFERENCE_RTOL = 1e-10
+# u = 1 at s = e^{i pi/3}; written as in test_torsion, where the oracle
+# is known to raise at this exact float
+S_U_ONE = complex(0.5, math.sqrt(3) / 2)
+
+
+def close(a, b, rtol=STACK_RTOL):
+    return abs(a - b) <= rtol * max(1.0, abs(b))
+
+
+def close_matrix(a, b, rtol=STACK_RTOL):
+    return np.max(np.abs(a - b)) <= rtol * max(1.0, np.max(np.abs(b)))
+
+
+@pytest.fixture(scope="module")
+def points():
+    # the s = 1 fixture, where det(rho(x) - E) = 0, rides along
+    return [solve_t(1.0)[0]] + sample_variety_points(40, seed=3)
+
+
+@pytest.fixture(scope="module")
+def pairs():
+    rng = np.random.default_rng(8)
+    return [random_commuting_pair(rng) for _ in range(30)]
+
+
+def exterior_complexes(pts):
+    imgs = rep_stacks(np.array([p.s for p in pts]),
+                      np.array([p.t for p in pts]))
+    return presentation_complex(imgs[X], imgs[Y],
+                                *fox_jacobian(RELATOR, imgs[X], imgs[Y]))
+
+
+def test_stacked_torsion_matches_items(points):
+    stack = exterior_complexes(points)
+    val = torsion(stack)
+    assert stack.stacked and stack.size == len(points)
+    assert val.acyclic.shape == (len(points),) and val.acyclic.all()
+    assert is_acyclic(stack).all()
+    for k, (d1, d2) in enumerate(zip(*stack.boundaries)):
+        one = ChainComplex(dims=stack.dims, boundaries=(d1, d2))
+        assert is_acyclic(one) is True
+        assert close(val.value[k], torsion(one).value)
+
+
+def test_stacked_exterior_oracle_matches_items(points):
+    val = torsion_exterior_oracle(points)
+    assert val.sign_ambiguous and val.acyclic.all()
+    for k, pt in enumerate(points):
+        assert close(val.value[k], torsion_exterior_oracle(pt).value)
+
+
+def test_stacked_torus_oracle_matches_items(pairs):
+    val = torus_torsion_oracle(np.array([a for a, _ in pairs]),
+                               np.array([b for _, b in pairs]))
+    assert val.sign_ambiguous and val.acyclic.all()
+    for k, (a, b) in enumerate(pairs):
+        assert close(val.value[k], torus_torsion_oracle(a, b).value)
+
+
+def test_stacked_fox_jacobian_and_inverse_match_items(pairs):
+    a = np.array([x for x, _ in pairs])
+    b = np.array([y for _, y in pairs])
+    w = parse_word("xyXYxxY")
+    phix, phiy = fox_jacobian(w, a, b)
+    inv = mat2_inverse(a)
+    assert phix.shape == phiy.shape == inv.shape == a.shape
+    for k in range(len(pairs)):
+        one_x, one_y = fox_jacobian(w, a[k], b[k])
+        assert close_matrix(phix[k], one_x) and close_matrix(phiy[k], one_y)
+        assert close_matrix(inv[k], mat2_inverse(a[k]))
+
+
+def test_u_one_point_masks_only_its_item(points):
+    bad = solve_t(S_U_ONE)[0]
+    assert abs(trace_u(bad.s) - 1) < 1e-12
+    stack = points[:5] + [bad] + points[5:10]
+    val = torsion_exterior_oracle(stack)
+    assert np.flatnonzero(~val.acyclic).tolist() == [5]
+    assert np.isnan(val.value[5])
+    assert np.isfinite(val.value[val.acyclic]).all()
+    with pytest.raises(NotAcyclic):
+        torsion_exterior_oracle(bad)
+
+
+def test_non_acyclic_torus_pair_masks_only_its_item(pairs):
+    a = np.array([x for x, _ in pairs[:4]] + [E2])
+    b = np.array([y for _, y in pairs[:4]] + [E2])
+    val = torus_torsion_oracle(a, b)
+    assert val.acyclic.tolist() == [True] * 4 + [False]
+    with pytest.raises(NotAcyclic):
+        torus_torsion_oracle(E2, E2)
+
+
+def test_one_singular_item_raises(pairs):
+    a = np.array([x for x, _ in pairs[:4]] + [mat2(1, 2, 2, 4)])
+    b = np.array([y for _, y in pairs[:5]])
+    with pytest.raises(SingularMatrix):
+        mat2_inverse(a)
+    with pytest.raises(SingularMatrix):
+        torus_torsion_oracle(a, b)
+
+
+def test_euler_characteristic_raises_before_any_svd(monkeypatch):
+    def no_svd(m):
+        raise AssertionError("svd called")
+
+    monkeypatch.setattr(chain, "svd", no_svd)
+    cx = ChainComplex(dims=(1, 2),
+                      boundaries=(np.array([[1.0, 2.0]], dtype=complex),))
+    with pytest.raises(NotAcyclic, match="Euler"):
+        torsion(cx)
+    assert is_acyclic(cx) is False
+    stack = ChainComplex(dims=(1, 2), boundaries=(np.ones((3, 1, 2)),))
+    with pytest.raises(NotAcyclic, match="Euler"):
+        torsion(stack)
+    assert is_acyclic(stack).tolist() == [False] * 3
+
+
+def test_zero_map_gets_no_svd(monkeypatch, points):
+    shapes = []
+    svd = chain.svd
+
+    def counting_svd(m):
+        shapes.append(m.shape)
+        return svd(m)
+
+    monkeypatch.setattr(chain, "svd", counting_svd)
+    # d_1 (2 x 4) and d_2 (4 x 2, through its conjugate transpose) share
+    # one call; the zero map C_3 -> C_2 has none
+    torsion(exterior_complexes(points))
+    torsion_exterior_oracle(points[0])
+    assert shapes == [(2 * len(points), 2, 4), (2, 2, 4)]
+
+
+def test_redraws_are_counted(monkeypatch):
+    draw = random_commuting_pair
+    calls = []
+
+    def every_third_trivial(rng):
+        calls.append(None)
+        pair = draw(rng)
+        return (E2, E2) if len(calls) % 3 == 0 else pair
+
+    monkeypatch.setattr(verify, "random_commuting_pair", every_third_trivial)
+    res = check_torus_oracle(10, seed=4)
+    assert res.passed
+    # the non-acyclic draws are 3, 6, ..., and the 10th acyclic one is 14
+    assert len(calls) == 14
+    assert res.detail == "10 commuting pairs, 4 redrawn"
+    monkeypatch.undo()
+    assert check_torus_oracle(10, seed=4).detail.endswith(", 0 redrawn")
+    assert (check_product_identity(50, seed=1).detail
+            == "50 random u, 0 redrawn")
+
+
+def reference_checks(samples, seed):
+    """The per-point loops that the stacked checks replaced: the passed
+    flag of each sampled check, and the per-point values."""
+    points = sample_variety_points(samples, seed)
+    points = [solve_t(1.0)[0], solve_t(2.0)[0], solve_t(2.0)[1]] + points
+    ext, worst = [], 0.0
+    for pt in points:
+        val = torsion_exterior_oracle(pt).value
+        ext.append(val)
+        closed = torsion_exterior_closed(trace_u(pt.s))
+        worst = max(worst, abs(abs(val) - abs(closed)) / max(1.0, abs(val),
+                                                              abs(closed)))
+    passed = {"exterior oracle |tau| vs closed form": worst <= 1e-8}
+    trace, worst = [], 0.0
+    for pt in points:
+        u = trace_u(pt.s)
+        lhs, rhs = 2 - trace_l(pt.s, pt.t), -u ** 4 + 5 * u ** 2
+        trace.append(lhs)
+        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
+    passed["trace identity 2 - tr rho(l) = u^2(5 - u^2)"] = worst <= 1e-8
+    words, worst_closed, worst_l21 = [], 0.0, 0.0
+    for pt in points:
+        word = longitude_matrix_word(pt)
+        words.append(word)
+        scale = max(1.0, float(np.max(np.abs(word))))
+        gap = max(abs(longitude_l11(pt.s, pt.t) - word[0, 0]),
+                  abs(trace_l(pt.s, pt.t) - np.trace(word)))
+        worst_closed = max(worst_closed, gap / scale)
+        worst_l21 = max(worst_l21, abs(word[1, 0]) / scale)
+    passed["longitude l11 and trace vs word product"] = \
+        worst_closed <= 1e-9 and worst_l21 <= 1e-8
+    rng = np.random.default_rng(seed + 2)
+    torus, worst = [], 0.0
+    while len(torus) < 100:
+        try:
+            val = torus_torsion_oracle(*random_commuting_pair(rng)).value
+        except NotAcyclic:
+            continue
+        torus.append(val)
+        worst = max(worst, abs(abs(val) - 1.0))
+    passed["torus complex |tau| = 1"] = worst <= 1e-8
+    return points, passed, ext, trace, words, torus
+
+
+@pytest.mark.parametrize("seed", [0, 17, 20240823])
+def test_stacked_checks_match_reference_loops(seed):
+    points, passed, ext, trace, words, torus = reference_checks(200, seed)
+    results = {r.name: r for r in run_all(200, seed)}
+    for name, ok in passed.items():
+        assert results[name].passed == ok, name
+    # the per-point values behind the stacked checks
+    val = torsion_exterior_oracle(points)
+    assert all(close(a, b, REFERENCE_RTOL) for a, b in zip(val.value, ext))
+    s = np.array([p.s for p in points])
+    t = np.array([p.t for p in points])
+    assert all(close(a, b, REFERENCE_RTOL)
+               for a, b in zip(2 - trace_l(s, t), trace))
+    stacked_words = word_product(LONGITUDE, rep_stacks(s, t))
+    for a, b in zip(stacked_words, words):
+        assert close_matrix(a, b, REFERENCE_RTOL)
+    rng = np.random.default_rng(seed + 2)
+    drawn = [random_commuting_pair(rng) for _ in range(100)]
+    val = torus_torsion_oracle(np.array([a for a, _ in drawn]),
+                               np.array([b for _, b in drawn]))
+    assert val.acyclic.all()
+    assert all(close(a, b, REFERENCE_RTOL) for a, b in zip(val.value, torus))
+
