@@ -18,8 +18,12 @@ on the choice of the b_i or of the lifts;
 `torsion_with_basis_perturbation` verifies that with randomized choices.
 
 A complex may hold (N, ., .) stacks of boundary matrices, N complexes
-with the same dims.  `torsion` and `is_acyclic` then work item by item
-and mask a non-acyclic item where a single complex raises NotAcyclic.
+with the same dims.  `torsion`, `is_acyclic` and
+`torsion_with_basis_perturbation` then work item by item and mask a
+non-acyclic item where a single complex raises NotAcyclic.  The random
+draws of `torsion_with_basis_perturbation` have shapes set by the dims
+alone, so a stack shares them: only an item whose random image basis
+falls short of its rank takes further draws.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DimensionMismatch, NotAcyclic
-from .linalg import _check_finite, rank, svd
+from .linalg import _check_finite, svd
 
 EPS = float(np.finfo(float).eps)
 DDZERO_RTOL = 1e-10      # tolerance on d o d = 0, relative to max entry
@@ -38,6 +42,7 @@ DDZERO_RTOL = 1e-10      # tolerance on d o d = 0, relative to max entry
 # inner dimension) is the rounding error of the product itself: the entries
 # are too large for double precision, which is an overflow, not bad data
 DDZERO_ROUNDING = 8
+DRAW_TRIES = 50          # random image bases drawn before an item is masked
 
 
 @dataclass(frozen=True)
@@ -113,24 +118,28 @@ class ChainComplex:
 @dataclass(frozen=True)
 class TorsionValue:
     """A torsion, or for a stack the (N,) torsions with the (N,) mask of
-    acyclic items; a masked item's value is NaN."""
+    acyclic items; a masked item's value is NaN.  redrawn counts the
+    random image bases drawn beyond each item's first (see
+    `torsion_with_basis_perturbation`), over all items."""
 
     value: Union[complex, np.ndarray]
     sign_ambiguous: bool = False
     acyclic: Union[bool, np.ndarray] = True
+    redrawn: int = 0
 
 
 def stack_result(stacked: bool, tau: np.ndarray, acyclic: np.ndarray,
-                 sign_ambiguous: bool = False) -> TorsionValue:
+                 sign_ambiguous: bool = False,
+                 redrawn: int = 0) -> TorsionValue:
     """The TorsionValue of (N,) values and their acyclic mask: the
     stack itself, or for one item (stacked False) its value, raising
     NotAcyclic where the mask is False."""
     if stacked:
         return TorsionValue(np.where(acyclic, tau, np.nan), sign_ambiguous,
-                            acyclic)
+                            acyclic, redrawn)
     if not acyclic[0]:
         raise NotAcyclic("not acyclic")
-    return TorsionValue(complex(tau[0]), sign_ambiguous)
+    return TorsionValue(complex(tau[0]), sign_ambiguous, redrawn=redrawn)
 
 
 def _forced_ranks(dims) -> list[int]:
@@ -214,36 +223,46 @@ def torsion(c: ChainComplex) -> TorsionValue:
     return stack_result(c.stacked, tau, acyclic & nonsingular)
 
 
-@np.errstate(all="ignore")   # a singular item divides by 0; masked
+@np.errstate(all="ignore")   # a masked item may divide by 0
 def torsion_with_basis_perturbation(c: ChainComplex,
                                     seed: int) -> TorsionValue:
-    """Same torsion of one complex, but with randomized image bases and
-    randomized lift representatives; agreement with `torsion` exercises
-    choice independence."""
-    if c.stacked:
-        raise DimensionMismatch("random bases are drawn for one complex")
+    """Same torsion, but with randomized image bases b = d g and
+    randomized lifts g + (kernel shift); agreement with `torsion`
+    exercises choice independence.
+
+    g and the shift are drawn from one stream per call, in shapes set
+    by the dims, so every item of a stack shares them.  An item whose
+    b falls short of its forced rank takes the next g of the stream, up
+    to DRAW_TRIES in all, and is masked (NotAcyclic for one complex) if
+    none has full rank; so is an item that is not acyclic, which draws
+    nothing.  The draws of one complex do not depend on how it is
+    stacked unless another item of the stack redraws."""
     ranks = _forced_ranks(c.dims)
     svds, acyclic = _svds(c, ranks)
-    if not acyclic[0]:
-        raise NotAcyclic("homology does not vanish")
     rng = np.random.default_rng(seed)
-    bases, lifts = [], []
-    for d_next, (_, _, vh), r in zip(c.boundaries, svds, ranks):
-        dim_src = d_next.shape[1]
-        for _ in range(50):
-            g = rng.normal(size=(dim_src, r)) + 1j * rng.normal(size=(dim_src, r))
-            b = d_next @ g
-            if r == 0 or rank(b) == r:
+    bases, lifts, redrawn = [], [], 0
+    for d, (_, _, vh), r in zip(c.stacks, svds, ranks):
+        shape = (d.shape[2], r)
+        g = np.zeros((c.size, *shape), dtype=complex)
+        b = np.zeros((c.size, d.shape[1], r), dtype=complex)
+        todo = acyclic.copy()
+        for tries in range(DRAW_TRIES):
+            if not todo.any():
                 break
-        else:
-            raise NotAcyclic("could not draw a full-rank random image basis")
-        ker = vh[0, r:].conj().T
+            redrawn += int(todo.sum()) if tries else 0
+            draw = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            g[todo] = draw
+            b[todo] = d[todo] @ draw
+            todo[todo] = svd(b[todo])[3] != r
+        acyclic &= ~todo
         lift = g
-        if ker.size and r:
-            shift = rng.normal(size=(ker.shape[1], r)) \
-                + 1j * rng.normal(size=(ker.shape[1], r))
+        ker = vh[:, r:].conj().mT
+        if ker.shape[2] and r:
+            shift = rng.normal(size=(ker.shape[2], r)) \
+                + 1j * rng.normal(size=(ker.shape[2], r))
             lift = g + ker @ shift
-        bases.append(b[None])
-        lifts.append(lift[None])
+        bases.append(b)
+        lifts.append(lift)
     tau, nonsingular = _alternating_product(bases, lifts)
-    return stack_result(False, tau, nonsingular)
+    return stack_result(c.stacked, tau, acyclic & nonsingular,
+                        redrawn=redrawn)

@@ -134,8 +134,3 @@ def svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     # sv is descending, so sv[..., :1] is sv_max (empty for an empty m)
     r = (sv > RANK_RTOL * np.maximum(sv[..., :1], 1.0)).sum(axis=-1)
     return u, sv, vh, int(r) if m.ndim == 2 else r
-
-
-def rank(m: np.ndarray) -> int:
-    """Numerical rank (see `svd`); rank of an empty matrix is 0."""
-    return svd(m)[3]

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from fig8torsion.errors import DegenerateLeadingCoefficient, SingularMatrix
-from fig8torsion.linalg import (E2, mat2, mat2_inverse, rank, solve_quadratic,
-                                svd)
+from fig8torsion.linalg import E2, mat2, mat2_inverse, solve_quadratic, svd
 from fig8torsion.riley import rep_matrices, solve_t
 
 
@@ -122,7 +121,7 @@ def test_rank_nullity_random():
         m = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
         if rng.random() < 0.5 and cols > 1:     # force rank deficiency
             m[:, -1] = m[:, 0] * complex(rng.normal(), rng.normal())
-        r = rank(m)
+        r = svd(m)[3]
         ns = kernel(m)
         assert r + ns.shape[1] == cols
         if ns.size:
@@ -140,9 +139,8 @@ def test_pivot_columns_span_image():
         if rng.random() < 0.5 and cols > 1:     # force rank deficiency
             m[:, -1] = m[:, 0] * complex(rng.normal(), rng.normal())
         u, sv, vh, r = svd(m)
-        assert r == rank(m)
         image, lift = u[:, :r], vh[:r].conj().T / sv[:r]
-        assert rank(image) == r
+        assert svd(image)[3] == r
         assert np.max(np.abs(m @ lift - image)) <= 1e-10
         # every column of m lies in the span of the image basis
         assert np.max(np.abs(m - image @ (image.conj().T @ m))) <= 1e-10

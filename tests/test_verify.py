@@ -1,6 +1,7 @@
 """The stacked chain-torsion path: every item of an (N, ., .) call
 equals the call on that item alone, non-acyclic items are masked, and
-the stacked verify checks agree with per-point reference loops.
+the stacked verify checks agree with per-point and per-fixture
+reference loops.
 
 Items agree to STACK_RTOL, not bit for bit: numpy's vectorized complex
 arithmetic on a long array rounds differently in the last bits from its
@@ -12,7 +13,8 @@ import numpy as np
 import pytest
 
 from fig8torsion import chain
-from fig8torsion.chain import ChainComplex, is_acyclic, torsion
+from fig8torsion.chain import (ChainComplex, is_acyclic, torsion,
+                               torsion_with_basis_perturbation)
 from fig8torsion.errors import NotAcyclic, SingularMatrix
 from fig8torsion.formulas import (presentation_complex,
                                   torsion_exterior_closed,
@@ -22,14 +24,18 @@ from fig8torsion.linalg import E2, mat2, mat2_inverse
 from fig8torsion.riley import (LONGITUDE, RELATOR, longitude_l11,
                                longitude_matrix_word, rep_stacks, solve_t,
                                trace_l, trace_u)
-from fig8torsion.verify import (check_product_identity, check_torus_oracle,
-                                random_commuting_pair, run_all,
-                                sample_variety_points)
+from fig8torsion.verify import (check_basis_independence,
+                                check_product_identity, check_torus_oracle,
+                                random_acyclic_complex, random_commuting_pair,
+                                run_all, sample_variety_points)
 from fig8torsion import verify
 from fig8torsion.words import X, Y, fox_jacobian, parse_word, word_product
 
 STACK_RTOL = 1e-14
 REFERENCE_RTOL = 1e-10
+# a perturbed torsion multiplies and divides determinants of random
+# bases, so its stacked and single calls round apart a little more
+PERTURBED_RTOL = 1e-12
 # u = 1 at s = e^{i pi/3}; written as in test_torsion, where the oracle
 # is known to raise at this exact float
 S_U_ONE = complex(0.5, math.sqrt(3) / 2)
@@ -252,3 +258,126 @@ def test_stacked_checks_match_reference_loops(seed):
     assert val.acyclic.all()
     assert all(close(a, b, REFERENCE_RTOL) for a, b in zip(val.value, torus))
 
+
+
+def stacks_by_dims(n, seed):
+    """n random acyclic complexes from one rng, one stack per dims."""
+    rng = np.random.default_rng(seed)
+    shapes = {}
+    for _ in range(n):
+        cx = random_acyclic_complex(rng)
+        shapes.setdefault(cx.dims, []).append(cx.boundaries)
+    return [ChainComplex(dims, tuple(map(np.array, zip(*items))))
+            for dims, items in shapes.items()]
+
+
+def items_of(stack):
+    return [ChainComplex(stack.dims, bs) for bs in zip(*stack.boundaries)]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_stacked_perturbation_matches_items(seed):
+    for stack in stacks_by_dims(40, seed=6):
+        val = torsion_with_basis_perturbation(stack, seed)
+        assert val.acyclic.all() and val.redrawn == 0
+        for k, one in enumerate(items_of(stack)):
+            assert close(val.value[k],
+                         torsion_with_basis_perturbation(one, seed).value,
+                         PERTURBED_RTOL)
+
+
+def test_zero_boundary_item_masks_only_it():
+    zero = np.zeros((2, 2), dtype=complex)
+    stack = ChainComplex((2, 2), (np.array([2 * E2, zero, E2]),))
+    val = torsion_with_basis_perturbation(stack, 0)
+    assert val.acyclic.tolist() == [True, False, True]
+    assert np.isnan(val.value[1])
+    assert close(val.value[0], 0.25, 1e-10) and close(val.value[2], 1.0, 1e-10)
+    with pytest.raises(NotAcyclic):
+        torsion_with_basis_perturbation(items_of(stack)[1], 0)
+
+
+def test_only_the_near_threshold_item_redraws(monkeypatch):
+    # sigma_min of d g is about 2e-9 |det g| / sigma_max: seed 4 draws a
+    # g that puts it under the rank threshold, and the next g does not
+    tiny = np.diag([1.0, 2e-9]).astype(complex)
+    stack = ChainComplex((2, 2), (np.array([E2, tiny, 2 * E2]),))
+    one = torsion_with_basis_perturbation(items_of(stack)[1], 4)
+    assert one.redrawn == 1
+    sizes = []
+    svd = chain.svd
+
+    def counting_svd(m):
+        sizes.append(len(m))
+        return svd(m)
+
+    monkeypatch.setattr(chain, "svd", counting_svd)
+    val = torsion_with_basis_perturbation(stack, 4)
+    # the boundaries, then the three first draws, then the one redraw
+    assert sizes == [3, 3, 1]
+    assert val.acyclic.all() and val.redrawn == 1
+    # the other items drew nothing more, so the draws are the same
+    assert close(val.value[1], one.value, PERTURBED_RTOL)
+    assert close(val.value[1], 5e8, 1e-10)
+
+
+def reference_basis_check(n_fixtures, seed):
+    """The per-fixture loop that the stacked check replaced."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_fixtures):
+        cx = random_acyclic_complex(rng)
+        ref = torsion(cx).value
+        for pert_seed in range(10):
+            val = torsion_with_basis_perturbation(cx, pert_seed).value
+            worst = max(worst, abs(val - ref) / max(1.0, abs(val), abs(ref)))
+    return worst <= 1e-8, worst
+
+
+@pytest.mark.parametrize("seed", [1, 18, 20240824])
+def test_basis_check_matches_reference_loop(seed):
+    passed, worst = reference_basis_check(20, seed)
+    res = check_basis_independence(20, seed)
+    assert res.passed == passed
+    assert abs(res.max_residual - worst) <= 1e-13
+    assert res.detail.endswith("x 10 seeds, 0 redrawn, 0 masked")
+
+
+def test_basis_check_makes_one_call_per_shape_and_seed(monkeypatch):
+    calls = {"torsion": [], "perturbed": []}
+
+    def counting(name, fn):
+        def wrapped(c, *args):
+            calls[name].append(c.size if c.stacked else None)
+            return fn(c, *args)
+        return wrapped
+
+    monkeypatch.setattr(verify, "torsion", counting("torsion", torsion))
+    monkeypatch.setattr(verify, "torsion_with_basis_perturbation",
+                        counting("perturbed", torsion_with_basis_perturbation))
+    res = check_basis_independence(20, seed=2)
+    rng = np.random.default_rng(2)
+    shapes = {random_acyclic_complex(rng).dims for _ in range(20)}
+    assert len(calls["torsion"]) == len(shapes)
+    assert len(calls["perturbed"]) == 10 * len(shapes)
+    # every fixture rides in a stack, once per call kind and seed
+    assert sum(calls["torsion"]) == 20
+    assert sum(calls["perturbed"]) == 200
+    assert res.passed
+    assert res.detail.startswith(f"20 fixtures in {len(shapes)} shapes")
+
+
+def test_masked_fixture_fails_the_basis_check(monkeypatch):
+    # a NaN residual would vanish under max(); the masked count fails it
+    def mask_first(c, seed):
+        val = torsion_with_basis_perturbation(c, seed)
+        acyclic = val.acyclic.copy()
+        acyclic[0] = False
+        return chain.stack_result(True, val.value, acyclic)
+
+    monkeypatch.setattr(verify, "torsion_with_basis_perturbation", mask_first)
+    res = check_basis_independence(20, seed=2)
+    assert not res.passed and np.isfinite(res.max_residual)
+    rng = np.random.default_rng(2)
+    shapes = {random_acyclic_complex(rng).dims for _ in range(20)}
+    assert res.detail.endswith(f"0 redrawn, {len(shapes)} masked")

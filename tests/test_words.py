@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
 from fig8torsion.errors import WordParseError
 from fig8torsion.linalg import E2, mat2
@@ -89,11 +91,21 @@ reduced_words = st.lists(st.sampled_from([X, -X, Y, -Y]),
 @st.composite
 def unimodular(draw):
     """SL(2, C) matrix with entries of modulus <= 2: entries with real
-    and imaginary parts in [-1, 1], scaled by 1/sqrt(det), |det| >= 1/2."""
+    and imaginary parts in [-1, 1], scaled by 1/sqrt(det), |det| >= 1/2.
+
+    A draw with |det| < 1/2 is made valid instead of rejected: |Re a|
+    and |Re d| are moved into [3/4, 1], so |ad| >= 9/16, and c changes
+    sign if that enlarges |det|; as |ad - bc|^2 + |ad + bc|^2 =
+    2 (|ad|^2 + |bc|^2), |det| >= |ad| >= 9/16 then."""
     part = st.floats(-1, 1)
     a, b, c, d = (complex(draw(part), draw(part)) for _ in range(4))
+    if abs(a * d - b * c) < 0.5:
+        a, d = (complex(math.copysign(0.75 + 0.25 * abs(z.real), z.real),
+                        z.imag) for z in (a, d))
+        if abs(a * d + b * c) > abs(a * d - b * c):
+            c = -c
     det = a * d - b * c
-    assume(abs(det) >= 0.5)
+    assert abs(det) >= 0.5
     return mat2(a, b, c, d) / np.sqrt(det)
 
 
