@@ -13,9 +13,7 @@ import numpy as np
 from fig8torsion import ChainComplex, solve_t, torsion, \
     torsion_with_basis_perturbation
 from fig8torsion.riley import longitude_matrix_word, rep_matrices
-from fig8torsion.formulas import presentation_complex, torus_torsion_oracle
-from fig8torsion.words import X, Y, evaluate_group_ring, fox_derivative, \
-    parse_word
+from fig8torsion.formulas import torus_torsion_oracle
 
 print("One-map complex 0 -> C --[2]--> C -> 0:")
 cx = ChainComplex(dims=(1, 1), boundaries=(np.array([[2.0]], dtype=complex),))

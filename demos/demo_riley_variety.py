@@ -9,9 +9,9 @@ Run:  python3 demos/demo_riley_variety.py
 import numpy as np
 
 from fig8torsion import (LONGITUDE, longitude_l11, longitude_matrix_word,
-                         rep_matrices, solve_t, trace_l, trace_u,
-                         word_to_text)
-from fig8torsion.words import evaluate_word, parse_word
+                         parse_word, solve_t, trace_l, trace_u, word_to_text)
+from fig8torsion.riley import rep_stacks
+from fig8torsion.words import X, Y, word_product
 
 print("The knot group is <x, y | wx = yw> with w = x y^-1 x^-1 y.")
 print("Longitude word l = w^-1 wtilde =", word_to_text(LONGITUDE))
@@ -21,10 +21,11 @@ for s in (1.0, 2.0, 0.5 + 0.5j):
     print(f"s = {s}, u = tr rho(x) = {trace_u(s):.6g}")
     for pt in solve_t(s):
         print(f"  branch {pt.branch}: t = {pt.t:.6g}  |R12| = {pt.residual:.1e}")
-        mx, my = rep_matrices(pt)
+        imgs = rep_stacks(pt.s, pt.t)
+        mx, my = imgs[X][0], imgs[Y][0]
 
         # wx = yw as a matrix identity
-        mw = evaluate_word(parse_word("xYXy"), mx, my)
+        mw = word_product(parse_word("xYXy"), imgs)[0]
         print(f"    ||rho(w)rho(x) - rho(y)rho(w)|| = "
               f"{np.linalg.norm(mw @ mx - my @ mw):.1e}")
 

@@ -17,8 +17,7 @@ from .formulas import (TorsionReport, full_report, torsion_exterior_closed,
                        torsion_exterior_oracle, torsion_solid_torus_closed,
                        torsion_solid_torus_from_trace, torsion_surgered,
                        torus_torsion_oracle)
-from .words import (GroupRingElement, evaluate_group_ring, evaluate_word,
-                    fox_derivative, fox_jacobian, parse_word, word_concat,
-                    word_inverse, word_to_text)
+from .words import (fox_jacobian, parse_word, word_concat, word_inverse,
+                    word_to_text)
 
 __version__ = "0.1.0"

@@ -11,8 +11,8 @@ and the pair (s, t) is a homomorphism exactly when the defining
 polynomial vanishes.  This module provides that polynomial, its two
 t-branches for a given s, the longitude entry l11 and trace in closed
 form, and the whole longitude image as a word product, the oracle for
-both.  The closed forms also take arrays of points, and `rep_stacks`
-gives the generator images as (N, 2, 2) stacks.
+both.  The closed forms also take arrays of points, and `rep_stacks`,
+the one builder of the generator images, gives them as (N, 2, 2) stacks.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularParameter
-from .linalg import mat2, solve_quadratic
-from .words import (X, Y, evaluate_word, parse_word, word_concat,
-                    word_inverse)
+from .linalg import solve_quadratic
+from .words import X, Y, parse_word, word_concat, word_inverse, word_product
 
 VARIETY_TOL = 1e-10      # membership: |R12| <= tol * max(1, |s|^2, |t|^2)
 S_ZERO_TOL = 1e-13
@@ -91,15 +90,17 @@ def make_point(s: complex, t: complex) -> RileyPoint:
 
 
 def rep_matrices(p: RileyPoint) -> tuple[np.ndarray, np.ndarray]:
-    """The images of the generators x and y (both unimodular)."""
-    s = _check_s(p.s)
-    return (mat2(s, 1, 0, 1 / s), mat2(s, 0, -p.t, 1 / s))
+    """The images of the generators x and y at p: the N = 1 items of
+    `rep_stacks`."""
+    imgs = rep_stacks(p.s, p.t)
+    return imgs[X][0], imgs[Y][0]
 
 
 def rep_stacks(s: np.ndarray, t: np.ndarray) -> dict[int, np.ndarray]:
     """The images of x, y, x^-1 and y^-1, keyed by letter, as (N, 2, 2)
-    stacks over the N points (s[k], t[k]).  Both generators are
-    unimodular, so the inverses are exact:
+    stacks over the N points (s[k], t[k]), or over one point for scalar
+    s and t: the one builder of the generator images.  Both generators
+    are unimodular, so the inverses are exact:
     x^-1 -> [[1/s, -1], [0, s]] and y^-1 -> [[1/s, 0], [t, s]]."""
     s = _check_s(np.asarray(s)).reshape(-1)
     t = np.asarray(t, dtype=complex).reshape(-1)
@@ -166,9 +167,9 @@ def trace_u(s):
 
 
 def longitude_matrix_word(p: RileyPoint) -> np.ndarray:
-    """Longitude image by multiplying out the word l = w^-1 wtilde."""
-    mx, my = rep_matrices(p)
-    return evaluate_word(LONGITUDE, mx, my)
+    """Longitude image by multiplying out the word l = w^-1 wtilde: the
+    N = 1 item of `word_product` on `rep_stacks`."""
+    return word_product(LONGITUDE, rep_stacks(p.s, p.t))[0]
 
 
 def longitude_l11(s, t):

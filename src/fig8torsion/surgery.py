@@ -16,15 +16,18 @@ polynomial
 and its roots are all the candidates.  f is the same for p/q and -p/q,
 and z and 1/z give the same character; every candidate is re-verified
 against the authoritative matrix residual ||rho(x)^p rho(l)^q - E||
-before being reported.
+before being reported.  When 4 | p, z = +-i are double roots of f
+(s = +-i, u = 0, lambda = 1): z^n f is divided exactly by (z^2 + 1)^2
+before its roots are taken, and s = +-i, lambda = 1 join the candidates
+as exact values.
 
 The candidate stage runs on stacks: all roots of a slope at once get
-s, lambda, the t-branch whose l11 is nearest lambda (with the double-root
-polish and the branch-point rule applied through masks) and the variety
-residual.  The candidates are then filtered all at once, on (N, 2, 2)
-stacks: the variety check, the matrix residual (the one test that
-rejects a candidate on the variety), the closed-form l11 and tr rho(l),
-and the character dedup; a RileyPoint is built only for each row kept.
+s, lambda, the t-branch whose l11 is nearest lambda (with the
+branch-point rule applied through a mask) and the variety residual.
+The candidates are then filtered all at once, on (N, 2, 2) stacks: the
+variety check, the matrix residual (the one test that rejects a
+candidate on the variety), the closed-form l11 and tr rho(l), and the
+character dedup; a RileyPoint is built only for each row kept.
 `surgery_residual` is the N = 1 call of the same residual, so a check
 that re-tests a row gets the bits the solver filtered on.
 """
@@ -47,9 +50,6 @@ from .formulas import torsion_surgered
 
 RELATION_TOL = 1e-9      # ||rho(x)^p rho(l)^q - E|| at most this: a row
 DEDUP_RTOL = 1e-9        # u and tr rho(l) both this close: one character
-# s = +-i (u = 0, lambda = 1; slopes with 4 | p): z is a double root of f,
-# which np.roots gives only to ~1e-8; polish it on f', where it is simple
-DOUBLE_ROOT_TOL = 1e-6    # |s^2 + 1| below this
 # u = +-1 (lambda = -1) and u^2 = 5 (lambda = 1, t = 0): s is a branch
 # point of solve_t, whose square root is then good only to ~1e-8; where the
 # two t-branches meet, take t from l11 reduced modulo R12 instead
@@ -158,20 +158,21 @@ def _candidates(slope: SurgerySlope) -> tuple[np.ndarray, ...]:
     """The candidates of all roots z of f at once, as stacks
     (s, lam, t, branch, residual): s = z^q, lam = z^-p, the t-branch
     whose aligned longitude eigenvalue l11 is nearest lam, its label
-    "+" or "-", and |R12(s, t)|."""
+    "+" or "-", and |R12(s, t)|.  When 4 | p the double roots z = +-i
+    are divided out and their candidates s = +-i, lam = 1 appended."""
     coeffs = _surgery_polynomial(slope)
+    if slope.p % 4 == 0:
+        # exact integer division, lowest power first (np.polydiv is the
+        # same division with a slow scan of the remainder); the quotient
+        # has no root at z = +-i
+        coeffs = np.polynomial.polynomial.polydiv(
+            coeffs[::-1], (1, 0, 2, 0, 1))[0][::-1]
     z = np.roots(coeffs).astype(complex)
-    s = z ** slope.q
-    double = np.abs(s * s + 1) <= DOUBLE_ROOT_TOL
-    if double.any():
-        df = np.polyder(coeffs)
-        d2f = np.polyder(df)
-        zd = z[double]
-        for _ in range(3):
-            zd = zd - np.polyval(df, zd) / np.polyval(d2f, zd)
-        z[double] = zd
-        s[double] = zd ** slope.q
-    lam = z ** -slope.p
+    s, lam = z ** slope.q, z ** -slope.p
+    if slope.p % 4 == 0:
+        # z = +-i give s = +-i and lam = 1; appended as values, since
+        # numpy takes z ** n by exp/log for |n| >= 100, off by ~1e-15
+        s, lam = np.append(s, (1j, -1j)), np.append(lam, (1, 1))
     t_plus, t_minus = _t_branches(s)
     l11_plus, l11_minus = longitude_l11(s, np.stack([t_plus, t_minus]))
     minus = np.abs(l11_minus - lam) < np.abs(l11_plus - lam)

@@ -1,8 +1,7 @@
 """Words in the free group on {x, y}, free reduction, evaluation under a
-2x2 representation, and Fox free-derivative calculus: symbolic
-(`fox_derivative`, `evaluate_group_ring`) and as one prefix pass that
-evaluates both derivatives at once (`fox_jacobian`, or `fox_blocks`
-given the inverse images too).  `evaluate_word`, `word_product`,
+2x2 representation, and the Fox free derivatives under it, evaluated in
+one prefix pass that gives both at once (`fox_jacobian`, or
+`fox_blocks` given the inverse images too).  `word_product`,
 `fox_jacobian` and `fox_blocks` take (N, 2, 2) stacks of images as well
 as single 2x2 matrices and give the N values at once.
 
@@ -76,12 +75,6 @@ def word_concat(a, b) -> tuple[int, ...]:
     return reduce_word(tuple(a) + tuple(b))
 
 
-def evaluate_word(w, imgx: np.ndarray, imgy: np.ndarray) -> np.ndarray:
-    """Image of w under the representation x -> imgx, y -> imgy."""
-    return word_product(w, {X: imgx, Y: imgy,
-                            -X: mat2_inverse(imgx), -Y: mat2_inverse(imgy)})
-
-
 def word_product(w, imgs: dict) -> np.ndarray:
     """Product of imgs[a] over the letters a of w, where imgs maps each
     of X, Y, -X, -Y to a 2x2 matrix or to an (N, 2, 2) stack (E2 @ stack
@@ -89,74 +82,6 @@ def word_product(w, imgs: dict) -> np.ndarray:
     out = E2.copy()
     for a in w:
         out = out @ imgs[a]
-    return out
-
-
-# ── group ring Z[F_2] ─────────────────────────────────────────────────
-
-class GroupRingElement:
-    """Integer-coefficient formal sum of reduced words.
-
-    Just enough structure for Fox calculus: construction, addition of a
-    single term, evaluation, and JSON output.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms: dict[tuple[int, ...], int] = {}
-        if terms:
-            for w, c in dict(terms).items():
-                self.add_term(w, c)
-
-    def add_term(self, w, coeff: int):
-        if coeff == 0:
-            return
-        w = tuple(w)
-        new = self.terms.get(w, 0) + coeff
-        if new == 0:
-            self.terms.pop(w, None)
-        else:
-            self.terms[w] = new
-
-    def __eq__(self, other):
-        return isinstance(other, GroupRingElement) and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "GroupRingElement(0)"
-        parts = [f"{c}*{word_to_text(w) or '1'}"
-                 for w, c in sorted(self.terms.items())]
-        return "GroupRingElement(" + " + ".join(parts) + ")"
-
-    def to_json(self) -> list[dict]:
-        return [{"word": word_to_text(w), "coeff": c}
-                for w, c in sorted(self.terms.items())]
-
-
-def fox_derivative(w, g: int) -> GroupRingElement:
-    """Free derivative d(w)/d(g) for g in {X, Y}.
-
-    Satisfies dg/dg = 1, d(g^-1)/dg = -g^-1, dh/dg = 0 for the other
-    generator, and the product rule d(uv)/dg = du/dg + u dv/dg.
-    """
-    out = GroupRingElement()
-    prefix: tuple[int, ...] = IDENTITY
-    for a in w:
-        if a == g:
-            out.add_term(prefix, 1)
-        elif a == -g:
-            out.add_term(word_concat(prefix, (a,)), -1)
-        prefix = word_concat(prefix, (a,))
-    return out
-
-
-def evaluate_group_ring(e: GroupRingElement,
-                        imgx: np.ndarray, imgy: np.ndarray) -> np.ndarray:
-    """Linear extension of the representation to Z[F_2]."""
-    out = np.zeros((2, 2), dtype=complex)
-    for w, c in e.terms.items():
-        out += c * evaluate_word(w, imgx, imgy)
     return out
 
 
@@ -175,9 +100,9 @@ def fox_blocks(w, imgs: dict) -> tuple[np.ndarray, np.ndarray]:
     are the blocks).
 
     Keeps the running prefix product P = Phi(w[:k]): a letter g adds P
-    to the g-block, a letter g^-1 subtracts the next prefix P Phi(g)^-1.
-    For a reduced w the terms and their products are those of
-    evaluate_group_ring(fox_derivative(w, g), ...), in the same order.
+    to the g-block, a letter g^-1 subtracts the next prefix P Phi(g)^-1:
+    the Fox rules dg/dg = 1, d(g^-1)/dg = -g^-1 and
+    d(uv)/dg = du/dg + u dv/dg, applied letter by letter.
     Raises OverflowError when a block is not finite.
     """
     blocks = {X: np.zeros(imgs[X].shape, dtype=complex),

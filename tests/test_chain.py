@@ -8,7 +8,8 @@ from fig8torsion.linalg import E2
 from fig8torsion.riley import rep_matrices, solve_t
 from fig8torsion.formulas import presentation_complex
 from fig8torsion.verify import random_acyclic_complex
-from fig8torsion.words import X, Y, evaluate_group_ring, fox_derivative, parse_word
+from fig8torsion.words import X, Y, parse_word
+from fox_reference import evaluate_group_ring, fox_derivative
 
 
 def two_term(mat) -> ChainComplex:

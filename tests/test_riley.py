@@ -92,13 +92,16 @@ def test_closed_forms_on_arrays():
 
 
 def test_rep_stacks_match_rep_matrices():
-    # images of x, y, x^-1, y^-1 (letters 1, 2, -1, -2) on one stack
+    # images of x, y, x^-1, y^-1 (letters 1, 2, -1, -2) on one stack, and
+    # rep_matrices, against the images written out entry by entry
     pts = sample_variety_points(20, seed=10)
     imgs = rep_stacks([pt.s for pt in pts], [pt.t for pt in pts])
     for k, pt in enumerate(pts):
         scale = max(1.0, abs(pt.s), 1 / abs(pt.s), abs(pt.t)) ** 2
-        for g, img in zip((1, 2), rep_matrices(pt)):
+        written = (mat2(pt.s, 1, 0, 1 / pt.s), mat2(pt.s, 0, -pt.t, 1 / pt.s))
+        for g, img, one in zip((1, 2), written, rep_matrices(pt)):
             assert np.max(np.abs(imgs[g][k] - img)) <= 1e-15 * scale
+            assert np.array_equal(one, imgs[g][k])
             assert np.max(np.abs(imgs[-g][k] @ img - E2)) <= 1e-15 * scale
 
 
@@ -123,7 +126,8 @@ def test_solve_t_residuals_random():
 def test_homomorphism_relation_on_variety():
     # R = rho(w) rho(x) - rho(y) rho(w) vanishes at solved points,
     # with the diagonal entries zero identically
-    from fig8torsion.words import evaluate_word, parse_word
+    from fig8torsion.words import parse_word
+    from fox_reference import evaluate_word
     w = parse_word("xYXy")
     rng = np.random.default_rng(3)
     for _ in range(50):

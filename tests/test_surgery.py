@@ -108,7 +108,8 @@ def test_solution_torsion_matches_report():
     (2, 5, 20), (13, 5, 19), (1, 8, 31), (3, 8, 31),
     # u = +-1, where the two t-branches meet
     (-3, 1, 3), (3, 2, 7),
-    # s = +-i, a double root; at 4/1 the extreme coefficients also cancel
+    # s = +-i, divided out of f and appended exactly; at 4/1 the extreme
+    # coefficients also cancel
     (4, 1, 1), (0, 1, 3),
     # S^3: only the parabolic z = -1, which the matrix residual rejects
     (1, 0, 0),
@@ -117,6 +118,38 @@ def test_character_count(p, q, count):
     """Every root of the A-polynomial relation that survives the filters
     is a row: the table is complete for the slope."""
     assert len(solve_surgery(SurgerySlope(p, q))) == count
+
+
+def _expected_count(p, q):
+    """N(p/q) = max(4|q|, |p|) - [p odd] - [4 | p], and 1 at +-4/1: the
+    degree n of the pairs z <-> 1/z, less the parabolic pair at z = -1
+    when p is odd and the one character at z = +-i when 4 | p."""
+    if (abs(p), abs(q)) == (4, 1):
+        return 1
+    return max(4 * abs(q), abs(p)) - p % 2 - (p % 4 == 0)
+
+
+def test_row_count_is_the_closed_form():
+    slopes = [(p, q) for q in range(1, 5) for p in range(-6, 7)
+              if math.gcd(p, q) == 1]
+    assert len(slopes) == 33
+    for p, q in slopes:
+        assert len(solve_surgery(SurgerySlope(p, q))) \
+            == _expected_count(p, q), (p, q)
+
+
+def test_quarter_turn_row_exact():
+    """On every 4 | p slope, |p| <= 40 and 1 <= q <= 16, the u = 0 row
+    from s = +-i is exact: rho(x)^4 = E and rho(l) = E there, in floating
+    point too."""
+    slopes = [(p, q) for q in range(1, 17) for p in range(-40, 41, 4)
+              if math.gcd(p, q) == 1]
+    assert len(slopes) == 133
+    for p, q in slopes:
+        rows = [row for row in solve_surgery(SurgerySlope(p, q))
+                if abs(row.u) <= 1e-6]
+        assert len(rows) == 1, (p, q)
+        assert rows[0].u == 0 and rows[0].relation_residual == 0, (p, q)
 
 
 def test_solver_residual_is_one_point_residual():
