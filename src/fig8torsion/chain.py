@@ -160,25 +160,12 @@ def _forced_ranks(dims) -> list[int]:
 
 def _svds(c: ChainComplex, ranks) -> tuple[list, np.ndarray]:
     """(u, sv, vh) of each boundary stack d_1..d_top, and the (N,) mask
-    of the items where every d_i has its forced rank.
-
-    A tall d is decomposed through d^H = V S U^H, so that the boundaries
-    of one wide shape share one LAPACK call (the two maps of a
-    presentation complex do)."""
-    n, stacks = c.size, c.stacks
-    tall = [b.shape[1] > b.shape[2] for b in stacks]
-    wide = [b.conj().mT if t else b for b, t in zip(stacks, tall)]
-    groups: dict = {}
-    for i, w in enumerate(wide):
-        groups.setdefault(w.shape[1:], []).append(i)
-    svds, acyclic = [None] * len(stacks), np.ones(n, dtype=bool)
-    for members in groups.values():
-        u, sv, vh, found = svd(np.concatenate([wide[i] for i in members]))
-        for j, i in enumerate(members):
-            part = slice(j * n, (j + 1) * n)
-            acyclic &= found[part] == ranks[i]
-            svds[i] = ((vh[part].conj().mT, sv[part], u[part].conj().mT)
-                       if tall[i] else (u[part], sv[part], vh[part]))
+    of the items where every d_i has its forced rank."""
+    svds, acyclic = [], np.ones(c.size, dtype=bool)
+    for d, r in zip(c.stacks, ranks):
+        u, sv, vh, found = svd(d)
+        acyclic &= found == r
+        svds.append((u, sv, vh))
     return svds, acyclic
 
 

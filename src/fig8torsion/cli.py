@@ -16,7 +16,7 @@ import json
 import sys
 
 from .errors import Fig8Error, InvalidSlope
-from .riley import solve_t
+from .riley import complex_csv, solve_t
 from .surgery import (CSV_HEADER, SurgerySlope, polynomial_degree,
                       solve_surgery, table_to_csv, table_to_json)
 from .formulas import REPORT_CSV_HEADER, full_report
@@ -78,8 +78,8 @@ def cmd_riley(ns) -> int:
     elif ns.format == "csv":
         print(RILEY_CSV_HEADER)
         for pt in points:
-            print(f"{pt.s.real:.17g},{pt.s.imag:.17g},{pt.t.real:.17g},"
-                  f"{pt.t.imag:.17g},{pt.branch},{pt.residual:.17g}")
+            print(f"{complex_csv(pt.s)},{complex_csv(pt.t)},{pt.branch},"
+                  f"{pt.residual:.17g}")
     else:
         for pt in points:
             print(f"branch {pt.branch}: t = {_fmt_cx(pt.t)}   "
@@ -110,7 +110,8 @@ def cmd_torsion(ns) -> int:
           + (_fmt_cx(rep.tau_solid_closed) if rep.tau_solid_closed is not None
              else "n/a"))
     if "degenerate" in rep.annotations:
-        print("tau(M)                     : omitted (degenerate, u^2 ~ 5)")
+        print("tau(M)                     : omitted "
+              "(degenerate, u^2(u^2 - 5) ~ 0)")
     elif "non-acyclic" in rep.annotations:
         print("tau(M)                     : 0 (non-acyclic convention)")
     else:

@@ -28,8 +28,9 @@ import numpy as np
 from .chain import ChainComplex, TorsionValue, stack_result, torsion
 from .errors import DegenerateU, NotAcyclic
 from .linalg import E2, det2
-from .riley import (RileyPoint, RELATOR, longitude_matrix_word,
-                    rep_stacks, trace_l, trace_u)
+from .riley import (RileyPoint, RELATOR, complex_csv, complex_json,
+                    longitude_matrix_word, point_arrays, rep_stacks, trace_l,
+                    trace_u, variety_membership)
 from .words import X, Y, fox_blocks, fox_jacobian, parse_word
 
 DEGENERATE_TOL = 1e-8    # |u^2 (u^2 - 5)| below this is degenerate
@@ -45,21 +46,24 @@ def torsion_exterior_closed(u: complex) -> complex:
     return -2 * (u - 1)
 
 
+def _denominator(u: complex) -> complex:
+    """u^2 (u^2 - 5); raises DegenerateU within DEGENERATE_TOL of 0."""
+    denom = u * u * (u * u - 5)
+    if abs(denom) <= DEGENERATE_TOL:
+        raise DegenerateU(f"|u^2(u^2-5)| = {abs(denom):.3e}")
+    return denom
+
+
 def torsion_solid_torus_closed(u: complex) -> complex:
     """tau of the reglued solid torus as a function of u:
     -1/(u^2 (u^2 - 5)); raises DegenerateU near the degenerate locus."""
-    denom = u * u * (u * u - 5)
-    if abs(denom) <= DEGENERATE_TOL:
-        raise DegenerateU(f"|u^2(u^2-5)| = {abs(denom):.3e}")
-    return -1 / denom
+    return -1 / _denominator(u)
 
 
 def torsion_surgered(u: complex) -> complex:
-    """tau of the surgered manifold: 2(u - 1)/(u^2 (u^2 - 5))."""
-    denom = u * u * (u * u - 5)
-    if abs(denom) <= DEGENERATE_TOL:
-        raise DegenerateU(f"|u^2(u^2-5)| = {abs(denom):.3e}")
-    return 2 * (u - 1) / denom
+    """tau of the surgered manifold: 2(u - 1)/(u^2 (u^2 - 5)); raises
+    DegenerateU near the degenerate locus."""
+    return 2 * (u - 1) / _denominator(u)
 
 
 def torsion_solid_torus_from_trace(p: RileyPoint) -> complex:
@@ -95,18 +99,17 @@ def torsion_exterior_oracle(p) -> TorsionValue:
     result is only defined up to sign, so sign_ambiguous is set.  A
     point off the variety raises NotAcyclic, for a sequence too.
     """
-    points = [p] if isinstance(p, RileyPoint) else p
-    for q in points:
-        if not q.on_variety():
-            raise NotAcyclic(
-                f"(s, t) is not a homomorphism: |R12| = {q.residual:.3e}")
-    imgs = rep_stacks(np.array([q.s for q in points], dtype=complex),
-                      np.array([q.t for q in points], dtype=complex))
+    s, t, residual = point_arrays([p] if isinstance(p, RileyPoint) else p)
+    on = variety_membership(s, t, residual)
+    if not on.all():
+        raise NotAcyclic(
+            f"(s, t) is not a homomorphism: |R12| = {residual[~on][0]:.3e}")
+    imgs = rep_stacks(s, t)
     mx, my = imgs[X], imgs[Y]
     phix, phiy = fox_blocks(RELATOR, imgs)
     chain = torsion(presentation_complex(mx, my, phix, phiy))
     acyclic = chain.acyclic.copy()   # False at the u -> 1 zeros
-    denom, num = det2(np.stack([mx - E2, phiy]))   # denom equals 2 - u
+    denom, num = det2(mx - E2), det2(phiy)   # denom equals 2 - u
     # away from the parabolic meridian the determinant ratio is an
     # independent second route; the two must agree up to sign
     far = acyclic & (np.abs(denom) > NONACYCLIC_TOL)
@@ -165,31 +168,28 @@ class TorsionReport:
         return self.tau_surgered if self.tau_surgered is not None else complex("nan")
 
     def to_json(self) -> dict:
-        def cx(z):
-            return None if z is None else {"re": z.real, "im": z.imag}
         oracle = self.tau_exterior_oracle
         return {
-            "u": cx(self.u),
-            "tau_exterior_closed": cx(self.tau_exterior_closed),
+            "u": complex_json(self.u),
+            "tau_exterior_closed": complex_json(self.tau_exterior_closed),
             "tau_exterior_oracle": None if oracle is None else {
-                **cx(oracle.value), "sign_ambiguous": oracle.sign_ambiguous},
-            "tau_solid_closed": cx(self.tau_solid_closed),
-            "tau_solid_trace": cx(self.tau_solid_trace),
-            "tau_surgered": cx(self.tau_surgered),
+                **complex_json(oracle.value),
+                "sign_ambiguous": oracle.sign_ambiguous},
+            "tau_solid_closed": complex_json(self.tau_solid_closed),
+            "tau_solid_trace": complex_json(self.tau_solid_trace),
+            "tau_surgered": complex_json(self.tau_surgered),
             "flags": dict(self.flags),
             "annotations": list(self.annotations),
         }
 
     def to_csv_row(self) -> str:
-        def fmt(z):
-            return "," if z is None else f"{z.real:.17g},{z.imag:.17g}"
         oracle = self.tau_exterior_oracle
-        cells = [fmt(self.u), fmt(self.tau_exterior_closed),
-                 fmt(None if oracle is None else oracle.value),
-                 fmt(self.tau_solid_closed), fmt(self.tau_solid_trace),
-                 fmt(self.tau_surgered),
-                 ";".join(f"{k}={v}" for k, v in sorted(self.flags.items())),
-                 ";".join(self.annotations)]
+        cells = [complex_csv(z) for z in (
+            self.u, self.tau_exterior_closed,
+            None if oracle is None else oracle.value,
+            self.tau_solid_closed, self.tau_solid_trace, self.tau_surgered)]
+        cells += [";".join(f"{k}={v}" for k, v in sorted(self.flags.items())),
+                  ";".join(self.annotations)]
         return ",".join(cells)
 
 

@@ -53,15 +53,39 @@ class RileyPoint:
     residual: float = 0.0
 
     def on_variety(self) -> bool:
-        """Membership within VARIETY_TOL: the one variety test."""
-        scale = max(1.0, abs(self.s) ** 2, abs(self.t) ** 2)
-        return self.residual <= VARIETY_TOL * scale
+        """Membership within VARIETY_TOL (see `variety_membership`)."""
+        return bool(variety_membership(self.s, self.t, self.residual))
 
     def to_json(self) -> dict:
-        return {"s": {"re": self.s.real, "im": self.s.imag},
-                "t": {"re": self.t.real, "im": self.t.imag},
-                "branch": self.branch,
-                "residual": self.residual}
+        return {"s": complex_json(self.s), "t": complex_json(self.t),
+                "branch": self.branch, "residual": self.residual}
+
+
+def variety_membership(s, t, residual):
+    """The one variety test, |R12| = residual <= VARIETY_TOL *
+    max(1, |s|^2, |t|^2); s, t and residual may be arrays of one shape,
+    tested item by item."""
+    return residual <= VARIETY_TOL * np.maximum(
+        1.0, np.maximum(np.abs(s) ** 2, np.abs(t) ** 2))
+
+
+def point_arrays(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The s, t and residual of a sequence of points as three arrays."""
+    return (np.array([p.s for p in points], dtype=complex),
+            np.array([p.t for p in points], dtype=complex),
+            np.array([p.residual for p in points], dtype=float))
+
+
+def complex_json(z):
+    """The JSON cell {"re": ..., "im": ...} of a complex number, or None."""
+    return None if z is None else {"re": z.real, "im": z.imag}
+
+
+def complex_csv(z) -> str:
+    """The two CSV cells "re,im" of a complex number to 17 significant
+    digits, which parse back to the same floats; two empty cells for
+    None."""
+    return "," if z is None else f"{z.real:.17g},{z.imag:.17g}"
 
 
 def _check_s(s):

@@ -42,9 +42,9 @@ import numpy as np
 
 from .errors import DegenerateU, InvalidSlope
 from .linalg import E2
-from .riley import (LONGITUDE, VARIETY_TOL, RileyPoint, _t_branches,
-                    _t_from_l11, longitude_l11, rep_stacks, riley_poly,
-                    trace_l, trace_u)
+from .riley import (LONGITUDE, RileyPoint, _t_branches, _t_from_l11,
+                    complex_csv, complex_json, longitude_l11, rep_stacks,
+                    riley_poly, trace_l, trace_u, variety_membership)
 from .words import X, word_inverse, word_product
 from .formulas import torsion_surgered
 
@@ -83,26 +83,19 @@ class SurgerySolution:
     flags: list[str] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        def cx(z):
-            return None if z is None else {"re": z.real, "im": z.imag}
-        return {"point": self.point.to_json(), "u": cx(self.u),
-                "trace_l": cx(self.trace_l), "lambda": cx(self.lam),
+        return {"point": self.point.to_json(), "u": complex_json(self.u),
+                "trace_l": complex_json(self.trace_l),
+                "lambda": complex_json(self.lam),
                 "relation_residual": self.relation_residual,
-                "torsion": cx(self.torsion), "flags": list(self.flags)}
+                "torsion": complex_json(self.torsion),
+                "flags": list(self.flags)}
 
     def to_csv_row(self) -> str:
-        def f(v):
-            return f"{v:.17g}"
-        tau_re = f(self.torsion.real) if self.torsion is not None else ""
-        tau_im = f(self.torsion.imag) if self.torsion is not None else ""
-        cells = [f(self.point.s.real), f(self.point.s.imag),
-                 f(self.point.t.real), f(self.point.t.imag),
-                 self.point.branch,
-                 f(self.u.real), f(self.u.imag),
-                 f(self.trace_l.real), f(self.trace_l.imag),
-                 f(self.lam.real), f(self.lam.imag),
-                 tau_re, tau_im,
-                 f(self.point.residual), f(self.relation_residual),
+        pt = self.point
+        cells = [complex_csv(pt.s), complex_csv(pt.t), pt.branch,
+                 complex_csv(self.u), complex_csv(self.trace_l),
+                 complex_csv(self.lam), complex_csv(self.torsion),
+                 f"{pt.residual:.17g}", f"{self.relation_residual:.17g}",
                  ";".join(self.flags)]
         return ",".join(cells)
 
@@ -218,9 +211,7 @@ def solve_surgery(slope: SurgerySlope) -> list[SurgerySolution]:
     # residuals fail the comparisons below, which reject it
     with np.errstate(all="ignore"):
         s, _, t, branch, residual = _candidates(root_slope)
-        # RileyPoint.on_variety() on the stack
-        on_variety = residual <= VARIETY_TOL * np.maximum(
-            1.0, np.maximum(np.abs(s) ** 2, np.abs(t) ** 2))
+        on_variety = variety_membership(s, t, residual)
         mat_res = _relation_residuals(s, t, slope)
         lam = longitude_l11(s, t)
         u, trl = trace_u(s), trace_l(s, t)

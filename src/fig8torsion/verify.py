@@ -21,8 +21,8 @@ import numpy as np
 from .chain import ChainComplex, torsion, torsion_with_basis_perturbation
 from .errors import DegenerateU
 from .linalg import mat2
-from .riley import (LONGITUDE, RileyPoint, longitude_l11, rep_stacks,
-                    solve_t, trace_l, trace_u)
+from .riley import (LONGITUDE, RileyPoint, longitude_l11, point_arrays,
+                    rep_stacks, solve_t, trace_l, trace_u)
 from .words import word_product
 from .surgery import (RELATION_TOL, SurgerySlope, solve_surgery,
                       surgery_residual)
@@ -73,12 +73,6 @@ def _relerr(a, b):
     return np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
 
 
-def _coordinates(points) -> tuple[np.ndarray, np.ndarray]:
-    """The s and t of the points as two complex arrays."""
-    return (np.array([p.s for p in points], dtype=complex),
-            np.array([p.t for p in points], dtype=complex))
-
-
 def check_geometric_point() -> CheckResult:
     """Fixed-point chain at s = 1, "+" branch: t = (-1 + i sqrt(3))/2,
     tr rho(l) = -2, tau(exterior) = -2, tau(solid) = 1/4 both ways,
@@ -103,7 +97,7 @@ def check_exterior_oracle(points) -> CheckResult:
     """|Fox-calculus torsion| = |-2(u - 1)| on the variety; every point
     must be acyclic."""
     oracle = torsion_exterior_oracle(points)
-    u = trace_u(_coordinates(points)[0])[oracle.acyclic]
+    u = trace_u(point_arrays(points)[0])[oracle.acyclic]
     err = _relerr(np.abs(oracle.value[oracle.acyclic]),
                   np.abs(torsion_exterior_closed(u)))
     worst = float(np.max(err, initial=0.0))
@@ -115,7 +109,7 @@ def check_exterior_oracle(points) -> CheckResult:
 
 def check_trace_identity(points) -> CheckResult:
     """2 - tr rho(l) = -u^4 + 5 u^2 on the variety."""
-    s, t = _coordinates(points)
+    s, t, _ = point_arrays(points)
     u = trace_u(s)
     err = _relerr(2 - trace_l(s, t), -u ** 4 + 5 * u ** 2)
     worst = float(np.max(err, initial=0.0))
@@ -127,7 +121,7 @@ def check_trace_identity(points) -> CheckResult:
 def check_longitude_lemma(points) -> CheckResult:
     """Closed-form l11 and tr rho(l) match the word product, to 1e-9 of
     its largest entry; the word's l21 vanishes, to 1e-8."""
-    s, t = _coordinates(points)
+    s, t, _ = point_arrays(points)
     word = word_product(LONGITUDE, rep_stacks(s, t))
     scale = np.maximum(1.0, np.max(np.abs(word), axis=(1, 2), initial=0.0))
     gap = np.maximum(np.abs(longitude_l11(s, t) - word[:, 0, 0]),

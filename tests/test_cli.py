@@ -104,11 +104,11 @@ def test_torsion_json(capsys):
 
 
 def test_torsion_degenerate_annotated(capsys):
-    golden = (1 + 5 ** 0.5) / 2      # u = sqrt(5)
-    code, out, _ = run(capsys, "torsion", "--s", f"{golden},0")
-    assert code == 0
-    assert "degenerate" in out
-    assert "omitted" in out
+    golden = (1 + 5 ** 0.5) / 2
+    for s in (f"{golden},0", "0,1"):     # u = sqrt(5) and u = 0
+        code, out, _ = run(capsys, "torsion", "--s", s)
+        assert code == 0
+        assert "omitted (degenerate, u^2(u^2 - 5) ~ 0)" in out
 
 
 GOLDEN = (1 + 5 ** 0.5) / 2      # u = sqrt(5): degenerate, non-acyclic
@@ -127,6 +127,57 @@ def test_csv_format(capsys, argv, header, n_rows):
     assert len(lines) == 1 + n_rows
     n_cells = len(header.split(","))
     assert all(len(ln.split(",")) == n_cells for ln in lines[1:])
+
+
+# the JSON keys of each numeric CSV column; an "_re" or "_im" column
+# names its stem here and adds the key "re" or "im"
+CSV_STEMS = {
+    "riley": {"s": ("s",), "t": ("t",), "residual": ("residual",)},
+    "torsion": {"u": ("u",), "tauext": ("tau_exterior_closed",),
+                "oracle": ("tau_exterior_oracle",),
+                "tausolid": ("tau_solid_closed",),
+                "tautrace": ("tau_solid_trace",),
+                "tauM": ("tau_surgered",)},
+    "surgery": {"s": ("point", "s"), "t": ("point", "t"), "u": ("u",),
+                "trl": ("trace_l",), "lambda": ("lambda",),
+                "tau": ("torsion",), "res_variety": ("point", "residual"),
+                "res_relation": ("relation_residual",)},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ("riley", "--s", "2,0"),
+    ("torsion", "--s", "2,0"),
+    ("torsion", "--s", f"{GOLDEN},0"),
+    ("surgery", "--p", "8", "--q", "1")],     # 7 rows, one degenerate
+    ids=["riley", "torsion", "torsion-degenerate", "surgery"])
+def test_csv_cells_are_the_json_floats(capsys, argv):
+    """Every numeric CSV cell parses back to exactly the float that the
+    same command prints in JSON, and an empty one is a JSON null."""
+    _, text, _ = run(capsys, *argv, "--format", "json")
+    rows = json.loads(text)
+    rows = rows if isinstance(rows, list) else [rows]
+    _, text, _ = run(capsys, *argv, "--format", "csv")
+    header, *lines = text.splitlines()
+    columns, stems = header.split(","), CSV_STEMS[argv[0]]
+    assert len(lines) == len(rows) > 0
+    for row, line in zip(rows, lines):
+        cells = line.split(",")
+        assert len(cells) == len(columns)
+        for column, cell in zip(columns, cells):
+            stem, keys = column, ()
+            if column.endswith(("_re", "_im")):
+                stem, keys = column[:-3], (column[-2:],)
+            if stem not in stems:
+                assert column in ("branch", "flags", "annotations")
+                continue
+            value = row
+            for key in stems[stem] + keys:
+                value = None if value is None else value[key]
+            if value is None:
+                assert cell == "", column
+            else:   # .hex() tells -0.0 from 0.0
+                assert float(cell).hex() == value.hex(), column
 
 
 def test_surgery_empty(capsys):

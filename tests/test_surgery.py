@@ -7,7 +7,8 @@ import pytest
 from fig8torsion.errors import InvalidSlope
 from fig8torsion.linalg import E2
 from fig8torsion.riley import (RileyPoint, longitude_l11, longitude_matrix_word,
-                               make_point, rep_matrices, solve_t, trace_l)
+                               make_point, rep_matrices, riley_poly, solve_t,
+                               trace_l, variety_membership)
 from fig8torsion.surgery import (BRANCH_POINT_TOL, CSV_HEADER, RELATION_TOL,
                                  SurgerySlope, _candidates,
                                  _relation_residuals, _row_key, solve_surgery,
@@ -198,6 +199,21 @@ def test_stacked_candidates_match_scalar(p, q):
         checked += 1
     # only the roots at u = +-1 and u^2 = 5 are exempt: at most 4 here
     assert checked >= len(s) - 4
+
+
+@pytest.mark.parametrize("p, q", CANDIDATE_SLOPES)
+def test_on_variety_is_the_array_rule(p, q):
+    """RileyPoint.on_variety() and the array rule agree exactly, item by
+    item, on every candidate, and on the candidates with t moved by
+    1e-10 relative, which puts many of them off the variety."""
+    s, _, t, _, residual = _candidates(SurgerySlope(p, q))
+    moved = t * (1 + 1e-10)
+    for tt, res in ((t, residual), (moved, np.abs(riley_poly(s, moved)))):
+        rule = variety_membership(s, tt, res)
+        one_point = [RileyPoint(sk, tk, residual=rk).on_variety()
+                     for sk, tk, rk in zip(s.tolist(), tt.tolist(),
+                                           res.tolist())]
+        assert rule.tolist() == one_point
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,15 @@ def test_exterior_oracle_nonacyclic_at_u_one():
     for pt in solve_t(s):
         with pytest.raises(NotAcyclic):
             torsion_exterior_oracle(pt)
+
+
+def test_exterior_oracle_off_variety_point_raises():
+    """One point off the variety in a sequence raises, naming its
+    residual."""
+    good, bad = solve_t(2.0)[0], make_point(1.0, 0.0)
+    assert not bad.on_variety()
+    with pytest.raises(NotAcyclic, match=re.escape(f"{bad.residual:.3e}")):
+        torsion_exterior_oracle([good, bad, good])
 
 
 def test_solid_trace_fixture_and_errors():

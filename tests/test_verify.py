@@ -163,11 +163,12 @@ def test_zero_map_gets_no_svd(monkeypatch, points):
         return svd(m)
 
     monkeypatch.setattr(chain, "svd", counting_svd)
-    # d_1 (2 x 4) and d_2 (4 x 2, through its conjugate transpose) share
-    # one call; the zero map C_3 -> C_2 has none
+    # one call per boundary, d_1 (2 x 4) and d_2 (4 x 2); the zero map
+    # C_3 -> C_2 has none
     torsion(exterior_complexes(points))
     torsion_exterior_oracle(points[0])
-    assert shapes == [(2 * len(points), 2, 4), (2, 2, 4)]
+    n = len(points)
+    assert shapes == [(n, 2, 4), (n, 4, 2), (1, 2, 4), (1, 4, 2)]
 
 
 def test_redraws_are_counted(monkeypatch):
