@@ -12,7 +12,9 @@ A subcommand accepts only the flags it reads, and --config.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import re
 import sys
 
 from .errors import Fig8Error, InvalidSlope
@@ -20,7 +22,7 @@ from .riley import complex_csv, solve_t
 from .surgery import (CSV_HEADER, SurgerySlope, polynomial_degree,
                       solve_surgery, table_to_csv, table_to_json)
 from .formulas import REPORT_CSV_HEADER, full_report
-from .verify import run_all
+from .verify import results_to_csv, run_all
 
 EXIT_OK, EXIT_USAGE, EXIT_MATH, EXIT_VERIFY = 0, 1, 2, 3
 # time and memory grow with the degree 2 max(4|q|, |p|) of the surgery
@@ -31,6 +33,12 @@ RILEY_CSV_HEADER = "s_re,s_im,t_re,t_im,branch,residual"
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value with a negative real part, as in --s -1,0, is a value
+        # and not an option; argparse's own pattern has no comma
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # argparse exits 2 on usage errors; the contract here is exit 1
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -145,10 +153,15 @@ def cmd_surgery(ns) -> int:
 
 def cmd_verify(ns) -> int:
     results = run_all(samples=ns.samples, seed=ns.seed)
-    for res in results:
-        print(res.line())
     n_fail = sum(not r.passed for r in results)
-    print(f"{len(results) - n_fail}/{len(results)} checks passed")
+    if ns.format == "json":
+        print(json.dumps({"checks": [dataclasses.asdict(r) for r in results]}))
+    elif ns.format == "csv":
+        print(results_to_csv(results), end="")
+    else:
+        for res in results:
+            print(res.line())
+        print(f"{len(results) - n_fail}/{len(results)} checks passed")
     return EXIT_OK if n_fail == 0 else EXIT_VERIFY
 
 
@@ -180,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("verify", help="run the self-verification suite")
     sub.add_argument("--samples", type=parse_count, default=200)
-    _add_flags(sub, "seed")
+    _add_flags(sub, "format", "seed")
     sub.set_defaults(func=cmd_verify)
     return parser
 

@@ -28,8 +28,9 @@ The candidates are then filtered all at once, on (N, 2, 2) stacks: the
 variety check, the matrix residual (the one test that rejects a
 candidate on the variety), the closed-form l11 and tr rho(l), and the
 character dedup; a RileyPoint is built only for each row kept.
-`surgery_residual` is the N = 1 call of the same residual, so a check
-that re-tests a row gets the bits the solver filtered on.
+`relation_residuals` is that residual on any stack of points, and
+`surgery_residual` its N = 1 call, so a check that re-tests rows gets
+the bits the solver filtered on.
 """
 
 from __future__ import annotations
@@ -100,8 +101,8 @@ class SurgerySolution:
         return ",".join(cells)
 
 
-def _relation_residuals(s: np.ndarray, t: np.ndarray,
-                        slope: SurgerySlope) -> np.ndarray:
+def relation_residuals(s: np.ndarray, t: np.ndarray,
+                       slope: SurgerySlope) -> np.ndarray:
     """||rho(x)^p rho(l)^q - E|| at each point of the stacks s, t, with
     rho(l) multiplied out from its word.  A negative power takes the
     exact inverse images of `rep_stacks`: x^-1, and rho(l)^-1 from the
@@ -123,7 +124,7 @@ def surgery_residual(pt: RileyPoint, slope: SurgerySlope) -> tuple[complex, floa
     bit."""
     lam = longitude_l11(pt.s, pt.t)
     scalar = pt.s ** slope.p * lam ** slope.q - 1
-    mat = _relation_residuals(np.array([pt.s]), np.array([pt.t]), slope)
+    mat = relation_residuals(np.array([pt.s]), np.array([pt.t]), slope)
     return complex(scalar), float(mat[0])
 
 
@@ -212,7 +213,7 @@ def solve_surgery(slope: SurgerySlope) -> list[SurgerySolution]:
     with np.errstate(all="ignore"):
         s, _, t, branch, residual = _candidates(root_slope)
         on_variety = variety_membership(s, t, residual)
-        mat_res = _relation_residuals(s, t, slope)
+        mat_res = relation_residuals(s, t, slope)
         lam = longitude_l11(s, t)
         u, trl = trace_u(s), trace_l(s, t)
     rows = np.flatnonzero(on_variety & (mat_res <= RELATION_TOL))

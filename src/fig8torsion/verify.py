@@ -5,16 +5,21 @@ Each check returns a CheckResult with the worst residual seen and the
 tolerance it was held to; `run_all` aggregates them deterministically
 for a given (samples, seed) pair.  The checks over sampled points and
 pairs make one stacked call each (N points or pairs at once, see
-`formulas.torsion_exterior_oracle` and `riley.rep_stacks`), and the
-basis-independence check one per (dims, perturbation seed); a check
-that redraws an input says how many it redrew in its detail.
+`formulas.torsion_exterior_oracle` and `riley.rep_stacks`), the
+basis-independence check one perturbed call per dims over all seeds,
+and the surgery check one residual call per slope; a check that
+redraws an input says how many it redrew in its detail.  `run_all`
+times each check (`CheckResult.seconds`).
 """
 
 from __future__ import annotations
 
 import cmath
+import csv
+import io
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,8 +29,8 @@ from .linalg import mat2
 from .riley import (LONGITUDE, RileyPoint, longitude_l11, point_arrays,
                     rep_stacks, solve_t, trace_l, trace_u)
 from .words import word_product
-from .surgery import (RELATION_TOL, SurgerySlope, solve_surgery,
-                      surgery_residual)
+from .surgery import (RELATION_TOL, SurgerySlope, relation_residuals,
+                      solve_surgery)
 from .formulas import (full_report, torsion_exterior_closed,
                        torsion_exterior_oracle, torsion_solid_torus_closed,
                        torsion_solid_torus_from_trace, torsion_surgered,
@@ -39,6 +44,9 @@ class CheckResult:
     max_residual: float
     tol: float
     detail: str = ""
+    # wall time of the check in `run_all`; the one field two runs of the
+    # same (samples, seed) do not share
+    seconds: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
         # the checks reduce numpy arrays; keep plain Python values
@@ -151,8 +159,9 @@ def random_acyclic_complex(rng) -> ChainComplex:
 
 def check_basis_independence(n_fixtures: int, seed: int) -> CheckResult:
     """Torsion is independent of image-basis and lift choices: the
-    fixtures, grouped by dims, as one stack per shape, against 10
-    perturbation seeds; an item masked by either call fails the check."""
+    fixtures, grouped by dims, as one stack per shape, each stack in one
+    `torsion` call and one perturbed call over all 10 perturbation
+    seeds; an item masked by either call fails the check."""
     rng = np.random.default_rng(seed)
     shapes: dict = {}
     for _ in range(n_fixtures):
@@ -162,14 +171,12 @@ def check_basis_independence(n_fixtures: int, seed: int) -> CheckResult:
     for dims, items in shapes.items():
         stack = ChainComplex(dims, tuple(map(np.array, zip(*items))))
         ref = torsion(stack)
-        acyclic = ref.acyclic
-        for pert_seed in range(10):
-            val = torsion_with_basis_perturbation(stack, pert_seed)
-            redrawn += val.redrawn
-            acyclic = acyclic & val.acyclic
-            err = _relerr(val.value, ref.value)[ref.acyclic & val.acyclic]
-            worst = max(worst, float(np.max(err, initial=0.0)))
-        masked += int(np.count_nonzero(~acyclic))
+        val = torsion_with_basis_perturbation(stack, range(10))
+        redrawn += val.redrawn
+        ok = ref.acyclic & val.acyclic
+        err = _relerr(val.value, ref.value)[ok]
+        worst = max(worst, float(np.max(err, initial=0.0)))
+        masked += int(np.count_nonzero(~ok.all(axis=0)))
     return CheckResult("chain torsion basis independence",
                        masked == 0 and worst <= 1e-8, worst, 1e-8,
                        detail=f"{n_fixtures} fixtures in {len(shapes)} shapes"
@@ -237,7 +244,9 @@ def check_product_identity(n: int, seed: int) -> CheckResult:
 
 def check_surgery_solver() -> CheckResult:
     """Slope (1,0) finds nothing; every solution on other slopes
-    satisfies both residuals to RELATION_TOL and the torsion formula."""
+    satisfies both residuals to RELATION_TOL and the torsion formula.
+    The relation residual is re-computed with one `relation_residuals`
+    call per slope, on all its rows."""
     slopes = [(1, 0), (1, 1), (2, 1), (3, 1), (5, 1), (1, 2), (3, 2), (5, 3),
               (-1, 2), (4, 1)]
     worst = 0.0
@@ -248,9 +257,9 @@ def check_surgery_solver() -> CheckResult:
         sols = solve_surgery(slope)
         if (p, q) == (1, 0) and sols:
             ok = False
-        for sol in sols:
+        s, t, _ = point_arrays([sol.point for sol in sols])
+        for sol, mat_res in zip(sols, relation_residuals(s, t, slope)):
             n_sol += 1
-            _, mat_res = surgery_residual(sol.point, slope)
             worst = max(worst, mat_res, sol.point.residual)
             if mat_res > RELATION_TOL or sol.point.residual > RELATION_TOL:
                 ok = False
@@ -271,12 +280,34 @@ def run_all(samples: int = 200, seed: int = 0) -> list[CheckResult]:
     fixtures only for the sampled checks."""
     points = sample_variety_points(samples, seed) if samples else []
     fixture_pts = [solve_t(1.0)[0], solve_t(2.0)[0], solve_t(2.0)[1]]
-    results = [check_geometric_point()]
-    results.append(check_exterior_oracle(fixture_pts + points))
-    results.append(check_trace_identity(fixture_pts + points))
-    results.append(check_longitude_lemma(fixture_pts + points))
-    results.append(check_basis_independence(20, seed + 1))
-    results.append(check_torus_oracle(100, seed + 2))
-    results.append(check_product_identity(1000, seed + 3))
-    results.append(check_surgery_solver())
+    checks = [(check_geometric_point,),
+              (check_exterior_oracle, fixture_pts + points),
+              (check_trace_identity, fixture_pts + points),
+              (check_longitude_lemma, fixture_pts + points),
+              (check_basis_independence, 20, seed + 1),
+              (check_torus_oracle, 100, seed + 2),
+              (check_product_identity, 1000, seed + 3),
+              (check_surgery_solver,)]
+    results = []
+    for check, *args in checks:
+        start = time.perf_counter()
+        res = check(*args)
+        res.seconds = time.perf_counter() - start
+        results.append(res)
     return results
+
+
+CSV_FIELDS = ("name", "passed", "max_residual", "tol", "detail", "seconds")
+
+
+def results_to_csv(results: list[CheckResult]) -> str:
+    """A header and one row per check; a float cell is the float's JSON
+    text, and a detail cell holding a comma is quoted."""
+    buf = io.StringIO()
+    out = csv.writer(buf, lineterminator="\n")
+    out.writerow(CSV_FIELDS)
+    for res in results:
+        out.writerow([res.name, str(res.passed).lower(),
+                      repr(res.max_residual), repr(res.tol), res.detail,
+                      repr(res.seconds)])
+    return buf.getvalue()

@@ -1,8 +1,12 @@
+import csv
+import io
 import json
 
 import pytest
 
+from fig8torsion import verify
 from fig8torsion.cli import RILEY_CSV_HEADER, main
+from fig8torsion.verify import CheckResult
 from fig8torsion.formulas import REPORT_CSV_HEADER
 from fig8torsion.surgery import CSV_HEADER
 
@@ -72,7 +76,7 @@ def test_usage_error_exit_1():
     assert exc.value.code == 1
 
 
-@pytest.mark.parametrize("argv", [("verify", "--format", "json"),
+@pytest.mark.parametrize("argv", [("verify", "--branch", "+"),
                                   ("riley", "--s", "1,0",
                                    "--tol-compare", "1e-3"),
                                   ("surgery", "--p", "2", "--q", "5",
@@ -84,6 +88,30 @@ def test_unread_flag_exit_1(capsys, argv):
         main(list(argv))
     assert exc.value.code == 1
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["riley", "torsion"])
+@pytest.mark.parametrize("s", ["-1,0", "-0.5,-2", "-.5,3", "-2e-3,1"])
+@pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
+def test_negative_real_part_after_a_space(capsys, command, s, fmt):
+    """An re,im value with a negative real part is a value, not an
+    option: --s -1,0 prints what --s=-1,0 prints."""
+    spaced = run(capsys, command, "--s", s, "--format", fmt)
+    joined = run(capsys, command, f"--s={s}", "--format", fmt)
+    assert spaced == joined
+    assert spaced[0] == 0 and spaced[1]
+
+
+@pytest.mark.parametrize("argv", [("riley", "--s"),
+                                  ("riley", "--s", "-x"),
+                                  ("torsion", "--s", "-1"),
+                                  ("torsion", "--s", "-1,0,2"),
+                                  ("riley", "--s", "-1,0", "-2,0")])
+def test_bad_complex_values_exit_1(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 1
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_torsion_pretty(capsys):
@@ -214,6 +242,58 @@ def test_verify_fixtures_only(capsys):
     code, out, _ = run(capsys, "verify", "--samples", "0")
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
+
+
+VERIFY_FIELDS = ["name", "passed", "max_residual", "tol", "detail",
+                 "seconds"]
+
+
+def test_verify_json_and_csv(capsys):
+    """Both formats carry each check's fields; the timing is the only
+    field that differs from run to run, and the CSV cells are the JSON
+    values."""
+    code, out, _ = run(capsys, "verify", "--samples", "25", "--format", "json")
+    assert code == 0 and len(out.splitlines()) == 1
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 8 and all(c["passed"] for c in checks)
+    assert all(list(c) == VERIFY_FIELDS for c in checks)
+    assert all(c["seconds"] > 0 for c in checks)
+    _, again, _ = run(capsys, "verify", "--samples", "25", "--format", "json")
+    strip = [{k: v for k, v in c.items() if k != "seconds"} for c in checks]
+    assert strip == [{k: v for k, v in c.items() if k != "seconds"}
+                     for c in json.loads(again)["checks"]]
+    code, out, _ = run(capsys, "verify", "--samples", "25", "--format", "csv")
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert header == VERIFY_FIELDS and len(rows) == 8
+    for row, check in zip(rows, strip):
+        assert row[:5] == [check["name"], "true", repr(check["max_residual"]),
+                           repr(check["tol"]), check["detail"]]
+        assert float(row[5]) > 0
+
+
+def test_verify_pretty_is_the_default(capsys):
+    code, out, _ = run(capsys, "verify", "--samples", "5")
+    _, pretty, _ = run(capsys, "verify", "--samples", "5",
+                       "--format", "pretty")
+    assert code == 0 and out == pretty
+    lines = out.splitlines()
+    assert len(lines) == 9 and lines[-1] == "8/8 checks passed"
+    assert all(ln.startswith("[PASS] ") for ln in lines[:8])
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
+def test_verify_failure_exit_3(capsys, monkeypatch, fmt):
+    def failing():
+        return CheckResult("surgery solver residuals + torsion", False, 1.0,
+                           1e-9, detail="forced")
+
+    monkeypatch.setattr(verify, "check_surgery_solver", failing)
+    code, out, _ = run(capsys, "verify", "--samples", "0", "--format", fmt)
+    assert code == 3
+    failed = {"pretty": "[FAIL] surgery solver", "json": '"passed": false',
+              "csv": "surgery solver residuals + torsion,false,"}
+    assert failed[fmt] in out
 
 
 def test_verify_deterministic(capsys):

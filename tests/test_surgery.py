@@ -11,7 +11,7 @@ from fig8torsion.riley import (RileyPoint, longitude_l11, longitude_matrix_word,
                                trace_l, variety_membership)
 from fig8torsion.surgery import (BRANCH_POINT_TOL, CSV_HEADER, RELATION_TOL,
                                  SurgerySlope, _candidates,
-                                 _relation_residuals, _row_key, solve_surgery,
+                                 relation_residuals, _row_key, solve_surgery,
                                  surgery_residual, table_to_csv, table_to_json)
 from fig8torsion.formulas import torsion_surgered
 from fig8torsion.verify import sample_variety_points
@@ -166,7 +166,7 @@ def test_solver_residual_is_one_point_residual():
             assert row.relation_residual \
                 == surgery_residual(row.point, slope)[1], (p, q)
         s, _, t, _, _ = _candidates(slope)
-        stacked = _relation_residuals(s, t, slope)
+        stacked = relation_residuals(s, t, slope)
         one_point = [surgery_residual(RileyPoint(sk, tk), slope)[1]
                      for sk, tk in zip(s.tolist(), t.tolist())]
         assert stacked.tolist() == one_point, (p, q)
@@ -228,7 +228,7 @@ def test_relation_residual_is_the_only_rejection(p, q):
     slope = SurgerySlope(p, q)
     for root in (slope, SurgerySlope(-p, -q)):
         s, _, t, _, residual = _candidates(root)
-        mat_res = _relation_residuals(s, t, slope)
+        mat_res = relation_residuals(s, t, slope)
         for sk, tk, rk, mk in zip(s.tolist(), t.tolist(), residual.tolist(),
                                   mat_res.tolist()):
             pt = RileyPoint(sk, tk, residual=rk)

@@ -24,8 +24,11 @@ from fig8torsion.linalg import E2, mat2, mat2_inverse
 from fig8torsion.riley import (LONGITUDE, RELATOR, longitude_l11,
                                longitude_matrix_word, rep_stacks, solve_t,
                                trace_l, trace_u)
+from fig8torsion.formulas import torsion_surgered
+from fig8torsion.surgery import SurgerySlope, solve_surgery, surgery_residual
 from fig8torsion.verify import (check_basis_independence,
-                                check_product_identity, check_torus_oracle,
+                                check_product_identity, check_surgery_solver,
+                                check_torus_oracle,
                                 random_acyclic_complex, random_commuting_pair,
                                 run_all, sample_variety_points)
 from fig8torsion import verify
@@ -298,11 +301,15 @@ def test_zero_boundary_item_masks_only_it():
         torsion_with_basis_perturbation(items_of(stack)[1], 0)
 
 
+# sigma_min of d g for the middle item is about 2e-9 |det g| / sigma_max:
+# seed 4 draws a g that puts it under the rank threshold, and the next g
+# does not
+NEAR_THRESHOLD = ChainComplex(
+    (2, 2), (np.array([E2, np.diag([1.0, 2e-9]).astype(complex), 2 * E2]),))
+
+
 def test_only_the_near_threshold_item_redraws(monkeypatch):
-    # sigma_min of d g is about 2e-9 |det g| / sigma_max: seed 4 draws a
-    # g that puts it under the rank threshold, and the next g does not
-    tiny = np.diag([1.0, 2e-9]).astype(complex)
-    stack = ChainComplex((2, 2), (np.array([E2, tiny, 2 * E2]),))
+    stack = NEAR_THRESHOLD
     one = torsion_with_basis_perturbation(items_of(stack)[1], 4)
     assert one.redrawn == 1
     sizes = []
@@ -320,6 +327,41 @@ def test_only_the_near_threshold_item_redraws(monkeypatch):
     # the other items drew nothing more, so the draws are the same
     assert close(val.value[1], one.value, PERTURBED_RTOL)
     assert close(val.value[1], 5e8, 1e-10)
+
+
+@pytest.mark.parametrize("stack", stacks_by_dims(40, seed=6)
+                         + [NEAR_THRESHOLD])
+def test_seed_batch_is_the_int_calls(stack):
+    """Seed k's row of the batched call is the call with seed k, bit for
+    bit: each seed keeps its own stream, and each item's arithmetic is the
+    same.  (On a one-item stack the int call's determinant products take
+    numpy's scalar reduction loop, which may round apart in the last bit;
+    every stack here holds several items.)"""
+    assert stack.size > 1
+    val = torsion_with_basis_perturbation(stack, range(10))
+    assert val.value.shape == val.acyclic.shape == (10, stack.size)
+    redrawn = 0
+    for k in range(10):
+        one = torsion_with_basis_perturbation(stack, k)
+        assert val.value[k].tobytes() == one.value.tobytes(), k
+        assert val.acyclic[k].tolist() == one.acyclic.tolist(), k
+        redrawn += one.redrawn
+    assert val.redrawn == redrawn
+    if stack is NEAR_THRESHOLD:
+        assert redrawn >= 1
+
+
+def test_seed_batch_of_one_complex():
+    cx = items_of(stacks_by_dims(6, seed=1)[0])[0]
+    val = torsion_with_basis_perturbation(cx, [3, 5])
+    assert val.value.shape == val.acyclic.shape == (2,)
+    for k, seed in enumerate([3, 5]):
+        assert close(val.value[k],
+                     torsion_with_basis_perturbation(cx, seed).value,
+                     PERTURBED_RTOL)
+    masked = torsion_with_basis_perturbation(
+        ChainComplex((1, 1), (np.zeros((1, 1), dtype=complex),)), [0, 1])
+    assert masked.acyclic.tolist() == [False, False]
 
 
 def reference_basis_check(n_fixtures, seed):
@@ -344,12 +386,12 @@ def test_basis_check_matches_reference_loop(seed):
     assert res.detail.endswith("x 10 seeds, 0 redrawn, 0 masked")
 
 
-def test_basis_check_makes_one_call_per_shape_and_seed(monkeypatch):
+def test_basis_check_makes_one_call_per_shape(monkeypatch):
     calls = {"torsion": [], "perturbed": []}
 
     def counting(name, fn):
         def wrapped(c, *args):
-            calls[name].append(c.size if c.stacked else None)
+            calls[name].append((c.size if c.stacked else None, *args))
             return fn(c, *args)
         return wrapped
 
@@ -359,21 +401,39 @@ def test_basis_check_makes_one_call_per_shape_and_seed(monkeypatch):
     res = check_basis_independence(20, seed=2)
     rng = np.random.default_rng(2)
     shapes = {random_acyclic_complex(rng).dims for _ in range(20)}
-    assert len(calls["torsion"]) == len(shapes)
-    assert len(calls["perturbed"]) == 10 * len(shapes)
-    # every fixture rides in a stack, once per call kind and seed
-    assert sum(calls["torsion"]) == 20
-    assert sum(calls["perturbed"]) == 200
+    assert len(calls["torsion"]) == len(calls["perturbed"]) == len(shapes)
+    # every fixture rides in one stack, once per call kind, and the
+    # perturbed call takes all 10 seeds
+    assert sum(size for size, in calls["torsion"]) == 20
+    assert sum(size for size, _ in calls["perturbed"]) == 20
+    assert all(list(seeds) == list(range(10))
+               for _, seeds in calls["perturbed"])
     assert res.passed
     assert res.detail.startswith(f"20 fixtures in {len(shapes)} shapes")
 
 
+def test_basis_check_svd_calls(monkeypatch):
+    # per shape: the two boundaries of the torsion call, of the perturbed
+    # call, and one stacked rank test of the random bases per boundary
+    n_svd = []
+    svd = chain.svd
+
+    def counting_svd(m):
+        n_svd.append(None)
+        return svd(m)
+
+    monkeypatch.setattr(chain, "svd", counting_svd)
+    for seed in range(2, 22):
+        check_basis_independence(20, seed)
+    assert len(n_svd) <= 24 * 20
+
+
 def test_masked_fixture_fails_the_basis_check(monkeypatch):
     # a NaN residual would vanish under max(); the masked count fails it
-    def mask_first(c, seed):
-        val = torsion_with_basis_perturbation(c, seed)
+    def mask_first(c, seeds):
+        val = torsion_with_basis_perturbation(c, seeds)
         acyclic = val.acyclic.copy()
-        acyclic[0] = False
+        acyclic[..., 0] = False
         return chain.stack_result(True, val.value, acyclic)
 
     monkeypatch.setattr(verify, "torsion_with_basis_perturbation", mask_first)
@@ -382,3 +442,33 @@ def test_masked_fixture_fails_the_basis_check(monkeypatch):
     rng = np.random.default_rng(2)
     shapes = {random_acyclic_complex(rng).dims for _ in range(20)}
     assert res.detail.endswith(f"0 redrawn, {len(shapes)} masked")
+
+
+def test_surgery_check_makes_one_residual_call_per_slope(monkeypatch):
+    calls = []
+    residuals = verify.relation_residuals
+
+    def counting(s, t, slope):
+        calls.append((slope.p, slope.q, len(s)))
+        return residuals(s, t, slope)
+
+    monkeypatch.setattr(verify, "relation_residuals", counting)
+    res = check_surgery_solver()
+    assert len({(p, q) for p, q, _ in calls}) == len(calls) == 10
+    # the per-row loop that the one call per slope replaced
+    worst, n_sol = 0.0, 0
+    for p, q, n_rows in calls:
+        slope = SurgerySlope(p, q)
+        sols = solve_surgery(slope)
+        assert len(sols) == n_rows
+        for sol in sols:
+            n_sol += 1
+            worst = max(worst, surgery_residual(sol.point, slope)[1],
+                        sol.point.residual)
+            if sol.torsion is not None:
+                tau = torsion_surgered(sol.u)
+                worst = max(worst, abs(sol.torsion - tau)
+                            / max(1.0, abs(sol.torsion), abs(tau)))
+    assert res.passed
+    assert res.max_residual.hex() == worst.hex()
+    assert res.detail == f"10 slopes, {n_sol} solutions"
