@@ -46,23 +46,32 @@ def torsion_exterior_closed(u: complex) -> complex:
     return -2 * (u - 1)
 
 
-def _denominator(u: complex) -> complex:
-    """u^2 (u^2 - 5); raises DegenerateU within DEGENERATE_TOL of 0."""
+def degenerate(u):
+    """Whether |u^2 (u^2 - 5)| <= DEGENERATE_TOL, where the closed forms
+    in u raise DegenerateU; for an array u, item by item."""
+    return abs(u * u * (u * u - 5)) <= DEGENERATE_TOL
+
+
+def _denominator(u):
+    """u^2 (u^2 - 5), item by item for an array u; raises DegenerateU,
+    naming the first |u^2 (u^2 - 5)|, if u or some item is `degenerate`."""
     denom = u * u * (u * u - 5)
-    if abs(denom) <= DEGENERATE_TOL:
-        raise DegenerateU(f"|u^2(u^2-5)| = {abs(denom):.3e}")
+    bad = degenerate(u)    # a bool for a Python number, else numpy's
+    if bad is not False and np.count_nonzero(bad):
+        raise DegenerateU(
+            f"|u^2(u^2-5)| = {np.extract(bad, abs(denom))[0]:.3e}")
     return denom
 
 
-def torsion_solid_torus_closed(u: complex) -> complex:
-    """tau of the reglued solid torus as a function of u:
-    -1/(u^2 (u^2 - 5)); raises DegenerateU near the degenerate locus."""
+def torsion_solid_torus_closed(u):
+    """tau of the reglued solid torus, -1/(u^2 (u^2 - 5)), at u or at each
+    item of an array u; raises DegenerateU near the degenerate locus."""
     return -1 / _denominator(u)
 
 
-def torsion_surgered(u: complex) -> complex:
-    """tau of the surgered manifold: 2(u - 1)/(u^2 (u^2 - 5)); raises
-    DegenerateU near the degenerate locus."""
+def torsion_surgered(u):
+    """tau of the surgered manifold, 2(u - 1)/(u^2 (u^2 - 5)), at u or at
+    each item of an array u; raises DegenerateU near the degenerate locus."""
     return 2 * (u - 1) / _denominator(u)
 
 

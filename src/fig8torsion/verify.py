@@ -3,18 +3,19 @@ independent oracle on random variety samples plus fixed fixtures.
 
 Each check returns a CheckResult with the worst residual seen and the
 tolerance it was held to; `run_all` aggregates them deterministically
-for a given (samples, seed) pair.  The checks over sampled points and
-pairs make one stacked call each (N points or pairs at once, see
+for a given (samples, seed) pair.  The checks over sampled points,
+pairs and u make one stacked call each (N items at once, see
 `formulas.torsion_exterior_oracle` and `riley.rep_stacks`), the
 basis-independence check one perturbed call per dims over all seeds,
-and the surgery check one residual call per slope; a check that
-redraws an input says how many it redrew in its detail.  `run_all`
-times each check (`CheckResult.seconds`).
+and the surgery check one residual call per slope and one torsion call.
+The samples are stacked draws: a round draws every missing item at
+once and the items a rule rejects are drawn again in the next round;
+the torus and product checks give that count in their detail.
+`run_all` times each check (`CheckResult.seconds`).
 """
 
 from __future__ import annotations
 
-import cmath
 import csv
 import io
 import math
@@ -24,14 +25,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import ChainComplex, torsion, torsion_with_basis_perturbation
-from .errors import DegenerateU
-from .linalg import mat2
-from .riley import (LONGITUDE, RileyPoint, longitude_l11, point_arrays,
-                    rep_stacks, solve_t, trace_l, trace_u)
+from .linalg import det2, mat2_inverse
+from .riley import (LONGITUDE, RileyPoint, _t_branches, longitude_l11,
+                    point_arrays, rep_stacks, riley_poly, solve_t, trace_l,
+                    trace_u)
 from .words import word_product
 from .surgery import (RELATION_TOL, SurgerySlope, relation_residuals,
                       solve_surgery)
-from .formulas import (full_report, torsion_exterior_closed,
+from .formulas import (degenerate, full_report, torsion_exterior_closed,
                        torsion_exterior_oracle, torsion_solid_torus_closed,
                        torsion_solid_torus_from_trace, torsion_surgered,
                        torus_torsion_oracle)
@@ -62,18 +63,20 @@ class CheckResult:
 
 def sample_variety_points(n: int, seed: int) -> list[RileyPoint]:
     """n random variety points: |s| log-uniform in [0.3, 3], uniform
-    angle, alternating branches, excluding |2 - u| < 1e-3."""
+    angle, alternating branches, excluding |2 - u| < 1e-3.  Each round
+    draws the missing points at once and redraws the excluded ones."""
     rng = np.random.default_rng(seed)
-    pts: list[RileyPoint] = []
-    while len(pts) < n:
-        r = math.exp(rng.uniform(math.log(0.3), math.log(3.0)))
-        theta = rng.uniform(0.0, 2 * math.pi)
-        s = r * cmath.exp(1j * theta)
-        if abs(2 - trace_u(s)) < 1e-3:
-            continue
-        plus, minus = solve_t(s)
-        pts.append(plus if len(pts) % 2 == 0 else minus)
-    return pts
+    s = np.empty(0, dtype=complex)
+    while s.size < n:
+        log_r, theta = rng.uniform((math.log(0.3), 0.0),
+                                   (math.log(3.0), 2 * math.pi),
+                                   size=(n - s.size, 2)).T
+        draw = np.exp(log_r) * np.exp(1j * theta)
+        s = np.concatenate([s, draw[np.abs(2 - trace_u(draw)) >= 1e-3]])
+    t = np.where(np.arange(n) % 2 == 0, *_t_branches(s))
+    cols = zip(s.tolist(), t.tolist(), np.abs(riley_poly(s, t)).tolist())
+    return [RileyPoint(a, b, "+-"[k % 2], res)
+            for k, (a, b, res) in enumerate(cols)]
 
 
 def _relerr(a, b):
@@ -184,102 +187,110 @@ def check_basis_independence(n_fixtures: int, seed: int) -> CheckResult:
                               f"{masked} masked")
 
 
+def random_commuting_pairs(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n commuting unimodular images as two (n, 2, 2) stacks: diagonal
+    pairs diag(a, 1/a), diag(b, 1/b) conjugated by a random P of
+    determinant 1.  An attempt reads 12 normals: a, b, then the real and
+    imaginary parts of P; it is redrawn if |a| or |b| < 0.2, if both
+    traces are within 0.1 of 2, or if |det P| < 0.2."""
+    imga = imgb = np.empty((0, 2, 2), dtype=complex)
+    while len(imga) < n:
+        z = rng.normal(size=(n - len(imga), 12))
+        ab = z[:, :4].view(complex)                        # (m, 2): a, b
+        eig = np.stack([ab, 1 / ab], axis=-1)              # (m, 2, 2)
+        pmat = (z[:, 4:8] + 1j * z[:, 8:]).reshape(-1, 2, 2)
+        det = det2(pmat)
+        ok = ((np.abs(ab) >= 0.2).all(axis=1)
+              & ~(np.abs(eig.sum(axis=-1) - 2) < 0.1).all(axis=1)
+              & (np.abs(det) >= 0.2))
+        pmat = pmat[ok] / np.sqrt(det[ok])[:, None, None]
+        # P diag(e) P^-1 for the a and b rows of eig at once
+        img = ((pmat[:, None] * eig[ok][:, :, None, :])
+               @ mat2_inverse(pmat)[:, None])
+        imga = np.concatenate([imga, img[:, 0]])
+        imgb = np.concatenate([imgb, img[:, 1]])
+    return imga, imgb
+
+
 def random_commuting_pair(rng):
-    """Commuting unimodular images: conjugated diagonal pair with at
-    least one trace away from 2."""
-    while True:
-        a = complex(rng.normal(), rng.normal())
-        b = complex(rng.normal(), rng.normal())
-        if abs(a) < 0.2 or abs(b) < 0.2:
-            continue
-        if abs(a + 1 / a - 2) < 0.1 and abs(b + 1 / b - 2) < 0.1:
-            continue
-        pmat = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        det = np.linalg.det(pmat)
-        if abs(det) < 0.2:
-            continue
-        pmat /= np.sqrt(det)
-        pinv = np.linalg.inv(pmat)
-        imga = pmat @ mat2(a, 0, 0, 1 / a) @ pinv
-        imgb = pmat @ mat2(b, 0, 0, 1 / b) @ pinv
-        return imga, imgb
+    """One commuting pair: the N = 1 item of `random_commuting_pairs`."""
+    imga, imgb = random_commuting_pairs(rng, 1)
+    return imga[0], imgb[0]
 
 
 def check_torus_oracle(n: int, seed: int) -> CheckResult:
     """|tau(T^2)| = 1 for acyclic commuting peripheral images: the first
-    n acyclic pairs that `random_commuting_pair` draws, the others
-    redrawn."""
+    n acyclic pairs that `random_commuting_pairs` draws, the others
+    redrawn, one draw and one oracle call per round."""
     rng = np.random.default_rng(seed)
     worst, done, redrawn = 0.0, 0, 0
     while done < n:
-        pairs = [random_commuting_pair(rng) for _ in range(n - done)]
-        val = torus_torsion_oracle(np.array([a for a, _ in pairs]),
-                                   np.array([b for _, b in pairs]))
+        imga, imgb = random_commuting_pairs(rng, n - done)
+        val = torus_torsion_oracle(imga, imgb)
         err = np.abs(np.abs(val.value[val.acyclic]) - 1.0)
         worst = max(worst, float(np.max(err, initial=0.0)))
         done += err.size
-        redrawn += len(pairs) - err.size
+        redrawn += len(imga) - err.size
     return CheckResult("torus complex |tau| = 1", worst <= 1e-8, worst, 1e-8,
                        detail=f"{n} commuting pairs, {redrawn} redrawn")
 
 
 def check_product_identity(n: int, seed: int) -> CheckResult:
     """tau(M) = tau(exterior) * tau(solid torus) as rational functions
-    of u, checked at random u; a u that raises DegenerateU is redrawn."""
+    of u, checked at random u all at once; a `degenerate` u is redrawn."""
     rng = np.random.default_rng(seed)
-    worst, done, redrawn = 0.0, 0, 0
-    while done < n:
-        u = complex(rng.normal(scale=2), rng.normal(scale=2))
-        try:
-            lhs = torsion_surgered(u)
-            rhs = torsion_exterior_closed(u) * torsion_solid_torus_closed(u)
-        except DegenerateU:
-            redrawn += 1
-            continue
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
-        done += 1
+    u, drawn = np.empty(0, dtype=complex), 0
+    while u.size < n:
+        draw = rng.normal(scale=2, size=(n - u.size, 2)).view(complex)[:, 0]
+        drawn += draw.size
+        u = np.concatenate([u, draw[~degenerate(draw)]])
+    lhs = torsion_surgered(u)
+    rhs = torsion_exterior_closed(u) * torsion_solid_torus_closed(u)
+    err = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs))
+    worst = float(np.max(err, initial=0.0))
     return CheckResult("theorem product identity", worst <= 1e-12, worst, 1e-12,
-                       detail=f"{n} random u, {redrawn} redrawn")
+                       detail=f"{n} random u, {drawn - n} redrawn")
 
 
 def check_surgery_solver() -> CheckResult:
     """Slope (1,0) finds nothing; every solution on other slopes
-    satisfies both residuals to RELATION_TOL and the torsion formula.
-    The relation residual is re-computed with one `relation_residuals`
-    call per slope, on all its rows."""
+    satisfies both residuals to RELATION_TOL and the torsion formula,
+    and a row without torsion is flagged degenerate.  One
+    `relation_residuals` call per slope re-computes the residual of its
+    rows, and one `torsion_surgered` call the torsion of every
+    non-degenerate row."""
     slopes = [(1, 0), (1, 1), (2, 1), (3, 1), (5, 1), (1, 2), (3, 2), (5, 3),
               (-1, 2), (4, 1)]
-    worst = 0.0
-    n_sol = 0
     ok = True
+    res, rows = [], []
     for p, q in slopes:
         slope = SurgerySlope(p, q)
         sols = solve_surgery(slope)
         if (p, q) == (1, 0) and sols:
             ok = False
-        s, t, _ = point_arrays([sol.point for sol in sols])
-        for sol, mat_res in zip(sols, relation_residuals(s, t, slope)):
-            n_sol += 1
-            worst = max(worst, mat_res, sol.point.residual)
-            if mat_res > RELATION_TOL or sol.point.residual > RELATION_TOL:
-                ok = False
-            if sol.torsion is not None:
-                err = _relerr(sol.torsion, torsion_surgered(sol.u))
-                worst = max(worst, err)
-                if err > 1e-8:
-                    ok = False
-            elif "degenerate" not in sol.flags:
-                ok = False
+        s, t, residual = point_arrays([sol.point for sol in sols])
+        res.append(np.maximum(relation_residuals(s, t, slope), residual))
+        rows += sols
+    res = np.concatenate(res)
+    with_tau = [sol for sol in rows if sol.torsion is not None]
+    u = np.array([sol.u for sol in with_tau], dtype=complex)
+    err = _relerr(np.array([sol.torsion for sol in with_tau], dtype=complex),
+                  torsion_surgered(u))
+    worst = max(np.max(res, initial=0.0), np.max(err, initial=0.0))
+    if (np.any(res > RELATION_TOL) or np.any(err > 1e-8)
+            or any("degenerate" not in sol.flags
+                   for sol in rows if sol.torsion is None)):
+        ok = False
     return CheckResult("surgery solver residuals + torsion", ok, worst,
                        RELATION_TOL,
-                       detail=f"{len(slopes)} slopes, {n_sol} solutions")
+                       detail=f"{len(slopes)} slopes, {len(rows)} solutions")
 
 
 def run_all(samples: int = 200, seed: int = 0) -> list[CheckResult]:
     """The full verification sweep; samples = 0 keeps the fixed
     fixtures only for the sampled checks."""
     points = sample_variety_points(samples, seed) if samples else []
-    fixture_pts = [solve_t(1.0)[0], solve_t(2.0)[0], solve_t(2.0)[1]]
+    fixture_pts = [solve_t(1.0)[0], *solve_t(2.0)]
     checks = [(check_geometric_point,),
               (check_exterior_oracle, fixture_pts + points),
               (check_trace_identity, fixture_pts + points),

@@ -5,7 +5,7 @@ import pytest
 
 from fig8torsion.errors import DegenerateU, NotAcyclic
 from fig8torsion.riley import make_point, solve_t, trace_u
-from fig8torsion.formulas import (TorsionReport, full_report,
+from fig8torsion.formulas import (TorsionReport, degenerate, full_report,
                                  torsion_exterior_closed,
                                  torsion_exterior_oracle,
                                  torsion_solid_torus_closed,
@@ -36,6 +36,32 @@ def test_surgered_values():
     assert abs(torsion_surgered(2.5) - 0.384) < 1e-15
     with pytest.raises(DegenerateU):
         torsion_surgered(np.sqrt(5))
+
+
+def test_closed_forms_on_arrays_are_the_scalar_calls():
+    # numpy's complex arithmetic rounds apart from Python's in the last
+    # bits, which the cancellation in u^2 - 5 can lift to ~1e-14
+    rng = np.random.default_rng(2)
+    u = rng.normal(scale=2, size=(200, 2)).view(complex)[:, 0]
+    assert not degenerate(u).any()
+    for form in (torsion_exterior_closed, torsion_solid_torus_closed,
+                 torsion_surgered):
+        vals = form(u)
+        assert vals.shape == u.shape
+        for k, uk in enumerate(u.tolist()):
+            one = form(uk)
+            assert abs(vals[k] - one) <= 1e-13 * abs(one), form
+
+
+@pytest.mark.parametrize("bad", [0.0, np.sqrt(5), -np.sqrt(5) + 1e-12j])
+def test_one_degenerate_item_raises(bad):
+    u = np.array([2.5, 1.0 + 1.0j, bad, 3.0])
+    assert degenerate(u).tolist() == [False, False, True, False]
+    size = f"{abs(bad * bad * (bad * bad - 5)):.3e}"
+    for form in (torsion_solid_torus_closed, torsion_surgered):
+        with pytest.raises(DegenerateU, match=re.escape(f"= {size}")):
+            form(u)
+    assert torsion_surgered(np.delete(u, 2)).shape == (3,)
 
 
 def test_product_identity_random():

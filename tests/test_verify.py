@@ -7,6 +7,7 @@ Items agree to STACK_RTOL, not bit for bit: numpy's vectorized complex
 arithmetic on a long array rounds differently in the last bits from its
 loop over a one-item array."""
 
+import cmath
 import math
 
 import numpy as np
@@ -30,7 +31,8 @@ from fig8torsion.verify import (check_basis_independence,
                                 check_product_identity, check_surgery_solver,
                                 check_torus_oracle,
                                 random_acyclic_complex, random_commuting_pair,
-                                run_all, sample_variety_points)
+                                random_commuting_pairs, run_all,
+                                sample_variety_points)
 from fig8torsion import verify
 from fig8torsion.words import X, Y, fox_jacobian, parse_word, word_product
 
@@ -175,24 +177,119 @@ def test_zero_map_gets_no_svd(monkeypatch, points):
 
 
 def test_redraws_are_counted(monkeypatch):
-    draw = random_commuting_pair
-    calls = []
+    draw = random_commuting_pairs
+    rounds, pairs = [], []
 
-    def every_third_trivial(rng):
-        calls.append(None)
-        pair = draw(rng)
-        return (E2, E2) if len(calls) % 3 == 0 else pair
+    def every_third_trivial(rng, n):
+        # every third pair, counted over all rounds, is (E2, E2)
+        rounds.append(n)
+        imga, imgb = draw(rng, n)
+        for k in range(n):
+            pairs.append(None)
+            if len(pairs) % 3 == 0:
+                imga[k] = imgb[k] = E2
+        return imga, imgb
 
-    monkeypatch.setattr(verify, "random_commuting_pair", every_third_trivial)
+    monkeypatch.setattr(verify, "random_commuting_pairs", every_third_trivial)
     res = check_torus_oracle(10, seed=4)
     assert res.passed
-    # the non-acyclic draws are 3, 6, ..., and the 10th acyclic one is 14
-    assert len(calls) == 14
+    # the non-acyclic pairs are 3, 6, ..., and the 10th acyclic one is 14
+    assert len(pairs) == 14 and rounds == [10, 3, 1]
     assert res.detail == "10 commuting pairs, 4 redrawn"
     monkeypatch.undo()
     assert check_torus_oracle(10, seed=4).detail.endswith(", 0 redrawn")
     assert (check_product_identity(50, seed=1).detail
             == "50 random u, 0 redrawn")
+
+
+def test_degenerate_u_are_redrawn(monkeypatch):
+    # u = 0 and u = sqrt(5) put in the first round of the product draw
+    default_rng = np.random.default_rng
+
+    class Injecting:
+        def __init__(self, seed):
+            self.rng, self.rounds = default_rng(seed), 0
+
+        def normal(self, scale, size):
+            z = self.rng.normal(scale=scale, size=size)
+            if self.rounds == 0:
+                z[3] = 0.0, 0.0
+                z[7] = math.sqrt(5), 0.0
+            self.rounds += 1
+            return z
+
+    monkeypatch.setattr(verify.np.random, "default_rng", Injecting)
+    res = check_product_identity(50, seed=1)
+    assert res.passed
+    assert res.detail == "50 random u, 2 redrawn"
+
+
+def test_commuting_pairs_are_the_one_pair_calls():
+    """One call with n is n calls with 1 on the same stream, bit for bit:
+    every attempt reads the same 12 normals, accepted or not.  (Seed 8
+    rejects its 16th attempt, so the run holds a redraw.)"""
+    imga, imgb = random_commuting_pairs(np.random.default_rng(8), 60)
+    assert imga.shape == imgb.shape == (60, 2, 2)
+    rng = np.random.default_rng(8)
+    for k in range(60):
+        a, b = random_commuting_pair(rng)
+        assert a.tobytes() == imga[k].tobytes(), k
+        assert b.tobytes() == imgb[k].tobytes(), k
+    # the pairs commute and are unimodular
+    assert close_matrix(imga @ imgb, imgb @ imga, 1e-12)
+    assert np.allclose(np.linalg.det(imga), 1) and np.allclose(
+        np.linalg.det(imgb), 1)
+
+
+def reference_variety_points(n, seed):
+    """The per-point loop that the stacked draw replaced."""
+    rng = np.random.default_rng(seed)
+    pts = []
+    while len(pts) < n:
+        r = math.exp(rng.uniform(math.log(0.3), math.log(3.0)))
+        theta = rng.uniform(0.0, 2 * math.pi)
+        s = r * cmath.exp(1j * theta)
+        if abs(2 - trace_u(s)) < 1e-3:
+            continue
+        plus, minus = solve_t(s)
+        pts.append(plus if len(pts) % 2 == 0 else minus)
+    return pts
+
+
+@pytest.mark.parametrize("seed", [0, 3, 20240823])
+def test_variety_samples_match_reference_loop(seed):
+    """The same points and branches; np.exp and math.exp may round apart
+    in the last bit, so s agrees to 1e-15 and t, which the quadratic
+    passes s's rounding on to, to 1e-14."""
+    pts = sample_variety_points(200, seed)
+    ref = reference_variety_points(200, seed)
+    assert [p.branch for p in pts] == [p.branch for p in ref]
+    for p, q in zip(pts, ref):
+        assert abs(p.s - q.s) <= 1e-15 * abs(q.s)
+        assert close(p.t, q.t, 1e-14)
+        assert p.on_variety()
+
+
+def test_draw_call_counts(monkeypatch):
+    calls = {"branches": 0, "draws": 0, "oracle": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(verify, "_t_branches",
+                        counting("branches", verify._t_branches))
+    monkeypatch.setattr(verify, "random_commuting_pairs",
+                        counting("draws", random_commuting_pairs))
+    monkeypatch.setattr(verify, "torus_torsion_oracle",
+                        counting("oracle", torus_torsion_oracle))
+    assert len(sample_variety_points(200, seed=5)) == 200
+    assert calls["branches"] == 1
+    res = check_torus_oracle(100, seed=6)
+    assert res.detail.endswith(", 0 redrawn")
+    assert calls["draws"] == calls["oracle"] == 1
 
 
 def reference_checks(samples, seed):
@@ -452,9 +549,21 @@ def test_surgery_check_makes_one_residual_call_per_slope(monkeypatch):
         calls.append((slope.p, slope.q, len(s)))
         return residuals(s, t, slope)
 
+    taus = []
+
+    def counting_tau(u):
+        taus.append(len(u))
+        return torsion_surgered(u)
+
     monkeypatch.setattr(verify, "relation_residuals", counting)
+    monkeypatch.setattr(verify, "torsion_surgered", counting_tau)
     res = check_surgery_solver()
     assert len({(p, q) for p, q, _ in calls}) == len(calls) == 10
+    # one torsion call over the rows of all slopes, less the degenerate
+    n_degenerate = sum(sol.torsion is None
+                       for p, q, _ in calls
+                       for sol in solve_surgery(SurgerySlope(p, q)))
+    assert taus == [sum(n for _, _, n in calls) - n_degenerate]
     # the per-row loop that the one call per slope replaced
     worst, n_sol = 0.0, 0
     for p, q, n_rows in calls:
