@@ -20,12 +20,10 @@ on the choice of the b_i or of the lifts;
 A complex may hold (N, ., .) stacks of boundary matrices, N complexes
 with the same dims.  `torsion`, `is_acyclic` and
 `torsion_with_basis_perturbation` then work item by item and mask a
-non-acyclic item where a single complex raises NotAcyclic.  The random
-draws of `torsion_with_basis_perturbation` have shapes set by the dims
-alone, so a stack shares them: only an item whose random image basis
-falls short of its rank takes further draws.  It takes one seed or a
-sequence of them, so one perturbed call per dims covers all seeds, on
-one SVD of each boundary.
+non-acyclic item where a single complex raises NotAcyclic.
+`torsion_with_basis_perturbation` draws every item's random bases from
+one generator, item by item, so a stack of k copies of one complex
+checks k different choices of bases in one call.
 """
 
 from __future__ import annotations
@@ -213,58 +211,32 @@ def torsion(c: ChainComplex) -> TorsionValue:
 
 
 @np.errstate(all="ignore")   # a masked item may divide by 0
-def torsion_with_basis_perturbation(c: ChainComplex, seeds) -> TorsionValue:
-    """Same torsion, but with randomized image bases b = d g and
-    randomized lifts g + (kernel shift); agreement with `torsion`
-    exercises choice independence.
-
-    seeds is one int or a sequence of S ints.  Each seed has its own
-    stream, from which g and the shift are drawn in shapes set by the
-    dims, so every item of a stack shares one seed's draws.  An item
-    whose b falls short of its forced rank takes the next g of its
-    seed's stream, up to DRAW_TRIES in all, and is masked (NotAcyclic
-    for one complex and one seed) if none has full rank; so is an item
-    that is not acyclic, which draws nothing.  The draws of one complex
-    do not depend on how it is stacked unless another item of the stack
-    redraws, nor on the other seeds.  The boundaries' SVDs are shared by
-    all seeds, and the rank test of every seed's b is one stacked SVD
-    per boundary and draw round.  For a sequence the value and the mask
-    gain a leading axis of length S; redrawn counts over all seeds."""
+def torsion_with_basis_perturbation(c: ChainComplex, seed) -> TorsionValue:
+    """Same torsion, but with randomized image bases b = d g and randomized
+    lifts g + (kernel shift); agreement with `torsion` exercises choice
+    independence.  seed is an int or a Generator; every item draws its own
+    g and shift from that one stream.  An item whose b falls short of its
+    forced rank draws a new g, up to DRAW_TRIES in all, and is masked
+    (NotAcyclic for one complex) if none has full rank; so is an item
+    that is not acyclic, which draws no g."""
     ranks = _forced_ranks(c.dims)
     svds, acyclic = _svds(c, ranks)
-    rngs = [np.random.default_rng(k) for k in np.atleast_1d(seeds).tolist()]
-    n_seeds = len(rngs)
-    acyclic = np.broadcast_to(acyclic, (n_seeds, c.size)).copy()
+    rng = np.random.default_rng(seed)
     bases, lifts, redrawn = [], [], 0
     for d, (_, _, vh), r in zip(c.stacks, svds, ranks):
-        shape = (d.shape[2], r)
-        g = np.zeros((n_seeds, c.size, *shape), dtype=complex)
-        b = np.zeros((n_seeds, c.size, d.shape[1], r), dtype=complex)
+        g = np.zeros((c.size, d.shape[2], r), dtype=complex)
         todo = acyclic.copy()
         for tries in range(DRAW_TRIES):
             if not todo.any():
                 break
             redrawn += int(todo.sum()) if tries else 0
-            for rng, g_k, todo_k in zip(rngs, g, todo):
-                if todo_k.any():
-                    g_k[todo_k] = rng.normal(size=shape) \
-                        + 1j * rng.normal(size=shape)
-            b = d @ g
-            todo[todo] = svd(b[todo])[3] != r
+            shape = (int(todo.sum()), *g.shape[1:])
+            g[todo] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            todo[todo] = svd(d[todo] @ g[todo])[3] != r
         acyclic &= ~todo
-        lift = g
-        ker = vh[:, r:].conj().mT
-        if ker.shape[2] and r:
-            shift = np.array([rng.normal(size=(ker.shape[2], r))
-                              + 1j * rng.normal(size=(ker.shape[2], r))
-                              for rng in rngs])
-            lift = g + ker @ shift[:, None]
-        bases.append(b.reshape(-1, d.shape[1], r))
-        lifts.append(lift.reshape(-1, *shape))
+        shape = (c.size, vh.shape[1] - r, r)
+        shift = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        bases.append(d @ g)
+        lifts.append(g + vh[:, r:].conj().mT @ shift)
     tau, nonsingular = _alternating_product(bases, lifts)
-    ok = acyclic.ravel() & nonsingular
-    if np.ndim(seeds) == 0:
-        return stack_result(c.stacked, tau, ok, redrawn=redrawn)
-    shape = (n_seeds, c.size) if c.stacked else (n_seeds,)
-    return stack_result(True, tau.reshape(shape), ok.reshape(shape),
-                        redrawn=redrawn)
+    return stack_result(c.stacked, tau, acyclic & nonsingular, redrawn=redrawn)

@@ -27,7 +27,9 @@ from .linalg import solve_quadratic
 from .words import X, Y, parse_word, word_concat, word_inverse, word_product
 
 VARIETY_TOL = 1e-10      # membership: |R12| <= tol * max(1, |s|^2, |t|^2)
-S_ZERO_TOL = 1e-13
+# |s| <= S_ZERO_TOL is taken as s = 0: solve_t's quadratic in t has
+# leading coefficient s^2, which solve_quadratic refuses at 1e-12
+S_ZERO_TOL = 1e-6
 
 W_WORD = parse_word("xYXy")
 WTILDE_WORD = parse_word("XyxY")
@@ -91,20 +93,19 @@ def complex_csv(z) -> str:
 def _check_s(s):
     """s as a complex number, or as a complex array if it is an ndarray;
     raises SingularParameter unless every s is finite and above
-    S_ZERO_TOL in modulus."""
+    S_ZERO_TOL in modulus, naming the first s that is not."""
     if isinstance(s, np.ndarray):
         s = s.astype(complex, copy=False)
-        finite = np.isfinite(s)
-        if np.count_nonzero(finite) != s.size:
-            raise SingularParameter(f"s = {s[~finite][0]} is not finite")
-        if np.count_nonzero(np.abs(s) > S_ZERO_TOL) != s.size:
-            raise SingularParameter("s = 0")
+        bad = ~np.isfinite(s) | (np.abs(s) <= S_ZERO_TOL)
+        if np.count_nonzero(bad):
+            _check_s(complex(s[bad][0]))   # raises, naming that s
         return s
     s = complex(s)
     if not cmath.isfinite(s):
         raise SingularParameter(f"s = {s} is not finite")
     if abs(s) <= S_ZERO_TOL:
-        raise SingularParameter("s = 0")
+        raise SingularParameter(
+            f"s is too close to 0: |s| = {abs(s):.3e} <= {S_ZERO_TOL:.1e}")
     return s
 
 

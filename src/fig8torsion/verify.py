@@ -6,8 +6,8 @@ tolerance it was held to; `run_all` aggregates them deterministically
 for a given (samples, seed) pair.  The checks over sampled points,
 pairs and u make one stacked call each (N items at once, see
 `formulas.torsion_exterior_oracle` and `riley.rep_stacks`), the
-basis-independence check one perturbed call per dims over all seeds,
-and the surgery check one residual call per slope and one torsion call.
+basis-independence check one perturbed call per dims, and the surgery
+check one residual call per slope and one torsion call.
 The samples are stacked draws: a round draws every missing item at
 once and the items a rule rejects are drawn again in the next round;
 the torus and product checks give that count in their detail.
@@ -163,8 +163,9 @@ def random_acyclic_complex(rng) -> ChainComplex:
 def check_basis_independence(n_fixtures: int, seed: int) -> CheckResult:
     """Torsion is independent of image-basis and lift choices: the
     fixtures, grouped by dims, as one stack per shape, each stack in one
-    `torsion` call and one perturbed call over all 10 perturbation
-    seeds; an item masked by either call fails the check."""
+    `torsion` call and, tiled 10 times, in one perturbed call, so every
+    fixture meets 10 random bases; an item masked by either call fails
+    the check."""
     rng = np.random.default_rng(seed)
     shapes: dict = {}
     for _ in range(n_fixtures):
@@ -172,18 +173,20 @@ def check_basis_independence(n_fixtures: int, seed: int) -> CheckResult:
         shapes.setdefault(cx.dims, []).append(cx.boundaries)
     worst, redrawn, masked = 0.0, 0, 0
     for dims, items in shapes.items():
-        stack = ChainComplex(dims, tuple(map(np.array, zip(*items))))
-        ref = torsion(stack)
-        val = torsion_with_basis_perturbation(stack, range(10))
+        stack = tuple(map(np.array, zip(*items)))
+        ref = torsion(ChainComplex(dims, stack))
+        val = torsion_with_basis_perturbation(
+            ChainComplex(dims, tuple(np.tile(b, (10, 1, 1)) for b in stack)),
+            rng)
         redrawn += val.redrawn
-        ok = ref.acyclic & val.acyclic
-        err = _relerr(val.value, ref.value)[ok]
+        ok = ref.acyclic & val.acyclic.reshape(10, -1)
+        err = _relerr(val.value.reshape(10, -1), ref.value)[ok]
         worst = max(worst, float(np.max(err, initial=0.0)))
         masked += int(np.count_nonzero(~ok.all(axis=0)))
     return CheckResult("chain torsion basis independence",
                        masked == 0 and worst <= 1e-8, worst, 1e-8,
                        detail=f"{n_fixtures} fixtures in {len(shapes)} shapes"
-                              f" x 10 seeds, {redrawn} redrawn, "
+                              f" x 10 bases, {redrawn} redrawn, "
                               f"{masked} masked")
 
 
@@ -210,12 +213,6 @@ def random_commuting_pairs(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
         imga = np.concatenate([imga, img[:, 0]])
         imgb = np.concatenate([imgb, img[:, 1]])
     return imga, imgb
-
-
-def random_commuting_pair(rng):
-    """One commuting pair: the N = 1 item of `random_commuting_pairs`."""
-    imga, imgb = random_commuting_pairs(rng, 1)
-    return imga[0], imgb[0]
 
 
 def check_torus_oracle(n: int, seed: int) -> CheckResult:

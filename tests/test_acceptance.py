@@ -83,7 +83,7 @@ def test_criterion_4_longitude_lemma(points200):
 
 def test_criterion_5_chain_torsion():
     res = check_basis_independence(20, seed=5)
-    report("criterion 5a: basis independence, 20 fixtures x 10 seeds",
+    report("criterion 5a: basis independence, 20 fixtures x 10 bases",
            res.max_residual, 1e-8)
     res = check_torus_oracle(100, seed=6)
     report("criterion 5b: torus complex |tau| = 1, 100 samples",

@@ -39,6 +39,16 @@ def test_riley_singular_exit_2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [("torsion", "--s", "1e-9,0"),
+                                  ("riley", "--s", "1e-7,0")])
+def test_small_s_error_names_s(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1 and "|s|" in errors[0]
+
+
 @pytest.mark.parametrize("argv", [("torsion", "--s", "nan,0"),
                                   ("riley", "--s", "inf,0"),
                                   ("torsion", "--s", "1e200,0"),

@@ -12,7 +12,7 @@ from fig8torsion.formulas import (TorsionReport, degenerate, full_report,
                                  torsion_solid_torus_from_trace,
                                  torsion_solid_torus_oracle, torsion_surgered,
                                  torus_torsion_oracle)
-from fig8torsion.verify import random_commuting_pair, sample_variety_points
+from fig8torsion.verify import random_commuting_pairs, sample_variety_points
 
 
 def test_exterior_closed_values():
@@ -144,9 +144,9 @@ def test_solid_trace_vs_u_form_random():
 def test_torus_oracle():
     rng = np.random.default_rng(45)
     for _ in range(100):
-        imga, imgb = random_commuting_pair(rng)
+        imga, imgb = random_commuting_pairs(rng, 1)
         try:
-            val = torus_torsion_oracle(imga, imgb)
+            val = torus_torsion_oracle(imga[0], imgb[0])
         except NotAcyclic:
             continue
         assert abs(abs(val.value) - 1.0) <= 1e-8
