@@ -2,8 +2,8 @@
 
 Complex numbers are passed as "re,im" pairs.  Exit codes: 0 success,
 1 usage or parse error, 2 invalid mathematical input (including a
-non-finite value, an overflow, or a surgery slope whose polynomial
-degree exceeds MAX_SURGERY_DEGREE), 3 verification failure.
+non-finite value, an overflow, or a surgery slope whose Chebyshev
+degree max(4|q|, |p|) exceeds MAX_SURGERY_DEGREE), 3 verification failure.
 The output format and the verify seed can be set by flags or by the
 "format" and "seed" keys of a JSON config file (--config); flags win.
 A subcommand accepts only the flags it reads, and --config.
@@ -25,10 +25,10 @@ from .formulas import REPORT_CSV_HEADER, full_report
 from .verify import results_to_csv, run_all
 
 EXIT_OK, EXIT_USAGE, EXIT_MATH, EXIT_VERIFY = 0, 1, 2, 3
-# time and memory grow with the degree 2 max(4|q|, |p|) of the surgery
-# polynomial: 800 (slope 1/100) takes ~1.6 s and ~41 MB, 1600 (1/200)
-# ~7.2 s and ~71 MB
-MAX_SURGERY_DEGREE = 800
+# time and memory grow with the degree max(4|q|, |p|) of the surgery
+# relation's Chebyshev series: 400 (slope 1/100) takes ~0.3 s and ~51 MB,
+# 800 (1/200) ~0.7 s and ~91 MB (fresh interpreter, one Xeon core)
+MAX_SURGERY_DEGREE = 400
 RILEY_CSV_HEADER = "s_re,s_im,t_re,t_im,branch,residual"
 
 
@@ -136,7 +136,7 @@ def cmd_surgery(ns) -> int:
     degree = polynomial_degree(slope)
     if degree > MAX_SURGERY_DEGREE:
         raise InvalidSlope(f"slope {ns.p}/{ns.q} needs a degree-{degree} "
-                           f"surgery polynomial; the limit is "
+                           f"Chebyshev series; the limit is "
                            f"{MAX_SURGERY_DEGREE}")
     rows = solve_surgery(slope)
     if ns.format == "json":

@@ -16,10 +16,21 @@ polynomial
 and its roots are all the candidates.  f is the same for p/q and -p/q,
 and z and 1/z give the same character; every candidate is re-verified
 against the authoritative matrix residual ||rho(x)^p rho(l)^q - E||
-before being reported.  When 4 | p, z = +-i are double roots of f
-(s = +-i, u = 0, lambda = 1): z^n f is divided exactly by (z^2 + 1)^2
-before its roots are taken, and s = +-i, lambda = 1 join the candidates
-as exact values.
+before being reported.
+
+f is self-reciprocal, so with v = (z + 1/z)/2 and z^k + z^-k = 2 T_k(v)
+
+    f = 2 [T_|p|(v) - T_4|q|(v) + T_2|q|(v) + 1],
+
+a Chebyshev series of degree n = max(4|q|, |p|) (Good, 1961; Trefethen,
+Approximation Theory and Approximation Practice, ch. 18).  Its roots v
+are the eigenvalues of the n x n colleague matrix, half the size of the
+companion matrix of z^n f, and each gives the pair z, 1/z with
+z = v + sqrt(v^2 - 1).  One Newton step on f in z, with f and f' from
+its seven terms, polishes every z where that step is finite.  When 4 | p, z = +-i are double roots
+of f (s = +-i, u = 0, lambda = 1), i.e. v^2 divides the series: it is
+divided out exactly before the roots are taken, and s = +-i, lambda = 1
+join the candidates as exact values.
 
 The candidate stage runs on stacks: all roots of a slope at once get
 s, lambda, the t-branch whose l11 is nearest lambda (with the
@@ -129,39 +140,58 @@ def surgery_residual(pt: RileyPoint, slope: SurgerySlope) -> tuple[complex, floa
 
 
 def polynomial_degree(slope: SurgerySlope) -> int:
-    """Degree 2n of z^n f(z), n = max(4|q|, |p|), before trimming: the
-    size of the companion matrix whose eigenvalues give the candidates."""
-    return 2 * max(4 * abs(slope.q), abs(slope.p))
+    """n = max(4|q|, |p|), the degree of f's Chebyshev series in
+    v = (z + 1/z)/2 before trimming: the size of the colleague matrix
+    whose eigenvalues give the candidates."""
+    return max(4 * abs(slope.q), abs(slope.p))
 
 
-def _surgery_polynomial(slope: SurgerySlope) -> np.ndarray:
-    """Integer coefficients of z^n f(z), n = max(4|q|, |p|), highest power
-    first.  Zeros are trimmed at both ends: at |p| = 4|q| the extreme
-    terms cancel, and a trailing zero is a root z = 0, no solution."""
+def _terms(slope: SurgerySlope) -> tuple[tuple[int, int], ...]:
+    """f(z) as its seven (power, coefficient) terms, in |p| and |q|:
+    f is the same for p/q and -p/q."""
     p, q = abs(slope.p), abs(slope.q)
-    n = polynomial_degree(slope) // 2
-    coeffs = np.zeros(2 * n + 1)
-    for power, c in ((p, 1), (-p, 1), (4 * q, -1), (2 * q, 1), (0, 2),
-                     (-2 * q, 1), (-4 * q, -1)):
-        coeffs[n - power] += c
-    nonzero = np.flatnonzero(coeffs)
-    return coeffs[nonzero[0]:nonzero[-1] + 1]
+    return ((p, 1), (-p, 1), (4 * q, -1), (2 * q, 1), (0, 2), (-2 * q, 1),
+            (-4 * q, -1))
+
+
+def _chebyshev_series(slope: SurgerySlope) -> np.ndarray:
+    """Coefficients c_k, lowest first, of f(z) = 2 sum_k c_k T_k(v),
+    v = (z + 1/z)/2: f is self-reciprocal, so each term c z^k is
+    c (z^k + z^-k)/2 = c T_|k|(v) in f.  At |p| = 4|q| the extreme terms
+    cancel, and numpy's Chebyshev routines trim the trailing zero."""
+    coeffs = np.zeros(polynomial_degree(slope) + 1)
+    for power, c in _terms(slope):
+        coeffs[abs(power)] += c / 2
+    return coeffs
+
+
+def _newton_step(z: np.ndarray, slope: SurgerySlope) -> np.ndarray:
+    """One Newton step on f at each z, z - z f(z) / (z f'(z)), with f and
+    z f' from one table of the powers in `_terms`; a z whose step is not
+    finite (f' = 0 at the parabolic double root z = -1) is left as it
+    is."""
+    power, c = np.array(_terms(slope)).T
+    zk = z[:, None] ** power
+    with np.errstate(all="ignore"):
+        step = z * (zk @ c) / (zk @ (power * c))
+    return np.where(np.isfinite(step), z - step, z)
 
 
 def _candidates(slope: SurgerySlope) -> tuple[np.ndarray, ...]:
     """The candidates of all roots z of f at once, as stacks
     (s, lam, t, branch, residual): s = z^q, lam = z^-p, the t-branch
     whose aligned longitude eigenvalue l11 is nearest lam, its label
-    "+" or "-", and |R12(s, t)|.  When 4 | p the double roots z = +-i
-    are divided out and their candidates s = +-i, lam = 1 appended."""
-    coeffs = _surgery_polynomial(slope)
+    "+" or "-", and |R12(s, t)|.  The roots come in pairs z, 1/z, one
+    pair for each root v of f's Chebyshev series, each polished by one
+    Newton step on f.  When 4 | p the double root v = 0 (z = +-i) is
+    divided out and its candidates s = +-i, lam = 1 appended."""
+    coeffs = _chebyshev_series(slope)
     if slope.p % 4 == 0:
-        # exact integer division, lowest power first (np.polydiv is the
-        # same division with a slow scan of the remainder); the quotient
-        # has no root at z = +-i
-        coeffs = np.polynomial.polynomial.polydiv(
-            coeffs[::-1], (1, 0, 2, 0, 1))[0][::-1]
-    z = np.roots(coeffs).astype(complex)
+        # exact: v^2 = (T_0 + T_2)/2, and the quotient is nonzero at v = 0
+        coeffs = np.polynomial.chebyshev.chebdiv(coeffs, (0.5, 0, 0.5))[0]
+    v = np.polynomial.chebyshev.chebroots(coeffs).astype(complex)
+    z = v + np.sqrt(v * v - 1)
+    z = _newton_step(np.concatenate([z, 1 / z]), slope)
     s, lam = z ** slope.q, z ** -slope.p
     if slope.p % 4 == 0:
         # z = +-i give s = +-i and lam = 1; appended as values, since

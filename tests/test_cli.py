@@ -231,7 +231,7 @@ def test_surgery_invalid_slope(capsys):
 
 
 def test_surgery_slope_bound_exit_2(capsys):
-    # 1/101 needs a degree-808 surgery polynomial, past the CLI's 800
+    # 1/101 needs a degree-404 Chebyshev series, past the CLI's 400
     code, out, err = run(capsys, "surgery", "--p", "1", "--q", "101")
     assert code == 2
     assert out == ""

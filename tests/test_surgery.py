@@ -139,6 +139,56 @@ def test_row_count_is_the_closed_form():
             == _expected_count(p, q), (p, q)
 
 
+@pytest.mark.parametrize("p, q", [(1, 50), (400, 1)])
+def test_large_slopes_complete(p, q):
+    """The paper's 1/n family and a large |p| at the CLI's degree limit
+    have every character: 199 rows on 1/50 and 399 on 400/1."""
+    assert len(solve_surgery(SurgerySlope(p, q))) == _expected_count(p, q)
+
+
+def test_one_half_size_eigenproblem(monkeypatch):
+    """A slope makes one eigenproblem, the colleague matrix of f's
+    Chebyshev series, of size n = max(4|q|, |p|): 64 x 64 on 1/16, half
+    the 128 x 128 companion matrix of z^n f."""
+    shapes = []
+    eigvals = np.linalg.eigvals
+
+    def recording_eigvals(a):
+        shapes.append(np.shape(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording_eigvals)
+    assert len(solve_surgery(SurgerySlope(1, 16))) == _expected_count(1, 16)
+    assert shapes == [(64, 64)]
+
+
+def test_mirror_slopes_conjugate():
+    """The figure-eight knot is amphichiral, so M(-p/q) is M(p/q) with
+    its orientation reversed, and the characters of -p/q are those of
+    p/q with u conjugated.  On every slope pair with 1 <= p <= 40 and
+    1 <= q <= 8 whose two tables are both complete, each u of -p/q
+    matches its own conjugate u of p/q to 1e-9 relative."""
+    pairs = 0
+    for q in range(1, 9):
+        for p in range(1, 41):
+            if math.gcd(p, q) != 1:
+                continue
+            rows = solve_surgery(SurgerySlope(p, q))
+            mirror = solve_surgery(SurgerySlope(-p, q))
+            if (len(rows), len(mirror)) != (_expected_count(p, q),
+                                            _expected_count(-p, q)):
+                continue
+            pairs += 1
+            unmatched = [row.u.conjugate() for row in rows]
+            for row in mirror:
+                gaps = np.abs(np.array(unmatched) - row.u)
+                k = int(np.argmin(gaps))
+                assert gaps[k] <= 1e-9 * max(1.0, abs(row.u)), (p, q, row.u)
+                unmatched.pop(k)
+    # 134 pairs are complete; a row lost from either table lowers this
+    assert pairs >= 134
+
+
 def test_quarter_turn_row_exact():
     """On every 4 | p slope, |p| <= 40 and 1 <= q <= 16, the u = 0 row
     from s = +-i is exact: rho(x)^4 = E and rho(l) = E there, in floating

@@ -2,13 +2,16 @@
 tests check only at sample points, against the longitude word product:
 the trace equals the word's, l11 and the A-polynomial trace agree with
 it modulo R12 (hence the trace identity), the word's l21 vanishes
-modulo R12, the branch-point rule inverts l11, and the surgery
-polynomial equals its definition.  Also the repeated factors of the
-surgery polynomial, and det Phi(dr/dy) = -2(u - 1) det(Phi(x) - E)
-modulo R12 from the symbolic Fox derivative of the relator."""
+modulo R12, the branch-point rule inverts l11, and the Chebyshev
+series of the surgery relation equals its definition.  Also the
+factors that series is divided by or that give no row, and
+det Phi(dr/dy) = -2(u - 1) det(Phi(x) - E) modulo R12 from the symbolic
+Fox derivative of the relator."""
 
 import math
+from functools import cache
 
+import numpy as np
 import pytest
 
 sympy = pytest.importorskip("sympy")
@@ -16,11 +19,11 @@ sympy = pytest.importorskip("sympy")
 from fig8torsion import riley                              # noqa: E402
 from fig8torsion.riley import (LONGITUDE, RELATOR,         # noqa: E402
                                longitude_l11, riley_poly, trace_l)
-from fig8torsion.surgery import SurgerySlope, _surgery_polynomial  # noqa: E402
+from fig8torsion.surgery import SurgerySlope, _chebyshev_series  # noqa: E402
 from fig8torsion.words import X, Y                         # noqa: E402
 from fox_reference import fox_derivative                   # noqa: E402
 
-s, t, z = sympy.symbols("s t z")
+s, t, v, z = sympy.symbols("s t v z")
 # tr rho(l) modulo R12: the figure-eight A-polynomial lambda + 1/lambda
 A_TRACE = s**4 - s**2 - 2 - s**-2 + s**-4
 
@@ -84,17 +87,26 @@ def test_branch_point_rule_exact(symbolic):
     assert sympy.cancel(riley._t_from_l11(s, l11_reduced) - t) == 0
 
 
-@pytest.mark.parametrize("p, q", [(2, 5), (4, 1), (0, 1)])
+@cache
+def _chebyshev_t(k):
+    return sympy.Poly(sympy.chebyshevt(k, v), v)
+
+
+def _series_poly(p, q):
+    """sum_k c_k T_k(v) as a polynomial in v, from `_chebyshev_series`."""
+    return sum((sympy.Rational(c) * _chebyshev_t(k)
+                for k, c in enumerate(_chebyshev_series(SurgerySlope(p, q)))),
+               sympy.Poly(0, v))
+
+
+@pytest.mark.parametrize("p, q", [(2, 5), (4, 1), (0, 1), (1, 0)])
 def test_surgery_polynomial_exact(p, q):
-    """z^n (z^p + z^-p - tr rho(l)(s = z^q)), n = max(4|q|, |p|), with
-    zeros trimmed at both ends; 4/1 has |p| = 4|q|, where the extreme
-    terms cancel."""
-    n = max(4 * abs(q), abs(p))
+    """f(z) = z^p + z^-p - tr rho(l)(s = z^q) equals 2 sum_k c_k T_k(v) at
+    v = (z + 1/z)/2; 4/1 has |p| = 4|q|, where the extreme terms cancel,
+    and p = 0 and q = 0 put several terms on T_0."""
     f = z**p + z**-p - A_TRACE.subs(s, z**q)
-    coeffs = sympy.Poly(sympy.expand(z**n * f), z).all_coeffs()
-    while coeffs[-1] == 0:
-        coeffs.pop()
-    assert [int(c) for c in _surgery_polynomial(SurgerySlope(p, q))] == coeffs
+    series = _series_poly(p, q).as_expr().subs(v, (z + 1 / z) / 2)
+    assert sympy.expand(2 * series - f) == 0
 
 
 def test_relator_derivative_determinant_exact(symbolic):
@@ -116,33 +128,35 @@ GRID = [(p, q) for q in range(1, 17) for p in range(-40, 41)
         if math.gcd(abs(p), q) == 1]
 
 
-def _surgery_poly(p, q):
-    """z^n f(z), n = max(4|q|, |p|), from the definition of f."""
-    n = max(4 * abs(q), abs(p))
-    return sympy.Poly(sympy.expand(z**n * (z**p + z**-p
-                                            - A_TRACE.subs(s, z**q))), z)
-
-
 def test_quarter_turn_factor_exact():
-    """When 4 | p, (z^2 + 1)^2 divides z^n f exactly, and the quotient
-    `_candidates` takes the roots of has none at z = +-i (its
-    coefficients are real, so i suffices): the candidates s = +-i that
-    it appends are the only ones at u = 0."""
-    square = sympy.Poly((z**2 + 1)**2, z)
+    """When 4 | p, v^2 = (T_0 + T_2)/2, the double root z = +-i, divides
+    the series exactly, and the quotient `_candidates` takes the roots of
+    is nonzero at v = 0: the candidates s = +-i that it appends are the
+    only ones at u = 0.  numpy's `chebdiv` gives that quotient exactly
+    too: times v^2 it is the series again, bit for bit."""
+    square = sympy.Poly(v**2, v)
     slopes = [(p, q) for p, q in GRID if p % 4 == 0]
     assert len(slopes) == 133
     for p, q in slopes:
-        quotient, remainder = sympy.div(_surgery_poly(p, q), square)
+        quotient, remainder = sympy.div(_series_poly(p, q), square)
         assert remainder.is_zero, (p, q)
-        assert quotient.eval(sympy.I) != 0, (p, q)
+        assert quotient.eval(0) != 0, (p, q)
+        coeffs = _chebyshev_series(SurgerySlope(p, q))
+        cheb = np.polynomial.chebyshev
+        numeric, rest = cheb.chebdiv(coeffs, (0.5, 0, 0.5))
+        assert not rest.any(), (p, q)
+        back = cheb.chebmul(numeric, (0.5, 0, 0.5))
+        assert not cheb.chebsub(back, coeffs).any(), (p, q)
 
 
 def test_parabolic_factor_exact():
-    """When p is odd, (z + 1)^2 divides z^n f, i.e. z^n f and its
-    derivative vanish at z = -1: the parabolic double root s = +-1,
-    lambda = -1, which the matrix residual rejects."""
+    """When p is odd, v = -1 is a root of the series: (z + 1)^2 divides
+    z^n f, the parabolic double root s = +-1, lambda = -1, which the
+    matrix residual rejects.  As T_k(-1) = (-1)^k, the certificate is an
+    integer sum."""
     slopes = [(p, q) for p, q in GRID if p % 2]
     assert len(slopes) == 528
     for p, q in slopes:
-        poly = _surgery_poly(p, q)
-        assert poly.eval(-1) == 0 and poly.diff(z).eval(-1) == 0, (p, q)
+        coeffs = _chebyshev_series(SurgerySlope(p, q))
+        assert sum(sympy.Rational(c) * (-1) ** k
+                   for k, c in enumerate(coeffs)) == 0, (p, q)
