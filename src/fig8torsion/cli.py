@@ -178,7 +178,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(sub, "format")
     sub.set_defaults(func=cmd_riley)
 
-    sub = subs.add_parser("torsion", help="full torsion report at a point")
+    sub = subs.add_parser(
+        "torsion", help="full torsion report at a point",
+        description="Full torsion report at a point s of the variety. Its "
+                    "tau(M) line is the paper's form "
+                    "2(u - 1)/(u^2 (u^2 - 5)), exact for the 1/n slopes "
+                    "only (p = +-1).")
     sub.add_argument("--s", type=parse_complex, required=True,
                      metavar="RE,IM")
     sub.add_argument("--branch", choices=["+", "-"], default="+")

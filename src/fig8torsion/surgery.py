@@ -32,22 +32,26 @@ of f (s = +-i, u = 0, lambda = 1), i.e. v^2 divides the series: it is
 divided out exactly before the roots are taken, and s = +-i, lambda = 1
 join the candidates as exact values.
 
-The candidate stage runs on stacks: all roots of a slope at once get
-s, lambda, the t-branch whose l11 is nearest lambda (with the
-branch-point rule applied through a mask) and the variety residual.
-The candidates are then filtered all at once, on (N, 2, 2) stacks: the
-variety check, the matrix residual (the one test that rejects a
-candidate on the variety), the closed-form l11 and tr rho(l), and the
-character dedup; a RileyPoint is built only for each row kept.
-`relation_residuals` is that residual on any stack of points, and
-`surgery_residual` its N = 1 call, so a check that re-tests rows gets
-the bits the solver filtered on.
+`solve_surgery` takes one slope or a sequence of slopes, and solves a
+sequence in one stacked pass; one slope is its one-item case.  Per
+slope it takes only the roots and s, lambda from them, the matrix
+powers of the residual, the character dedup and the row build.  Once,
+on the stacks of the candidates of every slope joined, it takes the
+t-branch whose l11 is nearest lambda (with the branch-point rule
+applied through a mask), the variety residual and test, the longitude
+word product, u, tr rho(l), l11 and the residual norms: the matrix
+residual is the one test that rejects a candidate on the variety.  A
+RileyPoint is built only for each row kept.  `relation_residuals` is
+that residual on any stack of points, at one slope or at one slope per
+point, and `surgery_residual` its N = 1 call, so a check that re-tests
+rows gets the bits the solver filtered on.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,6 +90,7 @@ class SurgerySlope:
 
 @dataclass
 class SurgerySolution:
+    slope: SurgerySlope      # the row's slope; not in the JSON or CSV row
     point: RileyPoint
     u: complex
     trace_l: complex
@@ -113,18 +118,36 @@ class SurgerySolution:
 
 
 def relation_residuals(s: np.ndarray, t: np.ndarray,
-                       slope: SurgerySlope) -> np.ndarray:
-    """||rho(x)^p rho(l)^q - E|| at each point of the stacks s, t, with
-    rho(l) multiplied out from its word.  A negative power takes the
-    exact inverse images of `rep_stacks`: x^-1, and rho(l)^-1 from the
-    inverse longitude word."""
+                       slopes: SurgerySlope | Sequence[SurgerySlope]
+                       ) -> np.ndarray:
+    """||rho(x)^p rho(l)^q - E|| at each point of the stacks s, t, for
+    one slope or for one slope per item, with rho(l) multiplied out from
+    its word.  A negative power takes the exact inverse images of
+    `rep_stacks`: x^-1, and rho(l)^-1 from the inverse longitude word,
+    made only when some slope has q < 0.  The items are grouped by slope
+    for the matrix powers; everything else runs once on the stacks."""
     imgs = rep_stacks(s, t)
-    mx = imgs[X] if slope.p >= 0 else imgs[-X]
-    ml = word_product(LONGITUDE if slope.q >= 0 else word_inverse(LONGITUDE),
-                      imgs)
+    if isinstance(slopes, SurgerySlope):
+        groups = {slopes: slice(None)}
+    else:
+        indices = {}
+        for k, slope in enumerate(slopes):
+            indices.setdefault(slope, []).append(k)
+        # a group of consecutive items is taken as a slice, a view
+        groups = {slope: slice(k[0], k[-1] + 1) if k[-1] - k[0] < len(k)
+                  else np.array(k) for slope, k in indices.items()}
+    longitudes = {}     # q >= 0 -> rho(l), q < 0 -> rho(l)^-1
     power = np.linalg.matrix_power
-    rel = power(mx, abs(slope.p)) @ power(ml, abs(slope.q)) - E2
-    return np.linalg.norm(rel, axis=(1, 2))
+    rel = np.empty(imgs[X].shape, dtype=complex)
+    for slope, items in groups.items():
+        ahead = slope.q >= 0
+        if ahead not in longitudes:
+            longitudes[ahead] = word_product(
+                LONGITUDE if ahead else word_inverse(LONGITUDE), imgs)
+        mx = imgs[X if slope.p >= 0 else -X][items]
+        rel[items] = (power(mx, abs(slope.p))
+                      @ power(longitudes[ahead][items], abs(slope.q)))
+    return np.linalg.norm(rel - E2, axis=(1, 2))
 
 
 def surgery_residual(pt: RileyPoint, slope: SurgerySlope) -> tuple[complex, float]:
@@ -177,14 +200,17 @@ def _newton_step(z: np.ndarray, slope: SurgerySlope) -> np.ndarray:
     return np.where(np.isfinite(step), z - step, z)
 
 
-def _candidates(slope: SurgerySlope) -> tuple[np.ndarray, ...]:
-    """The candidates of all roots z of f at once, as stacks
-    (s, lam, t, branch, residual): s = z^q, lam = z^-p, the t-branch
-    whose aligned longitude eigenvalue l11 is nearest lam, its label
-    "+" or "-", and |R12(s, t)|.  The roots come in pairs z, 1/z, one
-    pair for each root v of f's Chebyshev series, each polished by one
-    Newton step on f.  When 4 | p the double root v = 0 (z = +-i) is
-    divided out and its candidates s = +-i, lam = 1 appended."""
+def _slope_list(slopes) -> list[SurgerySlope]:
+    """One slope or a sequence of slopes as a list of slopes."""
+    return [slopes] if isinstance(slopes, SurgerySlope) else list(slopes)
+
+
+def _roots(slope: SurgerySlope) -> tuple[np.ndarray, np.ndarray]:
+    """(s, lam) = (z^q, z^-p) at every root z of f, as two stacks.  The
+    roots come in pairs z, 1/z, one pair for each root v of f's
+    Chebyshev series, each polished by one Newton step on f.  When 4 | p
+    the double root v = 0 (z = +-i) is divided out and its candidates
+    s = +-i, lam = 1 appended."""
     coeffs = _chebyshev_series(slope)
     if slope.p % 4 == 0:
         # exact: v^2 = (T_0 + T_2)/2, and the quotient is nonzero at v = 0
@@ -197,6 +223,21 @@ def _candidates(slope: SurgerySlope) -> tuple[np.ndarray, ...]:
         # z = +-i give s = +-i and lam = 1; appended as values, since
         # numpy takes z ** n by exp/log for |n| >= 100, off by ~1e-15
         s, lam = np.append(s, (1j, -1j)), np.append(lam, (1, 1))
+    return s, lam
+
+
+def _candidates(slopes) -> tuple:
+    """The candidates of one slope, or of a sequence of slopes one after
+    the other, as stacks (s, lam, t, branch, residual) and the list of
+    each slope's candidate count: the `_roots` of each slope, then, once
+    on the joined stacks, the t-branch whose aligned longitude
+    eigenvalue l11 is nearest lam, its label "+" or "-", and
+    |R12(s, t)|."""
+    parts = [_roots(slope) for slope in _slope_list(slopes)]
+    if len(parts) == 1:
+        s, lam = parts[0]
+    else:
+        s, lam = (np.concatenate(stack) for stack in zip(*parts))
     t_plus, t_minus = _t_branches(s)
     l11_plus, l11_minus = longitude_l11(s, np.stack([t_plus, t_minus]))
     minus = np.abs(l11_minus - lam) < np.abs(l11_plus - lam)
@@ -204,8 +245,8 @@ def _candidates(slope: SurgerySlope) -> tuple[np.ndarray, ...]:
     meet = np.abs(t_plus - t_minus) <= BRANCH_POINT_TOL
     if meet.any():
         t[meet] = _t_from_l11(s[meet], lam[meet])
-    return (s, lam, t, np.where(minus, "-", "+"),
-            np.abs(riley_poly(s, t)))
+    return (s, lam, t, np.where(minus, "-", "+"), np.abs(riley_poly(s, t)),
+            [len(part[0]) for part in parts])
 
 
 def _first_distinct(u: np.ndarray, trl: np.ndarray) -> np.ndarray:
@@ -223,7 +264,8 @@ def _first_distinct(u: np.ndarray, trl: np.ndarray) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def solve_surgery(slope: SurgerySlope) -> list[SurgerySolution]:
+def solve_surgery(slopes: SurgerySlope | Sequence[SurgerySlope]
+                  ) -> list[SurgerySolution]:
     """Every character satisfying the surgery relation: the roots of f
     (see the module docstring) on the variety within VARIETY_TOL, with
     matrix residual <= RELATION_TOL; deduplicated by character
@@ -231,42 +273,61 @@ def solve_surgery(slope: SurgerySlope) -> list[SurgerySolution]:
     variety l21 vanishes identically, and no s = +-1 candidate meets the
     relation: there rho(x)^p rho(l)^q keeps the unipotent part p + q c,
     c = +-2 sqrt(-3) the cusp shape.  A row is degenerate, with torsion
-    None, exactly when `torsion_surgered` raises DegenerateU.  All
-    candidates are made and filtered at once, on stacks."""
+    None, exactly when `torsion_surgered` raises DegenerateU.
+
+    A sequence of slopes gives one flat list: the rows of each slope in
+    input order, each slope's rows sorted and deduplicated on their own.
+    All candidates of all slopes are made and filtered at once, on
+    stacks; only the roots, the matrix powers, the dedup and the row
+    build run per slope."""
+    slopes = _slope_list(slopes)
+    if not slopes:
+        return []
     # (p, q) and (-p, -q) impose the same relation; normalizing the sign
     # gives both slopes the same candidates, not just the same characters
-    root_slope = slope
-    if slope.p < 0 or (slope.p == 0 and slope.q < 0):
-        root_slope = SurgerySlope(-slope.p, -slope.q)
+    root_slopes = [SurgerySlope(-sl.p, -sl.q)
+                   if sl.p < 0 or (sl.p == 0 and sl.q < 0) else sl
+                   for sl in slopes]
     # a candidate far off the variety may overflow; its non-finite
     # residuals fail the comparisons below, which reject it
     with np.errstate(all="ignore"):
-        s, _, t, branch, residual = _candidates(root_slope)
+        s, _, t, branch, residual, sizes = _candidates(root_slopes)
         on_variety = variety_membership(s, t, residual)
-        mat_res = relation_residuals(s, t, slope)
+        item_slopes = (slopes[0] if len(slopes) == 1 else
+                       [sl for sl, n in zip(slopes, sizes) for _ in range(n)])
+        mat_res = relation_residuals(s, t, item_slopes)
         lam = longitude_l11(s, t)
         u, trl = trace_u(s), trace_l(s, t)
-    rows = np.flatnonzero(on_variety & (mat_res <= RELATION_TOL))
-    # character dedup (also merges z <-> 1/z, i.e. s <-> 1/s)
-    rows = rows[_first_distinct(u[rows], trl[rows])]
+    passed = on_variety & (mat_res <= RELATION_TOL)
 
     solutions = []
-    for k in rows:
-        u_k = complex(u[k])
-        flags = []
-        try:
-            tau = torsion_surgered(u_k)
-        except DegenerateU:
-            tau = None
-            flags.append("degenerate")
-        point = RileyPoint(complex(s[k]), complex(t[k]), str(branch[k]),
-                           float(residual[k]))
-        solutions.append(SurgerySolution(
-            point=point, u=u_k, trace_l=complex(trl[k]),
-            lam=complex(lam[k]), relation_residual=float(mat_res[k]),
-            torsion=tau, flags=flags))
-    solutions.sort(key=_row_key)
+    stop = 0
+    for slope, size in zip(slopes, sizes):
+        start, stop = stop, stop + size
+        rows = np.flatnonzero(passed[start:stop]) + start
+        # character dedup (also merges z <-> 1/z, i.e. s <-> 1/s)
+        rows = rows[_first_distinct(u[rows], trl[rows])]
+        cells = zip(*(column[rows].tolist() for column in
+                      (s, t, branch, residual, u, trl, lam, mat_res)))
+        solutions += sorted((_solution(slope, *row) for row in cells),
+                            key=_row_key)
     return solutions
+
+
+def _solution(slope: SurgerySlope, s: complex, t: complex, branch: str,
+              residual: float, u: complex, trl: complex, lam: complex,
+              relation_residual: float) -> SurgerySolution:
+    """One row of the table of `solve_surgery`, with its torsion."""
+    flags = []
+    try:
+        tau = torsion_surgered(u)
+    except DegenerateU:
+        tau = None
+        flags.append("degenerate")
+    return SurgerySolution(
+        slope=slope, point=RileyPoint(s, t, branch, residual), u=u,
+        trace_l=trl, lam=lam, relation_residual=relation_residual,
+        torsion=tau, flags=flags)
 
 
 _PI_10 = round(math.pi, 10)

@@ -7,7 +7,8 @@ for a given (samples, seed) pair.  The checks over sampled points,
 pairs and u make one stacked call each (N items at once, see
 `formulas.torsion_exterior_oracle` and `riley.rep_stacks`), the
 basis-independence check one perturbed call per dims, and the surgery
-check one residual call per slope and one torsion call.
+check one `solve_surgery` call on its ten slopes, one residual call on
+all their rows and one torsion call.
 The samples are stacked draws: a round draws every missing item at
 once and the items a rule rejects are drawn again in the next round;
 the torus and product checks give that count in their detail.
@@ -253,22 +254,17 @@ def check_surgery_solver() -> CheckResult:
     """Slope (1,0) finds nothing; every solution on other slopes
     satisfies both residuals to RELATION_TOL and the torsion formula,
     and a row without torsion is flagged degenerate.  One
-    `relation_residuals` call per slope re-computes the residual of its
-    rows, and one `torsion_surgered` call the torsion of every
-    non-degenerate row."""
-    slopes = [(1, 0), (1, 1), (2, 1), (3, 1), (5, 1), (1, 2), (3, 2), (5, 3),
-              (-1, 2), (4, 1)]
-    ok = True
-    res, rows = [], []
-    for p, q in slopes:
-        slope = SurgerySlope(p, q)
-        sols = solve_surgery(slope)
-        if (p, q) == (1, 0) and sols:
-            ok = False
-        s, t, residual = point_arrays([sol.point for sol in sols])
-        res.append(np.maximum(relation_residuals(s, t, slope), residual))
-        rows += sols
-    res = np.concatenate(res)
+    `solve_surgery` call solves the ten slopes, one `relation_residuals`
+    call re-computes the residual of every row at its slope, and one
+    `torsion_surgered` call the torsion of every non-degenerate row."""
+    slopes = [SurgerySlope(p, q)
+              for p, q in ((1, 0), (1, 1), (2, 1), (3, 1), (5, 1), (1, 2),
+                           (3, 2), (5, 3), (-1, 2), (4, 1))]
+    rows = solve_surgery(slopes)
+    ok = all(sol.slope != SurgerySlope(1, 0) for sol in rows)
+    s, t, residual = point_arrays([sol.point for sol in rows])
+    res = np.maximum(relation_residuals(s, t, [sol.slope for sol in rows]),
+                     residual)
     with_tau = [sol for sol in rows if sol.torsion is not None]
     u = np.array([sol.u for sol in with_tau], dtype=complex)
     err = _relerr(np.array([sol.torsion for sol in with_tau], dtype=complex),

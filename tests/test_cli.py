@@ -133,6 +133,17 @@ def test_torsion_pretty(capsys):
         assert label in out
 
 
+def test_torsion_help_names_the_slopes_of_tau_m(capsys):
+    """The tau(M) line holds the paper's 1/n form at a bare point; the
+    help says for which slopes it is exact."""
+    with pytest.raises(SystemExit) as exc:
+        main(["torsion", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "2(u - 1)/(u^2 (u^2 - 5))" in text
+    assert "exact for the 1/n slopes only (p = +-1)" in text
+
+
 def test_torsion_json(capsys):
     code, out, _ = run(capsys, "torsion", "--s", "2,0", "--format", "json")
     assert code == 0

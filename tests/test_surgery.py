@@ -130,11 +130,13 @@ def _expected_count(p, q):
     return max(4 * abs(q), abs(p)) - p % 2 - (p % 4 == 0)
 
 
+SMALL_SLOPES = [(p, q) for q in range(1, 5) for p in range(-6, 7)
+                if math.gcd(p, q) == 1]
+
+
 def test_row_count_is_the_closed_form():
-    slopes = [(p, q) for q in range(1, 5) for p in range(-6, 7)
-              if math.gcd(p, q) == 1]
-    assert len(slopes) == 33
-    for p, q in slopes:
+    assert len(SMALL_SLOPES) == 33
+    for p, q in SMALL_SLOPES:
         assert len(solve_surgery(SurgerySlope(p, q))) \
             == _expected_count(p, q), (p, q)
 
@@ -160,6 +162,29 @@ def test_one_half_size_eigenproblem(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", recording_eigvals)
     assert len(solve_surgery(SurgerySlope(1, 16))) == _expected_count(1, 16)
     assert shapes == [(64, 64)]
+    # a sequence of slopes still makes one eigenproblem per slope
+    shapes.clear()
+    rows = solve_surgery([SurgerySlope(1, 16), SurgerySlope(3, 2)])
+    assert len(rows) == _expected_count(1, 16) + _expected_count(3, 2)
+    assert shapes == [(64, 64), (8, 8)]
+
+
+def test_slope_sequence_is_the_per_slope_calls():
+    """One call on a sequence of slopes gives the rows of the per-slope
+    calls, slope after slope in input order, bit for bit.  The list
+    holds both signs of one slope side by side, a slope twice, the
+    slope with no rows and the slope where v^2 is divided out."""
+    pairs = (SMALL_SLOPES + [(29, 6), (36, 5), (-39, 14), (1, 16)]
+             + TIED_SLOPES + [(1, 0), (0, 1), (2, 1), (-2, -1), (3, 2)])
+    slopes = [SurgerySlope(p, q) for p, q in pairs]
+    tables = [solve_surgery(slope) for slope in slopes]
+    assert all(row.slope == slope
+               for slope, table in zip(slopes, tables) for row in table)
+    single = [row for table in tables for row in table]
+    batch = solve_surgery(slopes)
+    assert [(row.slope, row.to_csv_row()) for row in batch] \
+        == [(row.slope, row.to_csv_row()) for row in single]
+    assert solve_surgery([]) == []
 
 
 def test_mirror_slopes_conjugate():
@@ -207,19 +232,27 @@ def test_solver_residual_is_one_point_residual():
     """The solver filters on the stacked residual; surgery_residual, which
     every check re-tests a row with, is its N = 1 call and gives the same
     bits, for the rows and for every candidate."""
-    slopes = [(p, q) for q in range(1, 5) for p in range(-6, 7)
-              if math.gcd(p, q) == 1]
-    assert len(slopes) == 33
-    for p, q in slopes + [(29, 6), (36, 5), (-39, 14), (1, 16)]:
-        slope = SurgerySlope(p, q)
+    assert len(SMALL_SLOPES) == 33
+    slopes = [SurgerySlope(p, q) for p, q in
+              SMALL_SLOPES + [(29, 6), (36, 5), (-39, 14), (1, 16)]]
+    for slope in slopes:
         for row in solve_surgery(slope):
             assert row.relation_residual \
-                == surgery_residual(row.point, slope)[1], (p, q)
-        s, _, t, _, _ = _candidates(slope)
+                == surgery_residual(row.point, slope)[1], slope
+        s, _, t, _, _, _ = _candidates(slope)
         stacked = relation_residuals(s, t, slope)
         one_point = [surgery_residual(RileyPoint(sk, tk), slope)[1]
                      for sk, tk in zip(s.tolist(), t.tolist())]
-        assert stacked.tolist() == one_point, (p, q)
+        assert stacked.tolist() == one_point, slope
+    # one call on the rows of every slope, each item at its own slope,
+    # in the solver's order (runs of one slope) and shuffled
+    rows = solve_surgery(slopes + [SurgerySlope(-2, -1)])
+    rows += [rows[k] for k in np.random.default_rng(0).permutation(len(rows))]
+    s = np.array([row.point.s for row in rows])
+    t = np.array([row.point.t for row in rows])
+    mixed = relation_residuals(s, t, [row.slope for row in rows])
+    assert mixed.tolist() == [surgery_residual(row.point, row.slope)[1]
+                              for row in rows]
 
 
 # rows whose |u| tie in exact arithmetic (u and -conj(u)) abound here
@@ -235,7 +268,7 @@ def test_stacked_candidates_match_scalar(p, q):
     solve_t(s) and the nearest-l11 choice give.  Where the two branches
     meet, t comes from the branch-point rule instead, so those are
     exempt."""
-    s, lam, t, branch, _ = _candidates(SurgerySlope(p, q))
+    s, lam, t, branch, _, _ = _candidates(SurgerySlope(p, q))
     checked = 0
     for sk, lk, tk, bk in zip(s.tolist(), lam.tolist(), t.tolist(),
                               branch.tolist()):
@@ -256,7 +289,7 @@ def test_on_variety_is_the_array_rule(p, q):
     """RileyPoint.on_variety() and the array rule agree exactly, item by
     item, on every candidate, and on the candidates with t moved by
     1e-10 relative, which puts many of them off the variety."""
-    s, _, t, _, residual = _candidates(SurgerySlope(p, q))
+    s, _, t, _, residual, _ = _candidates(SurgerySlope(p, q))
     moved = t * (1 + 1e-10)
     for tt, res in ((t, residual), (moved, np.abs(riley_poly(s, moved)))):
         rule = variety_membership(s, tt, res)
@@ -277,7 +310,7 @@ def test_relation_residual_is_the_only_rejection(p, q):
     enumerates on one of them."""
     slope = SurgerySlope(p, q)
     for root in (slope, SurgerySlope(-p, -q)):
-        s, _, t, _, residual = _candidates(root)
+        s, _, t, _, residual, _ = _candidates(root)
         mat_res = relation_residuals(s, t, slope)
         for sk, tk, rk, mk in zip(s.tolist(), t.tolist(), residual.tolist(),
                                   mat_res.tolist()):

@@ -32,7 +32,7 @@ from fig8torsion.verify import (check_basis_independence,
                                 check_torus_oracle,
                                 random_acyclic_complex, random_commuting_pairs,
                                 run_all, sample_variety_points)
-from fig8torsion import verify
+from fig8torsion import surgery, verify
 from fig8torsion.words import X, Y, fox_jacobian, parse_word, word_product
 
 STACK_RTOL = 1e-14
@@ -523,43 +523,62 @@ def test_masked_fixture_fails_the_basis_check(monkeypatch):
     assert res.detail.endswith(f"0 redrawn, {len(shapes)} masked")
 
 
-def test_surgery_check_makes_one_residual_call_per_slope(monkeypatch):
-    calls = []
-    residuals = verify.relation_residuals
+def test_surgery_check_makes_one_call_of_each(monkeypatch):
+    """One solve_surgery call on the ten slopes, one relation_residuals
+    call on all their rows, each at its own slope, and one torsion
+    call; the worst residual is the per-row loop's, bit for bit."""
+    solves, calls, taus = [], [], []
+    solve, residuals = verify.solve_surgery, verify.relation_residuals
 
-    def counting(s, t, slope):
-        calls.append((slope.p, slope.q, len(s)))
-        return residuals(s, t, slope)
+    def counting_solve(slopes):
+        solves.append(list(slopes))
+        return solve(slopes)
 
-    taus = []
+    def counting(s, t, slopes):
+        calls.append(list(slopes))
+        return residuals(s, t, slopes)
 
     def counting_tau(u):
         taus.append(len(u))
         return torsion_surgered(u)
 
+    monkeypatch.setattr(verify, "solve_surgery", counting_solve)
     monkeypatch.setattr(verify, "relation_residuals", counting)
     monkeypatch.setattr(verify, "torsion_surgered", counting_tau)
     res = check_surgery_solver()
-    assert len({(p, q) for p, q, _ in calls}) == len(calls) == 10
+    assert len(solves) == 1 and len(set(solves[0])) == len(solves[0]) == 10
+    rows = [sol for slope in solves[0] for sol in solve_surgery(slope)]
+    assert SurgerySlope(1, 0) in solves[0]
+    assert all(sol.slope != SurgerySlope(1, 0) for sol in rows)
+    assert calls == [[sol.slope for sol in rows]]
     # one torsion call over the rows of all slopes, less the degenerate
-    n_degenerate = sum(sol.torsion is None
-                       for p, q, _ in calls
-                       for sol in solve_surgery(SurgerySlope(p, q)))
-    assert taus == [sum(n for _, _, n in calls) - n_degenerate]
-    # the per-row loop that the one call per slope replaced
-    worst, n_sol = 0.0, 0
-    for p, q, n_rows in calls:
-        slope = SurgerySlope(p, q)
-        sols = solve_surgery(slope)
-        assert len(sols) == n_rows
-        for sol in sols:
-            n_sol += 1
-            worst = max(worst, surgery_residual(sol.point, slope)[1],
-                        sol.point.residual)
-            if sol.torsion is not None:
-                tau = torsion_surgered(sol.u)
-                worst = max(worst, abs(sol.torsion - tau)
-                            / max(1.0, abs(sol.torsion), abs(tau)))
+    assert taus == [sum(sol.torsion is not None for sol in rows)]
+    # the per-row loop that the one residual call replaced
+    worst = 0.0
+    for sol in rows:
+        worst = max(worst, surgery_residual(sol.point, sol.slope)[1],
+                    sol.point.residual)
+        if sol.torsion is not None:
+            tau = torsion_surgered(sol.u)
+            worst = max(worst, abs(sol.torsion - tau)
+                        / max(1.0, abs(sol.torsion), abs(tau)))
     assert res.passed
     assert res.max_residual.hex() == worst.hex()
-    assert res.detail == f"10 slopes, {n_sol} solutions"
+    assert res.detail == f"10 slopes, {len(rows)} solutions"
+
+
+def test_run_all_returns_its_rows_from_one_solve_call(monkeypatch):
+    """A caller that wraps verify.solve_surgery, as the verify_sweep
+    benchmark does to count characters, sees one call whose flat list of
+    rows is the surgery check's solutions."""
+    counts = []
+
+    def counting_solve_surgery(*args, **kwargs):
+        rows = surgery.solve_surgery(*args, **kwargs)
+        counts.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(verify, "solve_surgery", counting_solve_surgery)
+    check = run_all(200, 0)[-1]
+    assert len(counts) == 1 and counts[0] > 0
+    assert check.detail == f"10 slopes, {counts[0]} solutions"
