@@ -52,6 +52,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence
+from itertools import groupby
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,22 +125,22 @@ def relation_residuals(s: np.ndarray, t: np.ndarray,
     one slope or for one slope per item, with rho(l) multiplied out from
     its word.  A negative power takes the exact inverse images of
     `rep_stacks`: x^-1, and rho(l)^-1 from the inverse longitude word,
-    made only when some slope has q < 0.  The items are grouped by slope
-    for the matrix powers; everything else runs once on the stacks."""
+    made only when some slope has q < 0.  The matrix powers are taken on
+    each run of consecutive items at one slope; everything else runs
+    once on the stacks."""
     imgs = rep_stacks(s, t)
     if isinstance(slopes, SurgerySlope):
-        groups = {slopes: slice(None)}
+        runs = [(slopes, slice(None))]
     else:
-        indices = {}
-        for k, slope in enumerate(slopes):
-            indices.setdefault(slope, []).append(k)
-        # a group of consecutive items is taken as a slice, a view
-        groups = {slope: slice(k[0], k[-1] + 1) if k[-1] - k[0] < len(k)
-                  else np.array(k) for slope, k in indices.items()}
+        runs, start = [], 0
+        for slope, run in groupby(slopes):
+            stop = start + sum(1 for _ in run)
+            runs.append((slope, slice(start, stop)))
+            start = stop
     longitudes = {}     # q >= 0 -> rho(l), q < 0 -> rho(l)^-1
     power = np.linalg.matrix_power
     rel = np.empty(imgs[X].shape, dtype=complex)
-    for slope, items in groups.items():
+    for slope, items in runs:
         ahead = slope.q >= 0
         if ahead not in longitudes:
             longitudes[ahead] = word_product(
