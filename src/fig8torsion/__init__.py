@@ -15,7 +15,8 @@ from .surgery import (SurgerySlope, SurgerySolution, solve_surgery,
                       surgery_residual)
 from .formulas import (TorsionReport, full_report, torsion_exterior_closed,
                        torsion_exterior_oracle, torsion_solid_torus_closed,
-                       torsion_solid_torus_from_trace, torsion_surgered,
+                       torsion_solid_torus_from_trace,
+                       torsion_solid_torus_oracle, torsion_surgered,
                        torus_torsion_oracle)
 from .words import (fox_jacobian, parse_word, word_concat, word_inverse,
                     word_to_text)

@@ -11,11 +11,12 @@ The ranks are forced by the dims: in an acyclic complex rank d_1 =
 dim C_0 and rank d_{i+1} = dim C_i - rank d_i, and the zero map out of
 C_top has rank 0 exactly when the Euler characteristic vanishes.  So
 dims that admit no acyclic complex raise NotAcyclic before any matrix
-is looked at, and one singular value decomposition per boundary map
-(`linalg.svd`, one rank threshold) only has to confirm its forced rank;
-it also gives the image basis and its lift.  The value does not depend
-on the choice of the b_i or of the lifts;
-`torsion_with_basis_perturbation` verifies that with randomized choices.
+is looked at, and the singular values of each boundary map (one rank
+threshold, see `linalg`) only have to confirm its forced rank.
+`torsion` takes one full SVD per boundary map, which also gives the
+image basis and its lift.  The value does not depend on the choice of
+the b_i or of the lifts; `torsion_with_basis_perturbation` verifies
+that with randomized choices, and reads singular values only.
 
 A complex may hold (N, ., .) stacks of boundary matrices, N complexes
 with the same dims.  `torsion`, `is_acyclic` and
@@ -34,7 +35,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DimensionMismatch, NotAcyclic
-from .linalg import _check_finite, svd
+from .linalg import _check_finite, rank, svd
 
 EPS = float(np.finfo(float).eps)
 DDZERO_RTOL = 1e-10      # tolerance on d o d = 0, relative to max entry
@@ -158,22 +159,19 @@ def _forced_ranks(dims) -> list[int]:
     return ranks
 
 
-def _svds(c: ChainComplex, ranks) -> tuple[list, np.ndarray]:
-    """(u, sv, vh) of each boundary stack d_1..d_top, and the (N,) mask
-    of the items where every d_i has its forced rank."""
-    svds, acyclic = [], np.ones(c.size, dtype=bool)
+def _acyclic(c: ChainComplex, ranks) -> np.ndarray:
+    """The (N,) mask of the items where every d_i has its forced rank."""
+    acyclic = np.ones(c.size, dtype=bool)
     for d, r in zip(c.stacks, ranks):
-        u, sv, vh, found = svd(d)
-        acyclic &= found == r
-        svds.append((u, sv, vh))
-    return svds, acyclic
+        acyclic &= rank(d) == r
+    return acyclic
 
 
 def is_acyclic(c: ChainComplex):
     """True iff rank d_i + rank d_{i+1} = dim C_i in every degree, i.e.
     every d_i has its forced rank; an (N,) mask for a stack."""
     try:
-        acyclic = _svds(c, _forced_ranks(c.dims))[1]
+        acyclic = _acyclic(c, _forced_ranks(c.dims))
     except NotAcyclic:
         acyclic = np.zeros(c.size, dtype=bool)
     return acyclic if c.stacked else bool(acyclic[0])
@@ -201,30 +199,37 @@ def torsion(c: ChainComplex) -> TorsionValue:
     basis in C_i is U_r (orthonormal, r the forced rank of d_{i+1}) and
     its lift to C_{i+1} is V_r S_r^-1.  For a stack, value and acyclic
     are (N,) arrays (see `TorsionValue`)."""
-    ranks = _forced_ranks(c.dims)
-    svds, acyclic = _svds(c, ranks)
-    bases = [u[:, :, :r] for (u, _, _), r in zip(svds, ranks)]
-    lifts = [vh[:, :r].conj().mT / sv[:, None, :r]
-             for (_, sv, vh), r in zip(svds, ranks)]
+    acyclic = np.ones(c.size, dtype=bool)
+    bases, lifts = [], []
+    for d, r in zip(c.stacks, _forced_ranks(c.dims)):
+        u, sv, vh, found = svd(d)
+        acyclic &= found == r
+        bases.append(u[:, :, :r])
+        lifts.append(vh[:, :r].conj().mT / sv[:, None, :r])
     tau, nonsingular = _alternating_product(bases, lifts)
     return stack_result(c.stacked, tau, acyclic & nonsingular)
 
 
 @np.errstate(all="ignore")   # a masked item may divide by 0
 def torsion_with_basis_perturbation(c: ChainComplex, seed) -> TorsionValue:
-    """Same torsion, but with randomized image bases b = d g and randomized
-    lifts g + (kernel shift); agreement with `torsion` exercises choice
-    independence.  seed is an int or a Generator; every item draws its own
-    g and shift from that one stream.  An item whose b falls short of its
-    forced rank draws a new g, up to DRAW_TRIES in all, and is masked
-    (NotAcyclic for one complex) if none has full rank; so is an item
-    that is not acyclic, which draws no g."""
+    """Same torsion, but with randomized image bases b = d_{i+1} g and
+    randomized lifts g + d_{i+2} h; agreement with `torsion` exercises
+    choice independence.  The shift d_{i+2} h lies in ker d_{i+1}, which
+    is im d_{i+2} in an exact complex; the top map is injective, so its
+    lift is g alone.  Only singular values are computed: the ranks of
+    the d_i and of the b.  seed is an int or a Generator; every item
+    draws its own g and h from that one stream.  An item whose b falls
+    short of its forced rank draws a new g, up to DRAW_TRIES in all, and
+    is masked (NotAcyclic for one complex) if none has full rank; so is
+    an item that is not acyclic, which draws no g."""
     ranks = _forced_ranks(c.dims)
-    svds, acyclic = _svds(c, ranks)
+    acyclic = _acyclic(c, ranks)
     rng = np.random.default_rng(seed)
+    stacks = c.stacks
     bases, lifts, redrawn = [], [], 0
-    for d, (_, _, vh), r in zip(c.stacks, svds, ranks):
+    for i, (d, r) in enumerate(zip(stacks, ranks)):
         g = np.zeros((c.size, d.shape[2], r), dtype=complex)
+        b = np.zeros((c.size, d.shape[1], r), dtype=complex)
         todo = acyclic.copy()
         for tries in range(DRAW_TRIES):
             if not todo.any():
@@ -232,11 +237,15 @@ def torsion_with_basis_perturbation(c: ChainComplex, seed) -> TorsionValue:
             redrawn += int(todo.sum()) if tries else 0
             shape = (int(todo.sum()), *g.shape[1:])
             g[todo] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-            todo[todo] = svd(d[todo] @ g[todo])[3] != r
+            b[todo] = d[todo] @ g[todo]
+            todo[todo] = rank(b[todo]) != r
         acyclic &= ~todo
-        shape = (c.size, vh.shape[1] - r, r)
-        shift = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        bases.append(d @ g)
-        lifts.append(g + vh[:, r:].conj().mT @ shift)
+        if i + 1 < len(stacks):
+            nxt = stacks[i + 1]
+            shape = (c.size, nxt.shape[2], r)
+            h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            g = g + nxt @ h
+        bases.append(b)
+        lifts.append(g)
     tau, nonsingular = _alternating_product(bases, lifts)
     return stack_result(c.stacked, tau, acyclic & nonsingular, redrawn=redrawn)

@@ -117,13 +117,14 @@ def cmd_torsion(ns) -> int:
     print("tau(solid torus), u form   : "
           + (_fmt_cx(rep.tau_solid_closed) if rep.tau_solid_closed is not None
              else "n/a"))
+    # the paper's form, exact for the 1/n slopes only (see --help)
     if "degenerate" in rep.annotations:
-        print("tau(M)                     : omitted "
+        print("tau(M) (1/n form)          : omitted "
               "(degenerate, u^2(u^2 - 5) ~ 0)")
     elif "non-acyclic" in rep.annotations:
-        print("tau(M)                     : 0 (non-acyclic convention)")
+        print("tau(M) (1/n form)          : 0 (non-acyclic convention)")
     else:
-        print(f"tau(M)                     : {_fmt_cx(rep.tau_surgered)}")
+        print(f"tau(M) (1/n form)          : {_fmt_cx(rep.tau_surgered)}")
     for name, state in sorted(rep.flags.items()):
         print(f"  check {name}: {state}")
     if rep.annotations:

@@ -1,15 +1,17 @@
 """Small dense complex linear algebra: 2x2 matrices, quadratics, and
-the singular value decomposition that decides rank, image and kernel.
+the singular values that decide rank, image and kernel.
 
 Everything here works on plain numpy arrays with dtype complex128.
-All matrices in this project are tiny (at most 4x4); one LAPACK SVD
-per matrix gives its rank, an image basis with a lift, and a kernel
-basis, all under the one rank threshold RANK_RTOL on the singular
-values, which are the matrix's conditioning.
+All matrices in this project are tiny (at most 4x4).  The numerical
+rank is the count of singular values above the one threshold
+RANK_RTOL, relative to the largest, which is the matrix's
+conditioning.  `rank` reads the singular values alone; `svd` also
+returns U and V^H, which give an image basis with a lift and a kernel
+basis.
 
-`det2`, `mat2_inverse` and `svd` take an (N, ., .) stack of matrices
-as well as a single matrix, and work item by item; `solve_quadratic`
-takes arrays of coefficients.
+`det2`, `mat2_inverse`, `rank` and `svd` take an (N, ., .) stack of
+matrices as well as a single matrix, and work item by item;
+`solve_quadratic` takes arrays of coefficients.
 """
 
 from __future__ import annotations
@@ -118,6 +120,22 @@ def _solve_quadratic_arrays(a: np.ndarray, b: np.ndarray,
             np.where(plus_big, r_small, r_big))
 
 
+def _rank(sv: np.ndarray) -> np.ndarray:
+    """The number of singular values above RANK_RTOL * max(1, sv_max),
+    over the last axis of the descending singular values sv."""
+    # sv[..., :1] is sv_max (empty for an empty matrix)
+    return (sv > RANK_RTOL * np.maximum(sv[..., :1], 1.0)).sum(axis=-1)
+
+
+def rank(m: np.ndarray):
+    """Numerical rank of m, as in `svd`, from its singular values alone;
+    an (N,) integer array for an (N, ., .) stack.  Raises OverflowError
+    on a non-finite entry."""
+    m = _check_finite(np.asarray(m, dtype=complex))
+    r = _rank(np.linalg.svd(m, compute_uv=False))
+    return int(r) if m.ndim == 2 else r
+
+
 def svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Full singular value decomposition m = u diag(sv) vh (u and vh
     square unitary, sv descending) and the numerical rank r: the number
@@ -131,6 +149,5 @@ def svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """
     m = _check_finite(np.asarray(m, dtype=complex))
     u, sv, vh = np.linalg.svd(m)
-    # sv is descending, so sv[..., :1] is sv_max (empty for an empty m)
-    r = (sv > RANK_RTOL * np.maximum(sv[..., :1], 1.0)).sum(axis=-1)
+    r = _rank(sv)
     return u, sv, vh, int(r) if m.ndim == 2 else r

@@ -6,9 +6,10 @@ tolerance it was held to; `run_all` aggregates them deterministically
 for a given (samples, seed) pair.  The checks over sampled points,
 pairs and u make one stacked call each (N items at once, see
 `formulas.torsion_exterior_oracle` and `riley.rep_stacks`), the
-basis-independence check one perturbed call per dims, and the surgery
-check one `solve_surgery` call on its ten slopes, one residual call on
-all their rows and one torsion call.
+basis-independence check one `torsion` call and one perturbed call per
+dims, on fixtures drawn as one stack per dims, and the surgery check
+one `solve_surgery` call on its ten slopes, one residual call on all
+their rows and one torsion call.
 The samples are stacked draws: a round draws every missing item at
 once and the items a rule rejects are drawn again in the next round;
 the torus and product checks give that count in their detail.
@@ -21,6 +22,7 @@ import csv
 import io
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,39 +148,42 @@ def check_longitude_lemma(points) -> CheckResult:
                        detail=f"word l21 {worst_l21:.2e}, tol 1.0e-08")
 
 
-def random_acyclic_complex(rng) -> ChainComplex:
-    """Random exact 3-term complex: split a random invertible change of
-    basis of the middle space into an injection and a projection."""
-    d2 = int(rng.integers(1, 3))
-    d0 = int(rng.integers(1, 3))
-    d1 = d0 + d2
-    while True:
-        pmat = rng.normal(size=(d1, d1)) + 1j * rng.normal(size=(d1, d1))
-        if abs(np.linalg.det(pmat)) > 1e-3:
-            break
-    inj = pmat[:, :d2]                      # boundary C2 -> C1
-    proj = np.linalg.inv(pmat)[d2:, :]      # boundary C1 -> C0
-    return ChainComplex(dims=(d0, d1, d2), boundaries=(proj, inj))
+def random_acyclic_stacks(rng, n: int) -> list[ChainComplex]:
+    """n random exact 3-term complexes, one stack per dims: split a
+    random invertible change of basis P of the middle space into an
+    injection and a projection.  One draw gives every fixture's dims
+    (dim C_2 and dim C_0, each 1 or 2); per dims, in order of first
+    appearance, one draw gives every P, a P with |det P| <= 1e-3 is
+    redrawn in the next round, and one stacked inverse splits them."""
+    counts = Counter(map(tuple, rng.integers(1, 3, size=(n, 2)).tolist()))
+    stacks = []
+    for (d2, d0), k in counts.items():
+        d1 = d0 + d2
+        pmat = np.empty((0, d1, d1), dtype=complex)
+        while len(pmat) < k:
+            draw = rng.normal(size=(k - len(pmat), d1, 2 * d1)).view(complex)
+            pmat = np.concatenate(
+                [pmat, draw[np.abs(np.linalg.det(draw)) > 1e-3]])
+        inj = pmat[:, :, :d2]                      # boundary C2 -> C1
+        proj = np.linalg.inv(pmat)[:, d2:, :]      # boundary C1 -> C0
+        stacks.append(ChainComplex((d0, d1, d2), (proj, inj)))
+    return stacks
 
 
 def check_basis_independence(n_fixtures: int, seed: int) -> CheckResult:
     """Torsion is independent of image-basis and lift choices: the
-    fixtures, grouped by dims, as one stack per shape, each stack in one
-    `torsion` call and, tiled 10 times, in one perturbed call, so every
-    fixture meets 10 random bases; an item masked by either call fails
-    the check."""
+    fixtures, one stack per dims (`random_acyclic_stacks`), each stack
+    in one `torsion` call and, tiled 10 times, in one perturbed call,
+    so every fixture meets 10 random bases; an item masked by either
+    call fails the check."""
     rng = np.random.default_rng(seed)
-    shapes: dict = {}
-    for _ in range(n_fixtures):
-        cx = random_acyclic_complex(rng)
-        shapes.setdefault(cx.dims, []).append(cx.boundaries)
+    stacks = random_acyclic_stacks(rng, n_fixtures)
     worst, redrawn, masked = 0.0, 0, 0
-    for dims, items in shapes.items():
-        stack = tuple(map(np.array, zip(*items)))
-        ref = torsion(ChainComplex(dims, stack))
-        val = torsion_with_basis_perturbation(
-            ChainComplex(dims, tuple(np.tile(b, (10, 1, 1)) for b in stack)),
-            rng)
+    for stack in stacks:
+        ref = torsion(stack)
+        tiled = tuple(np.tile(b, (10, 1, 1)) for b in stack.boundaries)
+        val = torsion_with_basis_perturbation(ChainComplex(stack.dims, tiled),
+                                              rng)
         redrawn += val.redrawn
         ok = ref.acyclic & val.acyclic.reshape(10, -1)
         err = _relerr(val.value.reshape(10, -1), ref.value)[ok]
@@ -186,7 +191,7 @@ def check_basis_independence(n_fixtures: int, seed: int) -> CheckResult:
         masked += int(np.count_nonzero(~ok.all(axis=0)))
     return CheckResult("chain torsion basis independence",
                        masked == 0 and worst <= 1e-8, worst, 1e-8,
-                       detail=f"{n_fixtures} fixtures in {len(shapes)} shapes"
+                       detail=f"{n_fixtures} fixtures in {len(stacks)} shapes"
                               f" x 10 bases, {redrawn} redrawn, "
                               f"{masked} masked")
 

@@ -7,8 +7,8 @@ from fig8torsion.errors import DimensionMismatch, NotAcyclic
 from fig8torsion.linalg import E2
 from fig8torsion.riley import rep_matrices, solve_t
 from fig8torsion.formulas import presentation_complex
-from fig8torsion.verify import random_acyclic_complex
 from fig8torsion.words import X, Y, parse_word
+from complex_reference import random_acyclic_complex
 from fox_reference import evaluate_group_ring, fox_derivative
 
 
@@ -93,6 +93,66 @@ def test_basis_independence_random():
         for seed in range(10):
             val = torsion_with_basis_perturbation(cx, seed).value
             assert abs(val - ref) <= 1e-8 * max(1, abs(ref))
+
+
+def random_invertible(rng, n):
+    while True:
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        if abs(np.linalg.det(m)) > 1e-3:
+            return m
+
+
+def random_exact_four_term(rng) -> ChainComplex:
+    """Random exact complex C_3 -> C_2 -> C_1 -> C_0 of dims (1, 3, 3, 1),
+    from random changes of basis P of C_1 and Q of C_2: ker d_1 = im d_2
+    is spanned by P's first two columns and ker d_2 = im d_3 by Q's
+    first column, so both interior kernels are nonzero."""
+    p, q = random_invertible(rng, 3), random_invertible(rng, 3)
+    d1 = np.linalg.inv(p)[2:, :]                   # C1 -> C0, ker = P[:, :2]
+    d2 = p[:, :2] @ np.linalg.inv(q)[1:, :]        # C2 -> C1, ker = Q[:, :1]
+    d3 = q[:, :1]                                  # C3 -> C2, injective
+    return ChainComplex(dims=(1, 3, 3, 1), boundaries=(d1, d2, d3))
+
+
+def test_perturbation_four_term_complex():
+    """Two interior kernels: the lift shift into ker d_1 comes from d_2,
+    which is not the top map, and the one into ker d_2 from d_3."""
+    rng = np.random.default_rng(12)
+    cxs = [random_exact_four_term(rng) for _ in range(10)]
+    for k, cx in enumerate(cxs):
+        assert is_acyclic(cx)
+        ref = torsion(cx).value
+        val = torsion_with_basis_perturbation(cx, k).value
+        assert abs(val - ref) <= 1e-9 * max(1, abs(ref))
+    stack = ChainComplex(cxs[0].dims, tuple(map(np.array, zip(
+        *(cx.boundaries for cx in cxs)))))
+    val = torsion_with_basis_perturbation(stack, 3)
+    ref = torsion(stack)
+    assert val.acyclic.all() and ref.acyclic.all()
+    assert np.all(np.abs(val.value - ref.value)
+                  <= 1e-9 * np.maximum(1, np.abs(ref.value)))
+
+
+def test_inexact_complex_is_masked():
+    """d_1 d_2 = 0 holds, but d_2 = 0 falls short of its forced rank 1,
+    so the homology is nonzero: both calls mask the item in a stack, and
+    a single such complex raises NotAcyclic."""
+    exact = (np.array([[0.0, 3.0]]), np.array([[1.0], [0.0]]))
+    inexact = (np.array([[0.0, 3.0]]), np.zeros((2, 1)))
+    stack = ChainComplex((1, 2, 1), tuple(
+        np.array([a, b, a], dtype=complex) for a, b in zip(exact, inexact)))
+    assert is_acyclic(stack).tolist() == [True, False, True]
+    for val in (torsion(stack), torsion_with_basis_perturbation(stack, 0)):
+        assert val.acyclic.tolist() == [True, False, True]
+        assert np.isnan(val.value[1])
+        assert np.allclose(np.abs(val.value[[0, 2]]), 1 / 3, rtol=1e-12)
+    single = ChainComplex((1, 2, 1), tuple(np.asarray(b, dtype=complex)
+                                           for b in inexact))
+    assert not is_acyclic(single)
+    with pytest.raises(NotAcyclic):
+        torsion(single)
+    with pytest.raises(NotAcyclic):
+        torsion_with_basis_perturbation(single, 0)
 
 
 def test_preferred_basis_scaling_parity():

@@ -127,9 +127,11 @@ def test_bad_complex_values_exit_1(capsys, argv):
 def test_torsion_pretty(capsys):
     code, out, _ = run(capsys, "torsion", "--s", "1,0", "--branch", "+")
     assert code == 0
-    assert "tau(M)" in out and "-0.5" in out
+    # the tau(M) line names its form
+    assert "tau(M) (1/n form)          : -0.5" in out
     # all five torsion quantities present
-    for label in ("closed form", "Fox oracle", "trace", "u form", "tau(M)"):
+    for label in ("closed form", "Fox oracle", "trace", "u form",
+                  "tau(M) (1/n form)"):
         assert label in out
 
 
@@ -157,7 +159,8 @@ def test_torsion_degenerate_annotated(capsys):
     for s in (f"{golden},0", "0,1"):     # u = sqrt(5) and u = 0
         code, out, _ = run(capsys, "torsion", "--s", s)
         assert code == 0
-        assert "omitted (degenerate, u^2(u^2 - 5) ~ 0)" in out
+        assert ("tau(M) (1/n form)          : omitted "
+                "(degenerate, u^2(u^2 - 5) ~ 0)") in out
 
 
 GOLDEN = (1 + 5 ** 0.5) / 2      # u = sqrt(5): degenerate, non-acyclic

@@ -33,3 +33,31 @@ def test_every_import_is_used(path):
     unused = [f"{name} (line {line})" for name, line in imported_names(tree)
               if name not in used]
     assert not unused, f"{path.name} imports unused names: {unused}"
+
+
+def top_level_functions(tree):
+    """The names of the functions a module defines at its top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name
+
+
+def test_every_function_is_used_or_exported():
+    """A function of `src/` is called (or named) somewhere in `src/`
+    outside its own definition, or `__init__` exports it; a helper that
+    only the tests call belongs in `tests/`."""
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p))
+             for p in MODULES}
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = {name for name, _ in imported_names(init)}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = [f"{stem}.{name}" for stem, tree in trees.items()
+              for name in top_level_functions(tree)
+              if name not in used and name not in exported]
+    assert not unused, f"functions neither used in src/ nor exported: {unused}"

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from fig8torsion.errors import DegenerateLeadingCoefficient, SingularMatrix
-from fig8torsion.linalg import E2, mat2, mat2_inverse, solve_quadratic, svd
+from fig8torsion.linalg import (E2, RANK_RTOL, mat2, mat2_inverse, rank,
+                               solve_quadratic, svd)
 from fig8torsion.riley import rep_matrices, solve_t
 
 
@@ -144,3 +145,40 @@ def test_pivot_columns_span_image():
         assert np.max(np.abs(m @ lift - image)) <= 1e-10
         # every column of m lies in the span of the image basis
         assert np.max(np.abs(m - image @ (image.conj().T @ m))) <= 1e-10
+
+
+def random_unitary(rng, n):
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q
+
+
+def test_rank_is_the_svd_rank_on_planted_singular_values():
+    """Singular values planted at 0.5x and 2x the rank threshold, on
+    matrices of largest singular value below and above 1: `rank` counts
+    the 2x ones and not the 0.5x ones, as `svd` does, on a stack and
+    item by item."""
+    rng = np.random.default_rng(7)
+    mats, expected = [], []
+    for _ in range(60):
+        rows, cols = (int(n) for n in rng.integers(2, 5, size=2))
+        k = min(rows, cols)
+        top = 10.0 ** rng.uniform(-1, 2)
+        factors = rng.choice([0.5, 2.0], size=k - 1)
+        sv = np.concatenate([[top], factors * RANK_RTOL * max(1.0, top)])
+        sv[1:] *= rng.random(k - 1) < 0.8       # and some exact zeros
+        u, vh = random_unitary(rng, rows)[:, :k], random_unitary(rng, cols)[:k]
+        m = (u * sv) @ vh
+        mats.append(np.zeros((4, 4), dtype=complex))
+        mats[-1][:rows, :cols] = m
+        expected.append(1 + int(np.count_nonzero(sv[1:] > RANK_RTOL
+                                                  * max(1.0, top))))
+        assert rank(m) == svd(m)[3] == expected[-1]
+        assert isinstance(rank(m), int)
+    stack = np.array(mats)
+    assert rank(stack).tolist() == svd(stack)[3].tolist() == expected
+    assert 1 < len(set(expected))
+
+
+def test_rank_rejects_non_finite():
+    with pytest.raises(OverflowError):
+        rank(np.array([[1.0, np.nan]]))

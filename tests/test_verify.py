@@ -29,11 +29,12 @@ from fig8torsion.formulas import torsion_surgered
 from fig8torsion.surgery import SurgerySlope, solve_surgery, surgery_residual
 from fig8torsion.verify import (check_basis_independence,
                                 check_product_identity, check_surgery_solver,
-                                check_torus_oracle,
-                                random_acyclic_complex, random_commuting_pairs,
-                                run_all, sample_variety_points)
+                                check_torus_oracle, random_acyclic_stacks,
+                                random_commuting_pairs, run_all,
+                                sample_variety_points)
 from fig8torsion import surgery, verify
 from fig8torsion.words import X, Y, fox_jacobian, parse_word, word_product
+from complex_reference import random_acyclic_complex
 
 STACK_RTOL = 1e-14
 REFERENCE_RTOL = 1e-10
@@ -148,6 +149,7 @@ def test_euler_characteristic_raises_before_any_svd(monkeypatch):
         raise AssertionError("svd called")
 
     monkeypatch.setattr(chain, "svd", no_svd)
+    monkeypatch.setattr(chain, "rank", no_svd)
     cx = ChainComplex(dims=(1, 2),
                       boundaries=(np.array([[1.0, 2.0]], dtype=complex),))
     with pytest.raises(NotAcyclic, match="Euler"):
@@ -412,13 +414,13 @@ def test_only_the_near_threshold_item_redraws(monkeypatch):
     one = torsion_with_basis_perturbation(items_of(stack)[1], 4)
     assert one.redrawn == 1
     sizes = []
-    svd = chain.svd
+    rank = chain.rank
 
-    def counting_svd(m):
+    def counting_rank(m):
         sizes.append(len(m))
-        return svd(m)
+        return rank(m)
 
-    monkeypatch.setattr(chain, "svd", counting_svd)
+    monkeypatch.setattr(chain, "rank", counting_rank)
     val = torsion_with_basis_perturbation(stack, 5)
     # the boundaries, then the three first draws, then the one redraw
     assert sizes == [3, 3, 1]
@@ -454,14 +456,20 @@ def reference_basis_check(n_fixtures, seed):
 
 @pytest.mark.parametrize("seed", [1, 18, 20240824])
 def test_basis_check_matches_reference_loop(seed):
-    """The same verdict; the check draws its bases from its own stream,
-    so the residuals are different rounding errors, both far under the
-    tolerance."""
+    """The same verdict; the check draws its fixtures as one stack per
+    dims and its bases from its own stream, so the residuals are those of
+    other complexes and bases, both far under the tolerance."""
     passed, worst = reference_basis_check(20, seed)
     res = check_basis_independence(20, seed)
     assert res.passed == passed
     assert max(res.max_residual, worst) <= 1e-11
     assert res.detail.endswith("x 10 bases, 0 redrawn, 0 masked")
+
+
+def fixture_shapes(n_fixtures, seed):
+    """The dims of the check's fixture stacks, replayed from its seed."""
+    return [c.dims for c in
+            random_acyclic_stacks(np.random.default_rng(seed), n_fixtures)]
 
 
 def test_basis_check_makes_one_call_per_shape(monkeypatch):
@@ -477,9 +485,9 @@ def test_basis_check_makes_one_call_per_shape(monkeypatch):
     monkeypatch.setattr(verify, "torsion_with_basis_perturbation",
                         counting("perturbed", torsion_with_basis_perturbation))
     res = check_basis_independence(20, seed=2)
-    rng = np.random.default_rng(2)
-    shapes = {random_acyclic_complex(rng).dims for _ in range(20)}
-    assert len(calls["torsion"]) == len(calls["perturbed"]) == len(shapes)
+    shapes = fixture_shapes(20, seed=2)
+    assert [c.dims for c in calls["torsion"]] == shapes
+    assert [c.dims for c in calls["perturbed"]] == shapes
     # every fixture rides in one stack, and the perturbed stack is that
     # stack tiled 10 times
     assert sum(c.size for c in calls["torsion"]) == 20
@@ -492,19 +500,26 @@ def test_basis_check_makes_one_call_per_shape(monkeypatch):
 
 
 def test_basis_check_svd_calls(monkeypatch):
-    # per shape: the two boundaries of the torsion call, of the perturbed
-    # call, and one stacked rank test of the random bases per boundary
-    n_svd = []
+    # per shape: one full svd per boundary in the torsion call, then none
+    # in the perturbed call, which reads singular values only (`rank`)
+    calls = []
     svd = chain.svd
 
     def counting_svd(m):
-        n_svd.append(None)
+        calls.append("svd")
         return svd(m)
 
+    def marked(c, rng):
+        calls.append("perturbed")
+        return torsion_with_basis_perturbation(c, rng)
+
     monkeypatch.setattr(chain, "svd", counting_svd)
+    monkeypatch.setattr(verify, "torsion_with_basis_perturbation", marked)
     for seed in range(2, 22):
+        del calls[:]
         check_basis_independence(20, seed)
-    assert len(n_svd) <= 24 * 20
+        n_shapes = len(fixture_shapes(20, seed))
+        assert calls == ["svd", "svd", "perturbed"] * n_shapes, seed
 
 
 def test_masked_fixture_fails_the_basis_check(monkeypatch):
@@ -518,8 +533,7 @@ def test_masked_fixture_fails_the_basis_check(monkeypatch):
     monkeypatch.setattr(verify, "torsion_with_basis_perturbation", mask_first)
     res = check_basis_independence(20, seed=2)
     assert not res.passed and np.isfinite(res.max_residual)
-    rng = np.random.default_rng(2)
-    shapes = {random_acyclic_complex(rng).dims for _ in range(20)}
+    shapes = fixture_shapes(20, seed=2)
     assert res.detail.endswith(f"0 redrawn, {len(shapes)} masked")
 
 
