@@ -13,10 +13,12 @@ C_top has rank 0 exactly when the Euler characteristic vanishes.  So
 dims that admit no acyclic complex raise NotAcyclic before any matrix
 is looked at, and the singular values of each boundary map (one rank
 threshold, see `linalg`) only have to confirm its forced rank.
-`torsion` takes one full SVD per boundary map, which also gives the
-image basis and its lift.  The value does not depend on the choice of
-the b_i or of the lifts; `torsion_with_basis_perturbation` verifies
-that with randomized choices, and reads singular values only.
+`torsion` takes one reduced SVD per boundary map, which also gives the
+image basis and its lift; on a long enough stack of maps with two rows
+or two columns that SVD is `linalg`'s stacked Jacobi kernel, otherwise
+LAPACK.  The value does not depend on the choice of the b_i or of the
+lifts; `torsion_with_basis_perturbation` verifies that with randomized
+choices, and reads singular values only.
 
 A complex may hold (N, ., .) stacks of boundary matrices, N complexes
 with the same dims.  `torsion`, `is_acyclic` and
@@ -195,10 +197,10 @@ def _alternating_product(bases, lifts) -> tuple[np.ndarray, np.ndarray]:
 
 @np.errstate(all="ignore")   # a non-acyclic item may divide by 0; masked
 def torsion(c: ChainComplex) -> TorsionValue:
-    """Torsion from one SVD d_{i+1} = U S V^H per boundary: the image
-    basis in C_i is U_r (orthonormal, r the forced rank of d_{i+1}) and
-    its lift to C_{i+1} is V_r S_r^-1.  For a stack, value and acyclic
-    are (N,) arrays (see `TorsionValue`)."""
+    """Torsion from one reduced SVD d_{i+1} = U S V^H per boundary (see
+    `linalg.svd`): the image basis in C_i is U_r (orthonormal, r the
+    forced rank of d_{i+1}) and its lift to C_{i+1} is V_r S_r^-1.  For
+    a stack, value and acyclic are (N,) arrays (see `TorsionValue`)."""
     acyclic = np.ones(c.size, dtype=bool)
     bases, lifts = [], []
     for d, r in zip(c.stacks, _forced_ranks(c.dims)):

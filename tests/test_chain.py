@@ -4,7 +4,7 @@ import pytest
 from fig8torsion.chain import (ChainComplex, is_acyclic, torsion,
                                torsion_with_basis_perturbation)
 from fig8torsion.errors import DimensionMismatch, NotAcyclic
-from fig8torsion.linalg import E2
+from fig8torsion.linalg import E2, JACOBI_MIN_ITEMS, svd
 from fig8torsion.riley import rep_matrices, solve_t
 from fig8torsion.formulas import presentation_complex
 from fig8torsion.words import X, Y, parse_word
@@ -131,6 +131,23 @@ def test_perturbation_four_term_complex():
     assert val.acyclic.all() and ref.acyclic.all()
     assert np.all(np.abs(val.value - ref.value)
                   <= 1e-9 * np.maximum(1, np.abs(ref.value)))
+
+
+def test_four_term_stack_takes_lapack(lapack_svds):
+    """No boundary of the (1, 3, 3, 1) complex has two rows or two
+    columns, so however long its stack, `svd` of its 3 x 3 map makes one
+    LAPACK call and `torsion` one per boundary."""
+    cx = random_exact_four_term(np.random.default_rng(13))
+    n = JACOBI_MIN_ITEMS
+    tiled = ChainComplex(cx.dims,
+                         tuple(np.tile(b, (n, 1, 1)) for b in cx.boundaries))
+    assert svd(tiled.boundaries[1])[3].tolist() == [2] * n
+    assert lapack_svds == [(n, 3, 3)]
+    del lapack_svds[:]
+    val = torsion(tiled)
+    assert lapack_svds == [(n, 1, 3), (n, 3, 3), (n, 3, 1)]
+    assert val.acyclic.all()
+    assert np.allclose(val.value, torsion(cx).value, rtol=1e-14, atol=0)
 
 
 def test_inexact_complex_is_masked():

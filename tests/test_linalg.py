@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from fig8torsion.errors import DegenerateLeadingCoefficient, SingularMatrix
-from fig8torsion.linalg import (E2, RANK_RTOL, mat2, mat2_inverse, rank,
-                               solve_quadratic, svd)
+from fig8torsion.linalg import (E2, JACOBI_MIN_ITEMS, RANK_RTOL, mat2,
+                               mat2_inverse, rank, solve_quadratic, svd)
 from fig8torsion.riley import rep_matrices, solve_t
 
 
@@ -13,8 +13,10 @@ def random_unimodular(rng):
 
 
 def kernel(m):
-    _, _, vh, r = svd(m)
-    return vh[r:].conj().T
+    """An orthonormal kernel basis of m: the rows of LAPACK's full V^H
+    past `svd`'s rank, as `svd` returns the reduced factorization."""
+    r = svd(m)[3]
+    return np.linalg.svd(m)[2][r:].conj().T
 
 
 def assert_orthonormal(cols):
@@ -147,36 +149,151 @@ def test_pivot_columns_span_image():
         assert np.max(np.abs(m - image @ (image.conj().T @ m))) <= 1e-10
 
 
-def random_unitary(rng, n):
-    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+def planted(rng, rows, cols, sv):
+    """A rows x cols matrix, or an (N, rows, cols) stack for (N, k)
+    singular values sv, with those singular values and random singular
+    vectors."""
+    lead = sv.shape[:-1]
+    k = sv.shape[-1]
+    u = random_unitary(rng, rows, lead)[..., :k]
+    vh = random_unitary(rng, cols, lead)[..., :k, :]
+    return (u * sv[..., None, :]) @ vh
+
+
+def random_unitary(rng, n, lead=()):
+    shape = (*lead, n, n)
+    q, _ = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))
     return q
+
+
+KERNEL_SHAPES = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2)]
+
+
+def planted_near_threshold(rng, n, k):
+    """(n, k) singular values: the largest 10^U(-1, 2), the others at 0.5x
+    or 2x the rank threshold, about one in five exactly 0; and the ranks
+    they give."""
+    top = 10.0 ** rng.uniform(-1, 2, size=(n, 1))
+    factors = rng.choice([0.5, 2.0], size=(n, k - 1))
+    rest = factors * RANK_RTOL * np.maximum(1.0, top)
+    rest *= rng.random((n, k - 1)) < 0.8
+    expected = 1 + np.count_nonzero(rest > RANK_RTOL * np.maximum(1.0, top),
+                                    axis=1)
+    return np.concatenate([top, rest], axis=1), expected
 
 
 def test_rank_is_the_svd_rank_on_planted_singular_values():
     """Singular values planted at 0.5x and 2x the rank threshold, on
     matrices of largest singular value below and above 1: `rank` counts
     the 2x ones and not the 0.5x ones, as `svd` does, on a stack and
-    item by item."""
+    item by item; and `svd` does on stacks of each two-row or two-column
+    shape long enough for its Jacobi kernel."""
     rng = np.random.default_rng(7)
     mats, expected = [], []
     for _ in range(60):
         rows, cols = (int(n) for n in rng.integers(2, 5, size=2))
-        k = min(rows, cols)
-        top = 10.0 ** rng.uniform(-1, 2)
-        factors = rng.choice([0.5, 2.0], size=k - 1)
-        sv = np.concatenate([[top], factors * RANK_RTOL * max(1.0, top)])
-        sv[1:] *= rng.random(k - 1) < 0.8       # and some exact zeros
-        u, vh = random_unitary(rng, rows)[:, :k], random_unitary(rng, cols)[:k]
-        m = (u * sv) @ vh
+        sv, ranks = planted_near_threshold(rng, 1, min(rows, cols))
+        m = planted(rng, rows, cols, sv[0])
         mats.append(np.zeros((4, 4), dtype=complex))
         mats[-1][:rows, :cols] = m
-        expected.append(1 + int(np.count_nonzero(sv[1:] > RANK_RTOL
-                                                  * max(1.0, top))))
+        expected.append(int(ranks[0]))
         assert rank(m) == svd(m)[3] == expected[-1]
         assert isinstance(rank(m), int)
     stack = np.array(mats)
     assert rank(stack).tolist() == svd(stack)[3].tolist() == expected
     assert 1 < len(set(expected))
+    for rows, cols in KERNEL_SHAPES:
+        sv, ranks = planted_near_threshold(rng, JACOBI_MIN_ITEMS + 7, 2)
+        stack = planted(rng, rows, cols, sv)
+        assert rank(stack).tolist() == svd(stack)[3].tolist() == ranks.tolist()
+        assert set(ranks) == {1, 2}
+
+
+@pytest.mark.parametrize("rows, cols", [(2, 4), (4, 2), (2, 2)])
+@pytest.mark.parametrize("kappa", [1.0, 1e4, 1e6, 1e8])
+def test_kernel_accuracy_on_planted_conditioning(rows, cols, kappa):
+    """The Jacobi kernel on stacks of condition number kappa: m = U S V^H
+    to a few eps * |m|, U and V orthonormal to a few eps, and the lift
+    consistent, m V S^-1 = U, to a few eps * kappa, as LAPACK's is (a
+    single rotation leaves it at eps * kappa^2).  At kappa = 1 the two
+    computed sigma can come out of order (here on one 2 x 2 item), and
+    the kernel swaps them back."""
+    rng = np.random.default_rng(int(np.log10(kappa)) * 10 + rows)
+    n = 2 * JACOBI_MIN_ITEMS
+    top = 10.0 ** rng.uniform(-1, 2, size=(n, 1))
+    sv_planted = top * np.array([1.0, 1 / kappa])
+    m = planted(rng, rows, cols, sv_planted)
+    u, sv, vh, r = svd(m)
+    assert u.shape == (n, rows, 2) and vh.shape == (n, 2, cols)
+    assert (r == 2).all() and (sv[:, 0] >= sv[:, 1]).all()
+    eps, c = np.finfo(float).eps, 16
+    norm = top[:, 0]
+    assert (np.abs(sv - sv_planted).max(axis=1) <= c * eps * norm).all()
+    recon = np.abs((u * sv[:, None, :]) @ vh - m).max(axis=(1, 2))
+    assert (recon <= c * eps * norm).all()
+    eye = np.eye(2)
+    assert np.abs(u.conj().mT @ u - eye).max() <= c * eps
+    assert np.abs(vh @ vh.conj().mT - eye).max() <= c * eps
+    lift = m @ (vh.conj().mT / sv[:, None, :])
+    assert np.abs(lift - u).max() <= c * eps * kappa
+
+
+def test_kernel_zero_and_rank_one_items():
+    """A zero item and a rank-1 item in a kernel-sized stack: ranks 0
+    and 1, finite factors and no RuntimeWarning (an error here)."""
+    rng = np.random.default_rng(9)
+    for rows, cols in KERNEL_SHAPES:
+        stack = planted(rng, rows, cols, np.ones((JACOBI_MIN_ITEMS, 2)))
+        stack[3] = 0
+        stack[5] = np.outer(rng.normal(size=rows), rng.normal(size=cols))
+        u, sv, vh, r = svd(stack)
+        assert r[3] == 0 and r[5] == 1 and (np.delete(r, [3, 5]) == 2).all()
+        assert all(np.isfinite(x).all() for x in (u, sv, vh))
+        assert (sv[3] == 0).all()
+        assert np.abs((u[5] * sv[5]) @ vh[5] - stack[5]).max() <= 1e-14
+
+
+def test_kernel_scales_exactly():
+    """A power-of-two scaling of the stack scales sv exactly and leaves
+    U and V^H as they are, down to entries far beyond the square root
+    of the float range, where a Gram entry would overflow unscaled."""
+    rng = np.random.default_rng(10)
+    stack = planted(rng, 2, 4, np.array([3.0, 0.25]) * np.ones((60, 1)))
+    u, sv, vh, _ = svd(stack)
+    for power in (-600, 600):
+        us, svs, vhs, _ = svd(stack * 2.0 ** power)
+        assert np.array_equal(us, u) and np.array_equal(vhs, vh)
+        assert np.array_equal(svs, sv * 2.0 ** power)
+
+
+@pytest.mark.parametrize("n", [1, JACOBI_MIN_ITEMS])
+def test_svd_rejects_non_finite(n):
+    for bad in (np.nan, np.inf):
+        stack = np.ones((n, 2, 4), dtype=complex)
+        stack[-1, 1, 2] = bad
+        with pytest.raises(OverflowError):
+            svd(stack)
+        with pytest.raises(OverflowError):
+            rank(stack)
+
+
+def test_svd_branches(lapack_svds):
+    """LAPACK for a single matrix, for a one-item stack and for a stack
+    shorter than JACOBI_MIN_ITEMS; the kernel, with no LAPACK call, for
+    a two-row or two-column stack of that length."""
+    calls = lapack_svds
+    rng = np.random.default_rng(11)
+    m = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+    for x in (m, m[None], np.tile(m, (JACOBI_MIN_ITEMS - 1, 1, 1))):
+        del calls[:]
+        svd(x)
+        assert calls == [x.shape]
+    for rows, cols in KERNEL_SHAPES:
+        del calls[:]
+        u, sv, vh, r = svd(planted(rng, rows, cols,
+                                   np.ones((JACOBI_MIN_ITEMS, 2))))
+        assert calls == [] and (r == 2).all()
+        assert u.shape[1:] == (rows, 2) and vh.shape[1:] == (2, cols)
 
 
 def test_rank_rejects_non_finite():

@@ -21,7 +21,7 @@ from fig8torsion.formulas import (presentation_complex,
                                   torsion_exterior_closed,
                                   torsion_exterior_oracle,
                                   torus_torsion_oracle)
-from fig8torsion.linalg import E2, mat2, mat2_inverse
+from fig8torsion.linalg import E2, JACOBI_MIN_ITEMS, mat2, mat2_inverse
 from fig8torsion.riley import (LONGITUDE, RELATOR, longitude_l11,
                                longitude_matrix_word, rep_stacks, solve_t,
                                trace_l, trace_u)
@@ -99,6 +99,28 @@ def test_stacked_torus_oracle_matches_items(pairs):
     assert val.sign_ambiguous and val.acyclic.all()
     for k, (a, b) in enumerate(pairs):
         assert close(val.value[k], torus_torsion_oracle(a, b).value)
+
+
+def test_exterior_stack_above_the_jacobi_crossover_matches_items():
+    """The exterior check's 203 points as one stack, whose 2 x 4 and
+    4 x 2 boundaries take `svd`'s Jacobi kernel, against each point
+    alone, which takes LAPACK.  Two SVD algorithms, each backward stable,
+    put the torsions within a few eps * kappa(d_1) kappa(d_2) of each
+    other; that product stays below 1e4 for |s| in [0.3, 3], so the
+    bound is REFERENCE_RTOL, that of a different route, not STACK_RTOL."""
+    points = [solve_t(1.0)[0], *solve_t(2.0)] + sample_variety_points(200, 5)
+    assert len(points) >= JACOBI_MIN_ITEMS
+    cx = exterior_complexes(points)
+    kappa = np.ones(len(points))
+    for d in cx.boundaries:
+        sv = np.linalg.svd(d, compute_uv=False)
+        kappa *= sv[:, 0] / sv[:, 1]
+    assert kappa.max() < 1e4
+    val = torsion_exterior_oracle(points)
+    assert val.acyclic.all()
+    for k, pt in enumerate(points):
+        assert close(val.value[k], torsion_exterior_oracle(pt).value,
+                     REFERENCE_RTOL)
 
 
 def test_stacked_fox_jacobian_and_inverse_match_items(pairs):
@@ -520,6 +542,28 @@ def test_basis_check_svd_calls(monkeypatch):
         check_basis_independence(20, seed)
         n_shapes = len(fixture_shapes(20, seed))
         assert calls == ["svd", "svd", "perturbed"] * n_shapes, seed
+
+
+def test_only_the_basis_check_takes_lapack_svds(monkeypatch, lapack_svds):
+    """In run_all(200, 0) the exterior (203 points) and torus (100 pairs)
+    checks take `svd`'s Jacobi kernel and make no full LAPACK SVD; the
+    basis check's `torsion` calls, on stacks of at most 20 fixtures,
+    make one per boundary."""
+    by_check = {}
+    for name in ("check_exterior_oracle", "check_torus_oracle",
+                 "check_basis_independence"):
+        def marked(*args, _check=getattr(verify, name), _name=name):
+            start = len(lapack_svds)
+            res = _check(*args)
+            by_check[_name] = lapack_svds[start:]
+            return res
+
+        monkeypatch.setattr(verify, name, marked)
+    run_all(200, 0)
+    assert by_check["check_exterior_oracle"] == []
+    assert by_check["check_torus_oracle"] == []
+    shapes = fixture_shapes(20, 1)
+    assert len(by_check["check_basis_independence"]) == 2 * len(shapes)
 
 
 def test_masked_fixture_fails_the_basis_check(monkeypatch):
