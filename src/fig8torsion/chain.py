@@ -16,8 +16,14 @@ threshold, see `linalg`) only have to confirm its forced rank.
 `torsion` takes one reduced SVD per boundary map, which also gives the
 image basis and its lift; on a long enough stack of maps with two rows
 or two columns that SVD is `linalg`'s stacked Jacobi kernel, otherwise
-LAPACK.  The value does not depend on the choice of the b_i or of the
-lifts; `torsion_with_basis_perturbation` verifies that with randomized
+LAPACK.  The determinants of the assembled 1 x 1 and 2 x 2 bases are
+taken in closed form (`_det`), larger ones by LAPACK.  Median us per
+call, closed form / LAPACK (2-core Xeon, numpy 2.4.6):
+    N        1          20        203
+    1x1   0.3/2.1   0.3/3.4   0.3/20
+    2x2   2.0/2.1   1.7/4.7   2.1/33
+The value does not depend on the choice of the b_i or of the lifts;
+`torsion_with_basis_perturbation` verifies that with randomized
 choices, and reads singular values only.
 
 A complex may hold (N, ., .) stacks of boundary matrices, N complexes
@@ -25,8 +31,8 @@ with the same dims.  `torsion`, `is_acyclic` and
 `torsion_with_basis_perturbation` then work item by item and mask a
 non-acyclic item where a single complex raises NotAcyclic.
 `torsion_with_basis_perturbation` draws every item's random bases from
-one generator, item by item, so a stack of k copies of one complex
-checks k different choices of bases in one call.
+one generator, item by item, so its `copies` = k checks k different
+choices of bases per complex in one call, ranking each complex once.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DimensionMismatch, NotAcyclic
-from .linalg import _check_finite, rank, svd
+from .linalg import _check_finite, det2, rank, svd
 
 EPS = float(np.finfo(float).eps)
 DDZERO_RTOL = 1e-10      # tolerance on d o d = 0, relative to max entry
@@ -179,6 +185,16 @@ def is_acyclic(c: ChainComplex):
     return acyclic if c.stacked else bool(acyclic[0])
 
 
+def _det(m: np.ndarray) -> np.ndarray:
+    """The (N,) determinants of an (N, k, k) stack: in closed form for
+    k = 1 and k = 2, from LAPACK for larger k."""
+    if m.shape[-1] == 1:
+        return m[:, 0, 0]
+    if m.shape[-1] == 2:
+        return det2(m)
+    return np.linalg.det(m)
+
+
 def _alternating_product(bases, lifts) -> tuple[np.ndarray, np.ndarray]:
     """bases[i]: (N, dim C_i, rank d_{i+1}) columns spanning Im d_{i+1}
     inside C_i, for i < top; lifts[i]: their preimages in C_{i+1}.
@@ -190,7 +206,7 @@ def _alternating_product(bases, lifts) -> tuple[np.ndarray, np.ndarray]:
     mats = [bases[0],
             *(np.concatenate(pair, axis=2) for pair in zip(bases[1:], lifts)),
             lifts[-1]]
-    dets = np.array([np.linalg.det(m) for m in mats])
+    dets = np.array([_det(m) for m in mats])
     tau = dets[1::2].prod(axis=0) / dets[::2].prod(axis=0)
     return tau, (dets != 0).all(axis=0)
 
@@ -213,7 +229,8 @@ def torsion(c: ChainComplex) -> TorsionValue:
 
 
 @np.errstate(all="ignore")   # a masked item may divide by 0
-def torsion_with_basis_perturbation(c: ChainComplex, seed) -> TorsionValue:
+def torsion_with_basis_perturbation(c: ChainComplex, seed,
+                                    copies: int = 1) -> TorsionValue:
     """Same torsion, but with randomized image bases b = d_{i+1} g and
     randomized lifts g + d_{i+2} h; agreement with `torsion` exercises
     choice independence.  The shift d_{i+2} h lies in ker d_{i+1}, which
@@ -223,15 +240,21 @@ def torsion_with_basis_perturbation(c: ChainComplex, seed) -> TorsionValue:
     draws its own g and h from that one stream.  An item whose b falls
     short of its forced rank draws a new g, up to DRAW_TRIES in all, and
     is masked (NotAcyclic for one complex) if none has full rank; so is
-    an item that is not acyclic, which draws no g."""
+    an item that is not acyclic, which draws no g.
+
+    copies > 1 checks that many choices of bases per item: the N items
+    are ranked once, then their masks and boundaries are tiled as
+    `np.tile` does (copy j of item k is item j N + k of the result), and
+    the result is a stack of copies * N values."""
     ranks = _forced_ranks(c.dims)
-    acyclic = _acyclic(c, ranks)
+    acyclic = np.tile(_acyclic(c, ranks), copies)
     rng = np.random.default_rng(seed)
-    stacks = c.stacks
+    stacks = tuple(np.tile(d, (copies, 1, 1)) for d in c.stacks)
+    size = copies * c.size
     bases, lifts, redrawn = [], [], 0
     for i, (d, r) in enumerate(zip(stacks, ranks)):
-        g = np.zeros((c.size, d.shape[2], r), dtype=complex)
-        b = np.zeros((c.size, d.shape[1], r), dtype=complex)
+        g = np.zeros((size, d.shape[2], r), dtype=complex)
+        b = np.zeros((size, d.shape[1], r), dtype=complex)
         todo = acyclic.copy()
         for tries in range(DRAW_TRIES):
             if not todo.any():
@@ -244,10 +267,11 @@ def torsion_with_basis_perturbation(c: ChainComplex, seed) -> TorsionValue:
         acyclic &= ~todo
         if i + 1 < len(stacks):
             nxt = stacks[i + 1]
-            shape = (c.size, nxt.shape[2], r)
+            shape = (size, nxt.shape[2], r)
             h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
             g = g + nxt @ h
         bases.append(b)
         lifts.append(g)
     tau, nonsingular = _alternating_product(bases, lifts)
-    return stack_result(c.stacked, tau, acyclic & nonsingular, redrawn=redrawn)
+    return stack_result(c.stacked or copies > 1, tau, acyclic & nonsingular,
+                        redrawn=redrawn)

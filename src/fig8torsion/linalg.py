@@ -15,8 +15,8 @@ matrices as well as a single matrix, and work item by item;
 `svd` has two branches.  LAPACK (`np.linalg.svd`) runs one call per
 item, ~5-7 us for a 2 x 4 matrix, while an elementwise numpy call on a
 whole stack of a few hundred items costs ~1-3 us.  So a stack of at
-least JACOBI_MIN_ITEMS matrices with two rows or two columns, the
-shape of every boundary map of the exterior, torus and solid-torus
+least STACK_KERNEL_MIN_ITEMS matrices with two rows or two columns,
+the shape of every boundary map of the exterior, torus and solid-torus
 complexes, goes to `_jacobi_svd`: one-sided (Hestenes) Jacobi on the
 two columns, about a hundred numpy calls on the whole stack whatever
 its length (Demmel and Veselic, "Jacobi's method is more accurate than
@@ -24,7 +24,11 @@ QR", SIMAX 13, 1992).
 Its two rotations keep the lift m V_r S_r^-1 = U_r to eps * kappa, as
 LAPACK's; one rotation leaves it at eps * kappa^2 for a wide m.
 Single matrices, short stacks and every other shape stay on LAPACK,
-as does `rank`.
+which computes the reduced factorization only, as does `rank`.
+The same stack length is the one from which `words.fox_blocks`
+multiplies 2 x 2 stacks on their four entry arrays instead of with
+numpy's `matmul`, whose per-item loop costs ~0.22 us per 2 x 2 complex
+product.
 """
 
 from __future__ import annotations
@@ -38,18 +42,25 @@ from .errors import DegenerateLeadingCoefficient, SingularMatrix
 RANK_RTOL = 1e-9         # rank threshold, relative to max(1, largest sigma)
 SINGULAR_TOL = 1e-12     # |det| below this means "singular" for 2x2 inverses
 LEADING_TOL = 1e-12      # |a| below this: a z^2 + b z + c is not a quadratic
-# the shortest stack that `svd` hands to `_jacobi_svd`.  Median us per
-# call, kernel / LAPACK, on stacks of N random matrices (2-core Xeon,
-# Python 3.11.7, numpy 2.4.6, one BLAS thread):
+# the shortest stack that `svd` hands to `_jacobi_svd` and on which
+# `words.fox_blocks` runs its pass on entry arrays.  Median us per call
+# on stacks of N random matrices (2-core Xeon, Python 3.11.7, numpy
+# 2.4.6, one BLAS thread).  SVD, kernel / LAPACK:
 #   N        1       16       32       40       48      100      203
 #   2x4   132/23  147/125  164/236  172/289  178/343  234/706  343/1409
 #   4x2   129/22  146/114  164/214  171/265  176/312  235/641  333/1303
 #   2x2   145/22  154/87   120/97   112/122  137/151  166/326  225/609
 #   2x3    82/16  129/106  172/237  182/290  187/347  163/596  283/1050
 #   3x2    93/17   96/73   148/186  136/189  155/227  215/563  301/1132
-# The kernel wins on every shape from N = 40; 48 leaves a margin for
-# the 2 x 2 maps, on which LAPACK is cheapest.
-JACOBI_MIN_ITEMS = 48
+# 2 x 2 product and the Fox pass over the 10-letter relator, `matmul` /
+# entry arrays:
+#   N          1        8       16       32       48      100      203
+#   a @ b   1.7/6.0  3.6/4.1  5.0/3.8  9.1/4.1  12/3.9   24/5.2   45/5.8
+#   Fox     22/86    40/86    54/84    96/86   120/82   242/104  460/120
+# The SVD kernel wins on every shape from N = 40 and the Fox pass from
+# N = 32; 48 leaves a margin for the 2 x 2 maps, on which LAPACK is
+# cheapest.
+STACK_KERNEL_MIN_ITEMS = 48
 _TINY = np.finfo(float).tiny
 
 E2 = np.eye(2, dtype=complex)
@@ -231,21 +242,19 @@ def svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     a non-finite entry.  For an (N, ., .) stack every output gains a
     leading axis of length N, and r is an (N,) integer array.
 
-    An (N, ., .) stack with k = 2 and N >= JACOBI_MIN_ITEMS goes to the
-    Jacobi kernel `_jacobi_svd`, anything else to LAPACK, whose full
-    factorization is cut to k columns of u and k rows of vh.  On the
-    kernel, sv agrees with LAPACK's to a few eps * sv_max, u and vh are
-    orthonormal to a few eps, and the lift is consistent to a few
-    eps * kappa (kappa = sv_max / sv_min), as on LAPACK.  A column of u
-    whose singular value is 0 is zero on the kernel, and any unit
-    vector orthogonal to the others on LAPACK.
+    An (N, ., .) stack with k = 2 and N >= STACK_KERNEL_MIN_ITEMS goes
+    to the Jacobi kernel `_jacobi_svd`, anything else to LAPACK's
+    reduced factorization.  On the kernel, sv agrees with LAPACK's to a
+    few eps * sv_max, u and vh are orthonormal to a few eps, and the
+    lift is consistent to a few eps * kappa (kappa = sv_max / sv_min),
+    as on LAPACK.  A column of u whose singular value is 0 is zero on
+    the kernel, and any unit vector orthogonal to the others on LAPACK.
     """
     m = _check_finite(np.asarray(m, dtype=complex))
-    if m.ndim == 3 and len(m) >= JACOBI_MIN_ITEMS and min(m.shape[1:]) == 2:
+    if (m.ndim == 3 and len(m) >= STACK_KERNEL_MIN_ITEMS
+            and min(m.shape[1:]) == 2):
         u, sv, vh = _jacobi_svd(m)
     else:
-        u, sv, vh = np.linalg.svd(m)
-        k = sv.shape[-1]
-        u, vh = u[..., :k], vh[..., :k, :]
+        u, sv, vh = np.linalg.svd(m, full_matrices=False)
     r = _rank(sv)
     return u, sv, vh, int(r) if m.ndim == 2 else r

@@ -3,7 +3,11 @@
 one prefix pass that gives both at once (`fox_jacobian`, or
 `fox_blocks` given the inverse images too).  `word_product`,
 `fox_jacobian` and `fox_blocks` take (N, 2, 2) stacks of images as well
-as single 2x2 matrices and give the N values at once.
+as single 2x2 matrices and give the N values at once.  numpy's `matmul`
+multiplies a stack of 2x2 complex matrices item by item, so on a stack
+of at least `linalg.STACK_KERNEL_MIN_ITEMS` images `fox_blocks` keeps
+each matrix of its pass as four (N,) entry arrays (see the crossover
+table there); shorter stacks and single matrices use `@`.
 
 A word is a tuple of nonzero ints: +1/-1 for x/x^-1, +2/-2 for y/y^-1,
 always stored freely reduced.  The canonical text form is the compact
@@ -18,7 +22,7 @@ import re
 import numpy as np
 
 from .errors import WordParseError
-from .linalg import E2, _check_finite, mat2_inverse
+from .linalg import E2, STACK_KERNEL_MIN_ITEMS, _check_finite, mat2_inverse
 
 X, Y = 1, 2
 _CHAR = {X: "x", -X: "X", Y: "y", -Y: "Y"}
@@ -103,8 +107,12 @@ def fox_blocks(w, imgs: dict) -> tuple[np.ndarray, np.ndarray]:
     to the g-block, a letter g^-1 subtracts the next prefix P Phi(g)^-1:
     the Fox rules dg/dg = 1, d(g^-1)/dg = -g^-1 and
     d(uv)/dg = du/dg + u dv/dg, applied letter by letter.
+    A stack of at least STACK_KERNEL_MIN_ITEMS images takes the pass on
+    entry arrays (`_fox_entries`), anything shorter `@`.
     Raises OverflowError when a block is not finite.
     """
+    if imgs[X].ndim == 3 and len(imgs[X]) >= STACK_KERNEL_MIN_ITEMS:
+        return _fox_entries(w, imgs)
     blocks = {X: np.zeros(imgs[X].shape, dtype=complex),
               Y: np.zeros(imgs[X].shape, dtype=complex)}
     prefix = E2
@@ -115,3 +123,27 @@ def fox_blocks(w, imgs: dict) -> tuple[np.ndarray, np.ndarray]:
         if a < 0:
             blocks[-a] -= prefix
     return _check_finite(blocks[X]), _check_finite(blocks[Y])
+
+
+def _fox_entries(w, imgs: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The pass of `fox_blocks` on (N, 2, 2) stacks, with the prefix and
+    the blocks held as their four (N,) entry arrays (11, 12, 21, 22):
+    a letter costs 8 multiplies and 4 adds on them, and the blocks are
+    assembled once at the end."""
+    n = len(imgs[X])
+    entries = {a: np.ascontiguousarray(m.reshape(n, 4).T)
+               for a, m in imgs.items()}
+    zero = np.zeros(n, dtype=complex)
+    blocks = {X: (zero,) * 4, Y: (zero,) * 4}
+    prefix = (1, 0, 0, 1)
+    for a in w:
+        if a > 0:
+            blocks[a] = tuple(map(np.add, blocks[a], prefix))
+        p11, p12, p21, p22 = prefix
+        g11, g12, g21, g22 = entries[a]
+        prefix = (p11 * g11 + p12 * g21, p11 * g12 + p12 * g22,
+                  p21 * g11 + p22 * g21, p21 * g12 + p22 * g22)
+        if a < 0:
+            blocks[-a] = tuple(map(np.subtract, blocks[-a], prefix))
+    return tuple(_check_finite(np.stack(blocks[g], axis=-1).reshape(n, 2, 2))
+                 for g in (X, Y))

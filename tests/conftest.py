@@ -22,3 +22,17 @@ def lapack_svds(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", recording)
     return calls
+
+
+@pytest.fixture
+def lapack_dets(monkeypatch):
+    """The shapes of the np.linalg.det calls, in call order."""
+    calls = []
+    lapack = np.linalg.det
+
+    def recording(m):
+        calls.append(np.shape(m))
+        return lapack(m)
+
+    monkeypatch.setattr(np.linalg, "det", recording)
+    return calls

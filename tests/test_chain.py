@@ -1,10 +1,13 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from fig8torsion import chain
 from fig8torsion.chain import (ChainComplex, is_acyclic, torsion,
                                torsion_with_basis_perturbation)
 from fig8torsion.errors import DimensionMismatch, NotAcyclic
-from fig8torsion.linalg import E2, JACOBI_MIN_ITEMS, svd
+from fig8torsion.linalg import E2, STACK_KERNEL_MIN_ITEMS, svd
 from fig8torsion.riley import rep_matrices, solve_t
 from fig8torsion.formulas import presentation_complex
 from fig8torsion.words import X, Y, parse_word
@@ -133,21 +136,98 @@ def test_perturbation_four_term_complex():
                   <= 1e-9 * np.maximum(1, np.abs(ref.value)))
 
 
-def test_four_term_stack_takes_lapack(lapack_svds):
+def test_four_term_stack_takes_lapack(lapack_svds, lapack_dets):
     """No boundary of the (1, 3, 3, 1) complex has two rows or two
     columns, so however long its stack, `svd` of its 3 x 3 map makes one
-    LAPACK call and `torsion` one per boundary."""
+    LAPACK call and `torsion` one per boundary; of its four determinants
+    the two 3 x 3 ones go to LAPACK, the two 1 x 1 ones do not."""
     cx = random_exact_four_term(np.random.default_rng(13))
-    n = JACOBI_MIN_ITEMS
+    n = STACK_KERNEL_MIN_ITEMS
     tiled = ChainComplex(cx.dims,
                          tuple(np.tile(b, (n, 1, 1)) for b in cx.boundaries))
     assert svd(tiled.boundaries[1])[3].tolist() == [2] * n
     assert lapack_svds == [(n, 3, 3)]
-    del lapack_svds[:]
+    del lapack_svds[:], lapack_dets[:]
     val = torsion(tiled)
     assert lapack_svds == [(n, 1, 3), (n, 3, 3), (n, 3, 1)]
+    assert lapack_dets == [(n, 3, 3), (n, 3, 3)]
     assert val.acyclic.all()
     assert np.allclose(val.value, torsion(cx).value, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("n", [1, STACK_KERNEL_MIN_ITEMS])
+def test_torsion_takes_no_small_det_to_lapack(lapack_dets, n):
+    """The exterior and torus complexes, dims (2, 4, 2), assemble 2 x 2,
+    4 x 4 and 2 x 2 bases, and the two-term ones 1 x 1 or 2 x 2: only the
+    4 x 4 determinant goes to LAPACK, on short and long stacks alike."""
+    pts = [solve_t(2.0)[0], solve_t(complex(0.5, 1.5))[1]]
+    for cx in [torus_complex_at(p) for p in pts] + [
+            two_term(E2), two_term([[2.0]]), two_term(np.diag([1.0, 3.0]))]:
+        stack = ChainComplex(cx.dims, tuple(np.tile(b, (n, 1, 1))
+                                            for b in cx.boundaries))
+        del lapack_dets[:]
+        assert torsion(stack).acyclic.all()
+        assert lapack_dets == ([(n, 4, 4)] if cx.dims[1] == 4 else [])
+
+
+def exact_det2(m) -> tuple[Fraction, Fraction]:
+    """The real and imaginary parts of a11 a22 - a12 a21, exactly."""
+    (a, b), (c, d) = [[(Fraction(z.real), Fraction(z.imag)) for z in row]
+                      for row in m]
+
+    def mul(x, y):
+        return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    (p, q), (r, s) = mul(a, d), mul(b, c)
+    return p - r, q - s
+
+
+def near_cancelling(rng, n, spread):
+    """n random complex 2 x 2 matrices, entries scaled by e^[-spread,
+    spread]; in the second half row 2 is row 1 to within 1e-9, so the
+    two products of the determinant nearly cancel."""
+    m = rng.normal(size=(n, 2, 4)).view(complex)
+    m *= np.exp(rng.uniform(-spread, spread, size=(n, 2, 2)))
+    m[n // 2:, 1] = m[n // 2:, 0] * (1 + 1e-9 * rng.normal(size=(n // 2, 2)))
+    return m, (np.abs(m[:, 0, 0] * m[:, 1, 1])
+               + np.abs(m[:, 0, 1] * m[:, 1, 0]))
+
+
+def test_closed_form_dets_match_lapack():
+    """k = 1 is the entry itself.  k = 2 is a11 a22 - a12 a21: each
+    complex product rounds by at most sqrt(2) gamma_2 |a| |b| and the
+    difference by u, so the error is below 2 eps (|a11 a22| + |a12 a21|)
+    (Higham, ch. 3), checked against the exact value on entries spread
+    over e^+-20.  numpy's LAPACK det is a pivoted LU, within a few eps of
+    that sum too, returned as sign * exp(sum log|u_ii|), which adds
+    eps |log|u_ii|| relative: on entries of order 1, where those logs are
+    small, the two agree to 4 eps of the sum."""
+    rng = np.random.default_rng(14)
+    m, scale = near_cancelling(rng, 400, 20)
+    assert np.array_equal(chain._det(m[:, :1, :1]), m[:, 0, 0])
+    eps = Fraction(chain.EPS)
+    for item, det, bound in zip(m, chain._det(m), scale):
+        re, im = exact_det2(item)
+        err2 = (Fraction(det.real) - re) ** 2 + (Fraction(det.imag) - im) ** 2
+        assert err2 <= (2 * eps * Fraction(bound)) ** 2
+    m, scale = near_cancelling(rng, 400, 0)
+    assert np.all(np.abs(chain._det(m) - np.linalg.det(m))
+                  <= 4 * chain.EPS * scale)
+    assert np.all(np.abs(chain._det(m[:, :1, :1])
+                         - np.linalg.det(m[:, :1, :1]))
+                  <= 4 * chain.EPS * np.abs(m[:, 0, 0]))
+
+
+def test_zero_column_is_masked():
+    """A basis with a zero column has det 0 in closed form, as from
+    LAPACK, so `_alternating_product` masks its item."""
+    for k in (1, 2, 3):
+        basis = np.tile(np.eye(k, dtype=complex), (3, 1, 1))
+        lift = basis.copy()
+        lift[1, :, -1] = 0
+        tau, nonsingular = chain._alternating_product([basis], [lift])
+        assert nonsingular.tolist() == [True, False, True]
+        assert tau[0] == tau[2] == 1
 
 
 def test_inexact_complex_is_masked():

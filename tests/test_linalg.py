@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fig8torsion.errors import DegenerateLeadingCoefficient, SingularMatrix
-from fig8torsion.linalg import (E2, JACOBI_MIN_ITEMS, RANK_RTOL, mat2,
+from fig8torsion.linalg import (E2, STACK_KERNEL_MIN_ITEMS, RANK_RTOL, mat2,
                                mat2_inverse, rank, solve_quadratic, svd)
 from fig8torsion.riley import rep_matrices, solve_t
 
@@ -203,7 +203,7 @@ def test_rank_is_the_svd_rank_on_planted_singular_values():
     assert rank(stack).tolist() == svd(stack)[3].tolist() == expected
     assert 1 < len(set(expected))
     for rows, cols in KERNEL_SHAPES:
-        sv, ranks = planted_near_threshold(rng, JACOBI_MIN_ITEMS + 7, 2)
+        sv, ranks = planted_near_threshold(rng, STACK_KERNEL_MIN_ITEMS + 7, 2)
         stack = planted(rng, rows, cols, sv)
         assert rank(stack).tolist() == svd(stack)[3].tolist() == ranks.tolist()
         assert set(ranks) == {1, 2}
@@ -219,7 +219,7 @@ def test_kernel_accuracy_on_planted_conditioning(rows, cols, kappa):
     computed sigma can come out of order (here on one 2 x 2 item), and
     the kernel swaps them back."""
     rng = np.random.default_rng(int(np.log10(kappa)) * 10 + rows)
-    n = 2 * JACOBI_MIN_ITEMS
+    n = 2 * STACK_KERNEL_MIN_ITEMS
     top = 10.0 ** rng.uniform(-1, 2, size=(n, 1))
     sv_planted = top * np.array([1.0, 1 / kappa])
     m = planted(rng, rows, cols, sv_planted)
@@ -243,7 +243,7 @@ def test_kernel_zero_and_rank_one_items():
     and 1, finite factors and no RuntimeWarning (an error here)."""
     rng = np.random.default_rng(9)
     for rows, cols in KERNEL_SHAPES:
-        stack = planted(rng, rows, cols, np.ones((JACOBI_MIN_ITEMS, 2)))
+        stack = planted(rng, rows, cols, np.ones((STACK_KERNEL_MIN_ITEMS, 2)))
         stack[3] = 0
         stack[5] = np.outer(rng.normal(size=rows), rng.normal(size=cols))
         u, sv, vh, r = svd(stack)
@@ -266,7 +266,7 @@ def test_kernel_scales_exactly():
         assert np.array_equal(svs, sv * 2.0 ** power)
 
 
-@pytest.mark.parametrize("n", [1, JACOBI_MIN_ITEMS])
+@pytest.mark.parametrize("n", [1, STACK_KERNEL_MIN_ITEMS])
 def test_svd_rejects_non_finite(n):
     for bad in (np.nan, np.inf):
         stack = np.ones((n, 2, 4), dtype=complex)
@@ -279,19 +279,19 @@ def test_svd_rejects_non_finite(n):
 
 def test_svd_branches(lapack_svds):
     """LAPACK for a single matrix, for a one-item stack and for a stack
-    shorter than JACOBI_MIN_ITEMS; the kernel, with no LAPACK call, for
-    a two-row or two-column stack of that length."""
+    shorter than STACK_KERNEL_MIN_ITEMS; the kernel, with no LAPACK call,
+    for a two-row or two-column stack of that length."""
     calls = lapack_svds
     rng = np.random.default_rng(11)
     m = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
-    for x in (m, m[None], np.tile(m, (JACOBI_MIN_ITEMS - 1, 1, 1))):
+    for x in (m, m[None], np.tile(m, (STACK_KERNEL_MIN_ITEMS - 1, 1, 1))):
         del calls[:]
         svd(x)
         assert calls == [x.shape]
     for rows, cols in KERNEL_SHAPES:
         del calls[:]
         u, sv, vh, r = svd(planted(rng, rows, cols,
-                                   np.ones((JACOBI_MIN_ITEMS, 2))))
+                                   np.ones((STACK_KERNEL_MIN_ITEMS, 2))))
         assert calls == [] and (r == 2).all()
         assert u.shape[1:] == (rows, 2) and vh.shape[1:] == (2, cols)
 

@@ -21,7 +21,7 @@ from fig8torsion.formulas import (presentation_complex,
                                   torsion_exterior_closed,
                                   torsion_exterior_oracle,
                                   torus_torsion_oracle)
-from fig8torsion.linalg import E2, JACOBI_MIN_ITEMS, mat2, mat2_inverse
+from fig8torsion.linalg import E2, STACK_KERNEL_MIN_ITEMS, mat2, mat2_inverse
 from fig8torsion.riley import (LONGITUDE, RELATOR, longitude_l11,
                                longitude_matrix_word, rep_stacks, solve_t,
                                trace_l, trace_u)
@@ -109,7 +109,7 @@ def test_exterior_stack_above_the_jacobi_crossover_matches_items():
     other; that product stays below 1e4 for |s| in [0.3, 3], so the
     bound is REFERENCE_RTOL, that of a different route, not STACK_RTOL."""
     points = [solve_t(1.0)[0], *solve_t(2.0)] + sample_variety_points(200, 5)
-    assert len(points) >= JACOBI_MIN_ITEMS
+    assert len(points) >= STACK_KERNEL_MIN_ITEMS
     cx = exterior_complexes(points)
     kappa = np.ones(len(points))
     for d in cx.boundaries:
@@ -452,15 +452,32 @@ def test_only_the_near_threshold_item_redraws(monkeypatch):
 
 
 def test_copies_of_one_complex_draw_their_own_bases():
-    """A stack of 10 copies of one complex checks 10 choices of bases:
-    the values differ in their last bits, and each is the torsion."""
+    """10 copies of one complex check 10 choices of bases: the values
+    differ in their last bits, and each is the torsion."""
     cx = items_of(stacks_by_dims(6, seed=1)[0])[0]
-    stack = ChainComplex(cx.dims, tuple(np.tile(b, (10, 1, 1))
-                                        for b in cx.boundaries))
-    val = torsion_with_basis_perturbation(stack, 0)
+    val = torsion_with_basis_perturbation(cx, 0, copies=10)
+    assert val.value.shape == (10,) and val.acyclic.all()
     assert len({v.tobytes() for v in val.value}) > 1
     ref = torsion(cx).value
     assert all(close(v, ref, PERTURBED_RTOL) for v in val.value)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_copies_are_the_tiled_stack(seed):
+    """copies = 10 ranks the items once and then draws, bit for bit, what
+    the stack tiled 10 times draws; a masked item is masked in every
+    copy."""
+    for stack in [*stacks_by_dims(40, seed=6), NEAR_THRESHOLD]:
+        tiled = ChainComplex(stack.dims, tuple(np.tile(b, (10, 1, 1))
+                                               for b in stack.boundaries))
+        val = torsion_with_basis_perturbation(stack, seed, copies=10)
+        ref = torsion_with_basis_perturbation(tiled, seed)
+        assert val.value.tobytes() == ref.value.tobytes()
+        assert np.array_equal(val.acyclic, ref.acyclic)
+        assert val.redrawn == ref.redrawn
+    zero = ChainComplex((2, 2), (np.array([E2, np.zeros((2, 2))]),))
+    val = torsion_with_basis_perturbation(zero, seed, copies=3)
+    assert val.acyclic.tolist() == [True, False] * 3
 
 
 def reference_basis_check(n_fixtures, seed):
@@ -498,9 +515,10 @@ def test_basis_check_makes_one_call_per_shape(monkeypatch):
     calls = {"torsion": [], "perturbed": []}
 
     def counting(name, fn):
-        def wrapped(c, *args):
-            calls[name].append(c)
-            return fn(c, *args)
+        def wrapped(c, *args, **kwargs):
+            val = fn(c, *args, **kwargs)
+            calls[name].append((c, kwargs, val))
+            return val
         return wrapped
 
     monkeypatch.setattr(verify, "torsion", counting("torsion", torsion))
@@ -508,40 +526,51 @@ def test_basis_check_makes_one_call_per_shape(monkeypatch):
                         counting("perturbed", torsion_with_basis_perturbation))
     res = check_basis_independence(20, seed=2)
     shapes = fixture_shapes(20, seed=2)
-    assert [c.dims for c in calls["torsion"]] == shapes
-    assert [c.dims for c in calls["perturbed"]] == shapes
-    # every fixture rides in one stack, and the perturbed stack is that
-    # stack tiled 10 times
-    assert sum(c.size for c in calls["torsion"]) == 20
-    assert sum(c.size for c in calls["perturbed"]) == 200
-    for ref, tiled in zip(calls["torsion"], calls["perturbed"]):
-        assert all(np.array_equal(np.tile(b, (10, 1, 1)), t)
-                   for b, t in zip(ref.boundaries, tiled.boundaries))
+    assert [c.dims for c, _, _ in calls["torsion"]] == shapes
+    assert [c.dims for c, _, _ in calls["perturbed"]] == shapes
+    # every fixture rides in one stack, which the perturbed call takes
+    # as it is, with 10 copies: 10 bases per fixture
+    assert sum(c.size for c, _, _ in calls["torsion"]) == 20
+    for (ref, _, _), (c, kwargs, val) in zip(calls["torsion"],
+                                             calls["perturbed"]):
+        assert c is ref and kwargs == {"copies": 10}
+        assert val.value.shape == (10 * ref.size,)
     assert res.passed
     assert res.detail.startswith(f"20 fixtures in {len(shapes)} shapes")
 
 
 def test_basis_check_svd_calls(monkeypatch):
     # per shape: one full svd per boundary in the torsion call, then none
-    # in the perturbed call, which reads singular values only (`rank`)
+    # in the perturbed call, which reads singular values only (`rank`):
+    # each boundary stack of n fixtures once, then each stack of the
+    # 10 n random bases b = d g
     calls = []
-    svd = chain.svd
+    svd, rank = chain.svd, chain.rank
 
     def counting_svd(m):
         calls.append("svd")
         return svd(m)
 
-    def marked(c, rng):
+    def counting_rank(m):
+        calls.append(len(m))
+        return rank(m)
+
+    def marked(c, rng, copies):
         calls.append("perturbed")
-        return torsion_with_basis_perturbation(c, rng)
+        return torsion_with_basis_perturbation(c, rng, copies)
 
     monkeypatch.setattr(chain, "svd", counting_svd)
+    monkeypatch.setattr(chain, "rank", counting_rank)
     monkeypatch.setattr(verify, "torsion_with_basis_perturbation", marked)
     for seed in range(2, 22):
         del calls[:]
-        check_basis_independence(20, seed)
-        n_shapes = len(fixture_shapes(20, seed))
-        assert calls == ["svd", "svd", "perturbed"] * n_shapes, seed
+        res = check_basis_independence(20, seed)
+        assert "0 redrawn" in res.detail
+        stacks = random_acyclic_stacks(np.random.default_rng(seed), 20)
+        assert calls == [
+            call for c in stacks for call in
+            ("svd", "svd", "perturbed", c.size, c.size,
+             10 * c.size, 10 * c.size)], seed
 
 
 def test_only_the_basis_check_takes_lapack_svds(monkeypatch, lapack_svds):
@@ -568,8 +597,8 @@ def test_only_the_basis_check_takes_lapack_svds(monkeypatch, lapack_svds):
 
 def test_masked_fixture_fails_the_basis_check(monkeypatch):
     # a NaN residual would vanish under max(); the masked count fails it
-    def mask_first(c, seed):
-        val = torsion_with_basis_perturbation(c, seed)
+    def mask_first(c, seed, copies):
+        val = torsion_with_basis_perturbation(c, seed, copies)
         acyclic = val.acyclic.copy()
         acyclic[0] = False
         return chain.stack_result(True, val.value, acyclic)

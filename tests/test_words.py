@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from fig8torsion import words
 from fig8torsion.errors import WordParseError
-from fig8torsion.linalg import E2, mat2
-from fig8torsion.riley import rep_matrices, solve_t
-from fig8torsion.words import (X, Y, fox_jacobian, parse_word, reduce_word,
-                               word_concat, word_inverse, word_to_text)
+from fig8torsion.linalg import E2, STACK_KERNEL_MIN_ITEMS, mat2, mat2_inverse
+from fig8torsion.riley import RELATOR, rep_matrices, rep_stacks, solve_t
+from fig8torsion.words import (X, Y, fox_blocks, fox_jacobian, parse_word,
+                               reduce_word, word_concat, word_inverse,
+                               word_to_text)
 from fox_reference import (GroupRingElement, evaluate_group_ring,
                            evaluate_word, fox_derivative)
 
@@ -132,6 +134,62 @@ def test_fox_jacobian_matches_symbolic_random():
             phix, evaluate_group_ring(fox_derivative(w, X), mx, my))
         assert np.array_equal(
             phiy, evaluate_group_ring(fox_derivative(w, Y), mx, my))
+
+
+def stack_images(imgx, imgy):
+    return {X: imgx, Y: imgy, -X: mat2_inverse(imgx), -Y: mat2_inverse(imgy)}
+
+
+def test_fox_entry_path_matches_matmul_items(monkeypatch):
+    """A stack of STACK_KERNEL_MIN_ITEMS or more takes the pass on entry
+    arrays, each item alone takes `@`; both add up the same prefix
+    products.  A prefix of k unimodular images rounds by a few
+    k eps prod_{i<=k} ||Phi(g_i)||_F (Higham, ch. 3), and ||Phi(g)||_F >=
+    sqrt(2), so the prefixes of w sum to a few len(w) eps prod_w
+    ||Phi(g)||_F: each block item agrees to 4 len(w) eps of that product."""
+    entry_calls = []
+    entries = words._fox_entries
+
+    def counting(w, imgs):
+        entry_calls.append(len(imgs[X]))
+        return entries(w, imgs)
+
+    monkeypatch.setattr(words, "_fox_entries", counting)
+    rng = np.random.default_rng(15)
+    n = STACK_KERNEL_MIN_ITEMS + 5
+    s = np.exp(rng.uniform(-1.2, 1.2, n) + 1j * rng.uniform(0, 7, n))
+    variety = rep_stacks(s, np.array([solve_t(z)[0].t for z in s]))
+    cases = [(RELATOR, variety)] + [
+        (reduce_word(random_word(rng, 16)), stack_images(
+            *(np.array([random_unimodular(rng) for _ in range(n)])
+              for _ in range(2))))
+        for _ in range(20)]
+    eps = np.finfo(float).eps
+    for w, imgs in cases:
+        del entry_calls[:]
+        blocks = fox_blocks(w, imgs)
+        assert entry_calls == [n]
+        norms = {a: np.linalg.norm(m, axis=(1, 2)) for a, m in imgs.items()}
+        bound = 4 * len(w) * eps * np.prod([norms[a] for a in w], axis=0)
+        for k in range(n):
+            item = fox_blocks(w, {a: m[k:k + 1] for a, m in imgs.items()})
+            for block, one in zip(blocks, item):
+                assert np.abs(block[k] - one[0]).max() <= bound[k]
+    assert entry_calls == [n]
+
+
+def test_fox_entry_path_raises_on_one_overflowing_item():
+    rng = np.random.default_rng(16)
+    n = STACK_KERNEL_MIN_ITEMS
+    imgx, imgy = (np.array([random_unimodular(rng) for _ in range(n)])
+                  for _ in range(2))
+    imgs = stack_images(imgx, imgy)
+    imgs[Y][n // 2], imgs[-Y][n // 2] = 1e200 * E2, 1e-200 * E2
+    with pytest.raises(OverflowError):
+        fox_blocks(parse_word("xyyX"), imgs)
+    with pytest.raises(OverflowError):
+        fox_blocks(parse_word("xyyX"), {a: m[n // 2:n // 2 + 1]
+                                        for a, m in imgs.items()})
 
 
 def test_evaluate_group_ring():
