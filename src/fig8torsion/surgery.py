@@ -16,7 +16,7 @@ polynomial
 and its roots are all the candidates.  f is the same for p/q and -p/q,
 and z and 1/z give the same character; every candidate is re-verified
 against the authoritative matrix residual ||rho(x)^p rho(l)^q - E||
-before being reported.
+before being reported, and each pair z, 1/z gives at most one row.
 
 f is self-reciprocal, so with v = (z + 1/z)/2 and z^k + z^-k = 2 T_k(v)
 
@@ -27,24 +27,24 @@ Approximation Theory and Approximation Practice, ch. 18).  Its roots v
 are the eigenvalues of the n x n colleague matrix, half the size of the
 companion matrix of z^n f, and each gives the pair z, 1/z with
 z = v + sqrt(v^2 - 1).  One Newton step on f in z, with f and f' from
-its seven terms, polishes every z where that step is finite.  When 4 | p, z = +-i are double roots
-of f (s = +-i, u = 0, lambda = 1), i.e. v^2 divides the series: it is
-divided out exactly before the roots are taken, and s = +-i, lambda = 1
-join the candidates as exact values.
+its seven terms, polishes every z where that step is finite.  When
+4 | p, z = +-i are double roots of f (s = +-i, u = 0, lambda = 1), i.e.
+v^2 divides the series: it is divided out exactly before the roots are
+taken, and s = +-i, lambda = 1 join the candidates as one exact pair.
 
 `solve_surgery` takes one slope or a sequence of slopes, and solves a
 sequence in one stacked pass; one slope is its one-item case.  Per
 slope it takes only the roots and s, lambda from them, the matrix
-powers of the residual, the character dedup and the row build.  Once,
-on the stacks of the candidates of every slope joined, it takes the
-t-branch whose l11 is nearest lambda (with the branch-point rule
-applied through a mask), the variety residual and test, the longitude
-word product, u, tr rho(l), l11 and the residual norms: the matrix
-residual is the one test that rejects a candidate on the variety.  A
-RileyPoint is built only for each row kept.  `relation_residuals` is
-that residual on any stack of points, at one slope or at one slope per
-point, and `surgery_residual` its N = 1 call, so a check that re-tests
-rows gets the bits the solver filtered on.
+powers of the residual, the choice of one row per pair and the row
+build.  Once, on the stacks of the candidates of every slope joined, it
+takes the t-branch whose l11 is nearest lambda (with the branch-point
+rule applied through a mask), the variety residual and test, the
+longitude word product, u, tr rho(l), l11 and the residual norms: the
+matrix residual is the one test that rejects a candidate on the
+variety.  A RileyPoint is built only for each row kept.
+`relation_residuals` is that residual on any stack of points, at one
+slope or at one slope per point, and `surgery_residual` its N = 1 call,
+so a check that re-tests rows gets the bits the solver filtered on.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ from .words import X, word_inverse, word_product
 from .formulas import torsion_surgered
 
 RELATION_TOL = 1e-9      # ||rho(x)^p rho(l)^q - E|| at most this: a row
-DEDUP_RTOL = 1e-9        # u and tr rho(l) both this close: one character
 # u = +-1 (lambda = -1) and u^2 = 5 (lambda = 1, t = 0): s is a branch
 # point of solve_t, whose square root is then good only to ~1e-8; where the
 # two t-branches meet, take t from l11 reduced modulo R12 instead
@@ -207,11 +206,11 @@ def _slope_list(slopes) -> list[SurgerySlope]:
 
 
 def _roots(slope: SurgerySlope) -> tuple[np.ndarray, np.ndarray]:
-    """(s, lam) = (z^q, z^-p) at every root z of f, as two stacks.  The
-    roots come in pairs z, 1/z, one pair for each root v of f's
-    Chebyshev series, each polished by one Newton step on f.  When 4 | p
-    the double root v = 0 (z = +-i) is divided out and its candidates
-    s = +-i, lam = 1 appended."""
+    """(s, lam) = (z^q, z^-p) at every root z of f, as two stacks of two
+    halves: z = v + sqrt(v^2 - 1) for each root v of f's Chebyshev
+    series, then 1/z in the same order, each polished by one Newton step
+    on f: candidates k and k + m of a 2m-item stack are one character.  When 4 | p the double root v = 0 (z = +-i) is divided out
+    and its candidates s = +-i, lam = 1 end the two halves."""
     coeffs = _chebyshev_series(slope)
     if slope.p % 4 == 0:
         # exact: v^2 = (T_0 + T_2)/2, and the quotient is nonzero at v = 0
@@ -221,9 +220,11 @@ def _roots(slope: SurgerySlope) -> tuple[np.ndarray, np.ndarray]:
     z = _newton_step(np.concatenate([z, 1 / z]), slope)
     s, lam = z ** slope.q, z ** -slope.p
     if slope.p % 4 == 0:
-        # z = +-i give s = +-i and lam = 1; appended as values, since
+        # z = +-i give s = +-i and lam = 1, inserted as values, since
         # numpy takes z ** n by exp/log for |n| >= 100, off by ~1e-15
-        s, lam = np.append(s, (1j, -1j)), np.append(lam, (1, 1))
+        m = len(v)
+        s = np.insert(s, (m, 2 * m), (1j, -1j))
+        lam = np.insert(lam, (m, 2 * m), (1, 1))
     return s, lam
 
 
@@ -250,37 +251,24 @@ def _candidates(slopes) -> tuple:
             [len(part[0]) for part in parts])
 
 
-def _first_distinct(u: np.ndarray, trl: np.ndarray) -> np.ndarray:
-    """Indices of the rows kept by a first-kept character dedup: row i is
-    dropped when a kept row j < i has
-    |u_i - u_j| <= DEDUP_RTOL * max(1, |u_j|) and the same for trl."""
-    def near(v):    # near(v)[i, j]: v_i is within DEDUP_RTOL of v_j
-        return (np.abs(v[:, None] - v)
-                <= DEDUP_RTOL * np.maximum(1.0, np.abs(v)))
-    earlier = np.tril(near(u) & near(trl), -1)
-    keep = np.ones(len(u), dtype=bool)
-    # a row with no earlier match is kept whatever the rows before it do
-    for i in np.flatnonzero(earlier.any(axis=1)):
-        keep[i] = not (earlier[i] & keep).any()
-    return np.flatnonzero(keep)
-
-
 def solve_surgery(slopes: SurgerySlope | Sequence[SurgerySlope]
                   ) -> list[SurgerySolution]:
     """Every character satisfying the surgery relation: the roots of f
     (see the module docstring) on the variety within VARIETY_TOL, with
-    matrix residual <= RELATION_TOL; deduplicated by character
-    (u, tr rho(l)) within DEDUP_RTOL and sorted by `_row_key`.  On the
-    variety l21 vanishes identically, and no s = +-1 candidate meets the
-    relation: there rho(x)^p rho(l)^q keeps the unipotent part p + q c,
-    c = +-2 sqrt(-3) the cusp shape.  A row is degenerate, with torsion
-    None, exactly when `torsion_surgered` raises DegenerateU.
+    matrix residual <= RELATION_TOL, one per pair z, 1/z, and sorted by
+    `_row_key`.  A pair's row is z where z passes, else 1/z: the two
+    are one character, but their residuals differ in rounding, so
+    either may pass alone.  On the variety l21 vanishes identically, and
+    no s = +-1 candidate meets the relation: there rho(x)^p rho(l)^q
+    keeps the unipotent part p + q c, c = +-2 sqrt(-3) the cusp shape.  A
+    row is degenerate, with torsion None, exactly when `torsion_surgered`
+    raises DegenerateU.
 
     A sequence of slopes gives one flat list: the rows of each slope in
-    input order, each slope's rows sorted and deduplicated on their own.
-    All candidates of all slopes are made and filtered at once, on
-    stacks; only the roots, the matrix powers, the dedup and the row
-    build run per slope."""
+    input order, each slope's rows chosen and sorted on their own.  All
+    candidates of all slopes are made and filtered at once, on stacks;
+    only the roots, the matrix powers, the pair choice and the row build
+    run per slope."""
     slopes = _slope_list(slopes)
     if not slopes:
         return []
@@ -305,9 +293,9 @@ def solve_surgery(slopes: SurgerySlope | Sequence[SurgerySlope]
     stop = 0
     for slope, size in zip(slopes, sizes):
         start, stop = stop, stop + size
-        rows = np.flatnonzero(passed[start:stop]) + start
-        # character dedup (also merges z <-> 1/z, i.e. s <-> 1/s)
-        rows = rows[_first_distinct(u[rows], trl[rows])]
+        # one row per pair: z where it passes, else its partner 1/z
+        z_ok, w_ok = np.split(passed[start:stop], 2)
+        rows = np.flatnonzero(np.concatenate([z_ok, w_ok & ~z_ok])) + start
         cells = zip(*(column[rows].tolist() for column in
                       (s, t, branch, residual, u, trl, lam, mat_res)))
         solutions += sorted((_solution(slope, *row) for row in cells),
@@ -337,9 +325,10 @@ _PI_10 = round(math.pi, 10)
 def _row_key(sol: SurgerySolution) -> tuple[float, float, str]:
     """Sort key (|u|, arg u, branch) with |u| to 10 significant digits
     and arg u to 1e-10, in (-pi, pi]: far above the ~1e-14 rounding
-    noise in u and far below the dedup distance, so rows whose |u| tie
-    in exact arithmetic (u and -conj(u)) keep their order when u moves
-    in the last bits."""
+    noise in u, so rows whose |u| tie in exact arithmetic (u and
+    -conj(u)) keep their order when u moves in the last bits, and far
+    below the gap between |u| that do not tie, at least 5.8e-6 relative
+    on the slopes |p| <= 40, 1 <= q <= 16."""
     u = sol.u
     arg = round(math.atan2(u.imag, u.real), 10)
     if arg == -_PI_10:      # -pi and pi are one direction

@@ -61,3 +61,37 @@ def test_every_function_is_used_or_exported():
               for name in top_level_functions(tree)
               if name not in used and name not in exported]
     assert not unused, f"functions neither used in src/ nor exported: {unused}"
+
+
+def top_level_constants(tree):
+    """The upper-case names a module binds at its top level, with their
+    lines: its constants."""
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign) else
+                   [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            if (isinstance(target, ast.Name)
+                    and target.id.lstrip("_").isupper()):
+                yield target.id, node.lineno
+
+
+def test_every_constant_is_read_or_exported():
+    """A module-level constant of `src/` is read somewhere in `src/`, or
+    `__init__` exports it, so a deletion cannot leave a dead tolerance
+    behind."""
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p))
+             for p in MODULES}
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = {name for name, _ in imported_names(init)}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = [f"{stem}.{name} (line {line})"
+              for stem, tree in trees.items()
+              for name, line in top_level_constants(tree)
+              if name not in read and name not in exported]
+    assert not unread, f"constants neither read in src/ nor exported: {unread}"

@@ -114,6 +114,9 @@ def test_solution_torsion_matches_report():
     (4, 1, 1), (0, 1, 3),
     # S^3: only the parabolic z = -1, which the matrix residual rejects
     (1, 0, 0),
+    # the smallest slope of |p| <= 40, q <= 16 where some rows pass only
+    # from 1/z (2 of 14): a row per pair needs the 1/z fallback
+    (-14, 3, 14),
 ])
 def test_character_count(p, q, count):
     """Every root of the A-polynomial relation that survives the filters
@@ -132,6 +135,8 @@ def _expected_count(p, q):
 
 SMALL_SLOPES = [(p, q) for q in range(1, 5) for p in range(-6, 7)
                 if math.gcd(p, q) == 1]
+# rows whose |u| tie in exact arithmetic (u and -conj(u)) abound here
+TIED_SLOPES = [(-18, 13), (10, 7), (32, 7)]
 
 
 def test_row_count_is_the_closed_form():
@@ -146,6 +151,24 @@ def test_large_slopes_complete(p, q):
     """The paper's 1/n family and a large |p| at the CLI's degree limit
     have every character: 199 rows on 1/50 and 399 on 400/1."""
     assert len(solve_surgery(SurgerySlope(p, q))) == _expected_count(p, q)
+
+
+@pytest.mark.parametrize(
+    "p, q", SMALL_SLOPES + TIED_SLOPES + [(-14, 3), (1, 50), (400, 1)])
+def test_rows_are_distinct_characters(p, q):
+    """No two rows of a slope are one character: none lie within 1e-6
+    relative of each other in both u and tr rho(l)."""
+    rows = solve_surgery(SurgerySlope(p, q))
+    u = np.array([row.u for row in rows])
+    trl = np.array([row.trace_l for row in rows])
+
+    def near(v):    # near(v)[i, j]: v_i is within 1e-6 relative of v_j
+        return np.abs(v[:, None] - v) <= 1e-6 * np.maximum(1.0, np.abs(v))
+
+    same = near(u) & near(trl)
+    np.fill_diagonal(same, False)
+    assert not same.any(), [(rows[i].u, rows[j].u)
+                            for i, j in zip(*np.nonzero(same))]
 
 
 def test_one_half_size_eigenproblem(monkeypatch):
@@ -255,11 +278,9 @@ def test_solver_residual_is_one_point_residual():
                               for row in rows]
 
 
-# rows whose |u| tie in exact arithmetic (u and -conj(u)) abound here
-TIED_SLOPES = [(-18, 13), (10, 7), (32, 7)]
 # the test_character_count slopes, then the tied ones
 CANDIDATE_SLOPES = [(2, 5), (13, 5), (1, 8), (3, 8), (-3, 1), (3, 2), (4, 1),
-                    (0, 1), (1, 0)] + TIED_SLOPES
+                    (0, 1), (1, 0), (-14, 3)] + TIED_SLOPES
 
 
 @pytest.mark.parametrize("p, q", CANDIDATE_SLOPES)
