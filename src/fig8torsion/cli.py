@@ -136,16 +136,16 @@ def cmd_surgery(ns) -> int:
     slope = SurgerySlope(ns.p, ns.q)
     degree = polynomial_degree(slope)
     if degree > MAX_SURGERY_DEGREE:
-        raise InvalidSlope(f"slope {ns.p}/{ns.q} needs a degree-{degree} "
-                           f"Chebyshev series; the limit is "
-                           f"{MAX_SURGERY_DEGREE}")
+        raise InvalidSlope(f"slope {slope.p}/{slope.q} needs a "
+                           f"degree-{degree} Chebyshev series; the limit "
+                           f"is {MAX_SURGERY_DEGREE}")
     rows = solve_surgery(slope)
     if ns.format == "json":
         print(table_to_json(rows))
     elif ns.format == "csv":
         print(table_to_csv(rows), end="")
     else:
-        print(f"slope {ns.p}/{ns.q}: {len(rows)} solution(s)")
+        print(f"slope {slope.p}/{slope.q}: {len(rows)} solution(s)")
         print(CSV_HEADER)
         for row in rows:
             print(row.to_csv_row())

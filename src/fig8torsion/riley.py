@@ -217,3 +217,11 @@ def trace_l(s, t):
     s2, s4 = s * s, s ** 4
     t2, t3 = t * t, t ** 3
     return (2 - 2 * t2 + t2 / s4 + s4 * t2 - 2 * t3 - t3 / s2 - s2 * t3)
+
+
+def trace_l_scale(s, t):
+    """The sum of the moduli of the seven terms of `trace_l`, 2 included:
+    the scale of its rounding error."""
+    s2, t2 = abs(s) ** 2, abs(t) ** 2
+    return (2 + t2 * (2 + s2 * s2 + 1 / (s2 * s2))
+            + t2 * abs(t) * (2 + s2 + 1 / s2))

@@ -62,7 +62,7 @@ from .linalg import E2
 from .riley import (LONGITUDE, RileyPoint, _t_branches, _t_from_l11,
                     complex_csv, complex_json, longitude_l11, rep_stacks,
                     riley_poly, trace_l, trace_u, variety_membership)
-from .words import X, word_inverse, word_product
+from .words import X, word_product
 from .formulas import torsion_surgered
 
 RELATION_TOL = 1e-9      # ||rho(x)^p rho(l)^q - E|| at most this: a row
@@ -78,6 +78,9 @@ CSV_HEADER = ("s_re,s_im,t_re,t_im,branch,u_re,u_im,trl_re,trl_im,"
 
 @dataclass(frozen=True)
 class SurgerySlope:
+    """A slope p/q, gcd(|p|, |q|) = 1.  p/q and -p/-q are one relation,
+    so the sign is decided once: stored with q >= 0, and 1/0 at q = 0."""
+
     p: int
     q: int
 
@@ -86,6 +89,9 @@ class SurgerySlope:
             raise InvalidSlope("slope (0, 0)")
         if math.gcd(abs(self.p), abs(self.q)) != 1:
             raise InvalidSlope(f"gcd(|{self.p}|, |{self.q}|) != 1")
+        if self.q < 0 or (self.q == 0 and self.p < 0):
+            object.__setattr__(self, "p", -self.p)
+            object.__setattr__(self, "q", -self.q)
 
 
 @dataclass
@@ -122,11 +128,10 @@ def relation_residuals(s: np.ndarray, t: np.ndarray,
                        ) -> np.ndarray:
     """||rho(x)^p rho(l)^q - E|| at each point of the stacks s, t, for
     one slope or for one slope per item, with rho(l) multiplied out from
-    its word.  A negative power takes the exact inverse images of
-    `rep_stacks`: x^-1, and rho(l)^-1 from the inverse longitude word,
-    made only when some slope has q < 0.  The matrix powers are taken on
-    each run of consecutive items at one slope; everything else runs
-    once on the stacks."""
+    its word once.  A slope has q >= 0 (see `SurgerySlope`), so only
+    rho(x) is ever inverted, as the exact image x^-1 of `rep_stacks`
+    when p < 0.  The matrix powers are taken on each run of consecutive
+    items at one slope; everything else runs once on the stacks."""
     imgs = rep_stacks(s, t)
     if isinstance(slopes, SurgerySlope):
         runs = [(slopes, slice(None))]
@@ -136,17 +141,12 @@ def relation_residuals(s: np.ndarray, t: np.ndarray,
             stop = start + sum(1 for _ in run)
             runs.append((slope, slice(start, stop)))
             start = stop
-    longitudes = {}     # q >= 0 -> rho(l), q < 0 -> rho(l)^-1
+    ml = word_product(LONGITUDE, imgs)
     power = np.linalg.matrix_power
     rel = np.empty(imgs[X].shape, dtype=complex)
     for slope, items in runs:
-        ahead = slope.q >= 0
-        if ahead not in longitudes:
-            longitudes[ahead] = word_product(
-                LONGITUDE if ahead else word_inverse(LONGITUDE), imgs)
         mx = imgs[X if slope.p >= 0 else -X][items]
-        rel[items] = (power(mx, abs(slope.p))
-                      @ power(longitudes[ahead][items], abs(slope.q)))
+        rel[items] = power(mx, abs(slope.p)) @ power(ml[items], slope.q)
     return np.linalg.norm(rel - E2, axis=(1, 2))
 
 
@@ -206,11 +206,12 @@ def _slope_list(slopes) -> list[SurgerySlope]:
 
 
 def _roots(slope: SurgerySlope) -> tuple[np.ndarray, np.ndarray]:
-    """(s, lam) = (z^q, z^-p) at every root z of f, as two stacks of two
-    halves: z = v + sqrt(v^2 - 1) for each root v of f's Chebyshev
-    series, then 1/z in the same order, each polished by one Newton step
-    on f: candidates k and k + m of a 2m-item stack are one character.  When 4 | p the double root v = 0 (z = +-i) is divided out
-    and its candidates s = +-i, lam = 1 end the two halves."""
+    """(s, lam) = (z^+-q, z^-|p|), q's sign that of p (0 counts as +), at
+    every root z of f, as two halves: z = v + sqrt(v^2 - 1) for each root
+    v of f's Chebyshev series, then 1/z in the same order, each polished
+    by one Newton step on f: candidates k and k + m of a 2m-item stack
+    are one character.  When 4 | p the double root v = 0 (z = +-i) is
+    divided out and its candidates s = +-i, lam = 1 end the two halves."""
     coeffs = _chebyshev_series(slope)
     if slope.p % 4 == 0:
         # exact: v^2 = (T_0 + T_2)/2, and the quotient is nonzero at v = 0
@@ -218,7 +219,8 @@ def _roots(slope: SurgerySlope) -> tuple[np.ndarray, np.ndarray]:
     v = np.polynomial.chebyshev.chebroots(coeffs).astype(complex)
     z = v + np.sqrt(v * v - 1)
     z = _newton_step(np.concatenate([z, 1 / z]), slope)
-    s, lam = z ** slope.q, z ** -slope.p
+    s = z ** (slope.q if slope.p >= 0 else -slope.q)
+    lam = z ** -abs(slope.p)
     if slope.p % 4 == 0:
         # z = +-i give s = +-i and lam = 1, inserted as values, since
         # numpy takes z ** n by exp/log for |n| >= 100, off by ~1e-15
@@ -272,15 +274,10 @@ def solve_surgery(slopes: SurgerySlope | Sequence[SurgerySlope]
     slopes = _slope_list(slopes)
     if not slopes:
         return []
-    # (p, q) and (-p, -q) impose the same relation; normalizing the sign
-    # gives both slopes the same candidates, not just the same characters
-    root_slopes = [SurgerySlope(-sl.p, -sl.q)
-                   if sl.p < 0 or (sl.p == 0 and sl.q < 0) else sl
-                   for sl in slopes]
     # a candidate far off the variety may overflow; its non-finite
     # residuals fail the comparisons below, which reject it
     with np.errstate(all="ignore"):
-        s, _, t, branch, residual, sizes = _candidates(root_slopes)
+        s, _, t, branch, residual, sizes = _candidates(slopes)
         on_variety = variety_membership(s, t, residual)
         item_slopes = (slopes[0] if len(slopes) == 1 else
                        [sl for sl, n in zip(slopes, sizes) for _ in range(n)])

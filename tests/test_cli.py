@@ -135,6 +135,16 @@ def test_torsion_pretty(capsys):
         assert label in out
 
 
+def test_torsion_small_s_prints_tau_m(capsys):
+    """At s = 0.05 the exterior is acyclic: tau(M) is printed, and the
+    oracle's lost precision shows as a failed check."""
+    code, out, _ = run(capsys, "torsion", "--s", "0.05,0")
+    assert code == 0
+    assert "non-acyclic" not in out
+    assert "tau(M) (1/n form)          : 0.000238727791394" in out
+    assert "check exterior_oracle_abs: fail" in out
+
+
 def test_torsion_help_names_the_slopes_of_tau_m(capsys):
     """The tau(M) line holds the paper's 1/n form at a bare point; the
     help says for which slopes it is exact."""
@@ -251,6 +261,15 @@ def test_surgery_slope_bound_exit_2(capsys):
     assert out == ""
     assert [ln for ln in err.splitlines() if ln.startswith("error:")]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
+def test_surgery_slope_sign_spellings_print_alike(capsys, fmt):
+    """1/-2 and -1/2 are one slope: the same stdout, header included."""
+    outputs = [run(capsys, "surgery", "--p", p, "--q", q, "--format", fmt)
+               for p, q in (("1", "-2"), ("-1", "2"))]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
 
 
 def test_surgery_csv(capsys):

@@ -365,12 +365,18 @@ def test_row_order_stable_under_last_bit_changes(p, q):
 
 
 def test_slope_sign_symmetry():
-    a = solve_surgery(SurgerySlope(2, 1))
-    b = solve_surgery(SurgerySlope(-2, -1))
-    assert len(a) == len(b)
-    for sa, sb in zip(a, b):
-        assert abs(sa.u - sb.u) <= 1e-7 * max(1, abs(sa.u))
-        assert abs(sa.trace_l - sb.trace_l) <= 1e-7 * max(1, abs(sa.trace_l))
+    """p/q and -p/-q are one slope, stored with q >= 0 and as 1/0 when
+    q = 0, so the two spellings give one table, bit for bit, on every
+    slope of the grid |p| <= 40, 1 <= q <= 16."""
+    assert SurgerySlope(1, -2) == SurgerySlope(-1, 2)
+    assert (SurgerySlope(-1, 0).p, SurgerySlope(-1, 0).q) == (1, 0)
+    assert (SurgerySlope(0, -1).p, SurgerySlope(0, -1).q) == (0, 1)
+    grid = [(p, q) for q in range(1, 17) for p in range(-40, 41)
+            if math.gcd(abs(p), q) == 1]
+    assert len(grid) == 791
+    rows = solve_surgery([SurgerySlope(p, q) for p, q in grid])
+    twins = solve_surgery([SurgerySlope(-p, -q) for p, q in grid])
+    assert table_to_csv(rows) == table_to_csv(twins)
 
 
 def test_determinism():

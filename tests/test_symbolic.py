@@ -110,9 +110,11 @@ def test_surgery_polynomial_exact(p, q):
 
 
 def test_relator_derivative_determinant_exact(symbolic):
-    """det Phi(dr/dy) = -2(u - 1) det(Phi(x) - E) modulo R12, the
-    determinant ratio of `torsion_exterior_oracle` and the closed form
-    tau(E) = -2(u - 1), with dr/dy from the symbolic Fox derivative."""
+    """det Phi(dr/dy) = -2(u - 1) det(Phi(x) - E) modulo R12, with dr/dy
+    from the symbolic Fox derivative: the determinant ratio of the Fox
+    complex (Kitano, Osaka J. Math. 31, 1994) is the closed form
+    tau(E) = -2(u - 1) exactly, so the numeric oracle needs no second
+    route through it."""
     imgs = _images()
     drdy = sympy.zeros(2)
     for word, coeff in fox_derivative(RELATOR, Y).terms.items():
