@@ -26,8 +26,9 @@ from .verify import results_to_csv, run_all
 
 EXIT_OK, EXIT_USAGE, EXIT_MATH, EXIT_VERIFY = 0, 1, 2, 3
 # time and memory grow with the degree max(4|q|, |p|) of the surgery
-# relation's Chebyshev series: 400 (slope 1/100) takes ~0.17 s and ~36 MB
-# peak RSS, 800 (1/200) ~0.40 s and ~42 MB (fresh interpreter, 2-core Xeon)
+# relation's Chebyshev series: solve_surgery at 400 (slope 1/100) takes
+# ~0.07 s and ~35 MB peak RSS, at 800 (1/200) ~0.30 s and ~42 MB (fresh
+# interpreter, 2-core Xeon, numpy 2.4.6)
 MAX_SURGERY_DEGREE = 400
 RILEY_CSV_HEADER = "s_re,s_im,t_re,t_im,branch,residual"
 

@@ -10,7 +10,16 @@ returns the reduced U and V^H, which give an image basis and its lift.
 
 `det2`, `mat2_inverse`, `rank` and `svd` take an (N, ., .) stack of
 matrices as well as a single matrix, and work item by item;
-`solve_quadratic` takes arrays of coefficients.
+`solve_quadratic` takes arrays of coefficients.  `mat2_product` and
+`mat2_power` work on a 2x2 matrix held as its four (N,) entry arrays
+(`mat2_entries`, `mat2_stack`): 8 multiplies and 4 adds per product on
+the arrays, where numpy's `matmul` loops over the items of an
+(N, 2, 2) stack at ~0.22 us per complex product.  They are elementwise,
+so item k gets the same bits at every N; the word products and powers
+built on them (`words.word_product`, `surgery.relation_residuals`)
+therefore run on entry arrays at every stack length, one matrix
+included, and a one-point re-check reproduces a stacked result bit for
+bit.
 
 `svd` has two branches.  LAPACK (`np.linalg.svd`) runs one call per
 item, ~5-7 us for a 2 x 4 matrix, while an elementwise numpy call on a
@@ -25,10 +34,10 @@ Its two rotations keep the lift m V_r S_r^-1 = U_r to eps * kappa, as
 LAPACK's; one rotation leaves it at eps * kappa^2 for a wide m.
 Single matrices, short stacks and every other shape stay on LAPACK,
 which computes the reduced factorization only, as does `rank`.
-The same stack length is the one from which `words.fox_blocks`
-multiplies 2 x 2 stacks on their four entry arrays instead of with
-numpy's `matmul`, whose per-item loop costs ~0.22 us per 2 x 2 complex
-product.
+The same stack length is the one from which `words.fox_blocks` runs
+its prefix pass on entry arrays: one Fox pass at N = 1, the `torsion`
+subcommand's, is ~4x cheaper with `@`, and its blocks need not match
+any other call's bits.
 """
 
 from __future__ import annotations
@@ -43,7 +52,9 @@ RANK_RTOL = 1e-9         # rank threshold, relative to max(1, largest sigma)
 SINGULAR_TOL = 1e-12     # |det| below this means "singular" for 2x2 inverses
 LEADING_TOL = 1e-12      # |a| below this: a z^2 + b z + c is not a quadratic
 # the shortest stack that `svd` hands to `_jacobi_svd` and on which
-# `words.fox_blocks` runs its pass on entry arrays.  Median us per call
+# `words.fox_blocks` runs its pass on entry arrays; word products and
+# matrix powers take no such switch, since their items must round alike
+# at every N (see the module docstring).  Median us per call
 # on stacks of N random matrices (2-core Xeon, Python 3.11.7, numpy
 # 2.4.6, one BLAS thread).  SVD, kernel / LAPACK:
 #   N        1       16       32       40       48      100      203
@@ -77,6 +88,46 @@ def _check_finite(m: np.ndarray) -> np.ndarray:
     if np.count_nonzero(np.isfinite(m)) != m.size:
         raise OverflowError("non-finite entry in matrix result")
     return m
+
+
+def mat2_entries(m: np.ndarray) -> np.ndarray:
+    """The four (N,) entry arrays (11, 12, 21, 22) of an (N, 2, 2) stack,
+    as the rows of one contiguous (4, N) array."""
+    return np.ascontiguousarray(m.reshape(len(m), 4).T)
+
+
+def mat2_stack(entries) -> np.ndarray:
+    """The (N, 2, 2) stack whose entry arrays are `entries`."""
+    return np.stack(entries, axis=-1).reshape(-1, 2, 2)
+
+
+def mat2_product(a, b) -> tuple:
+    """The product a b of two 2x2 matrices held as their four entry
+    arrays (11, 12, 21, 22): 8 multiplies and 4 adds on the arrays.
+    Each is elementwise, so item k of a stack gets the same bits
+    whatever its length."""
+    a11, a12, a21, a22 = a
+    b11, b12, b21, b22 = b
+    return (a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
+            a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)
+
+
+def mat2_power(a, k: int) -> tuple:
+    """a^k, k >= 0, for a 2x2 matrix held as four (N,) entry arrays, by
+    squaring: the squares a^(2^i) of the set bits i of k multiplied on
+    from the right in increasing i, with `mat2_product`; k = 0 gives
+    the identity."""
+    if k == 0:
+        one, zero = np.ones_like(a[0]), np.zeros_like(a[0])
+        return one, zero, zero, one
+    power = None
+    while True:
+        if k & 1:
+            power = a if power is None else mat2_product(power, a)
+        k >>= 1
+        if not k:
+            return power
+        a = mat2_product(a, a)
 
 
 def det2(a: np.ndarray):

@@ -4,10 +4,14 @@ one prefix pass that gives both at once (`fox_jacobian`, or
 `fox_blocks` given the inverse images too).  `word_product`,
 `fox_jacobian` and `fox_blocks` take (N, 2, 2) stacks of images as well
 as single 2x2 matrices and give the N values at once.  numpy's `matmul`
-multiplies a stack of 2x2 complex matrices item by item, so on a stack
-of at least `linalg.STACK_KERNEL_MIN_ITEMS` images `fox_blocks` keeps
-each matrix of its pass as four (N,) entry arrays (see the crossover
-table there); shorter stacks and single matrices use `@`.
+multiplies a stack of 2x2 complex matrices item by item, so
+`word_product` keeps each matrix as four (N,) entry arrays
+(`linalg.mat2_product`) at every N, one matrix included: item k then
+has the same bits whatever the stack, which the surgery residual's
+one-point re-check relies on.  `fox_blocks` does the same from
+`linalg.STACK_KERNEL_MIN_ITEMS` images (see the crossover table
+there); its shorter stacks and single matrices use `@`, which is
+cheaper at N = 1, and no caller compares their bits with a stack's.
 
 A word is a tuple of nonzero ints: +1/-1 for x/x^-1, +2/-2 for y/y^-1,
 always stored freely reduced.  The canonical text form is the compact
@@ -22,7 +26,8 @@ import re
 import numpy as np
 
 from .errors import WordParseError
-from .linalg import E2, STACK_KERNEL_MIN_ITEMS, _check_finite, mat2_inverse
+from .linalg import (E2, STACK_KERNEL_MIN_ITEMS, _check_finite, mat2_entries,
+                     mat2_inverse, mat2_product, mat2_stack)
 
 X, Y = 1, 2
 _CHAR = {X: "x", -X: "X", Y: "y", -Y: "Y"}
@@ -81,12 +86,18 @@ def word_concat(a, b) -> tuple[int, ...]:
 
 def word_product(w, imgs: dict) -> np.ndarray:
     """Product of imgs[a] over the letters a of w, where imgs maps each
-    of X, Y, -X, -Y to a 2x2 matrix or to an (N, 2, 2) stack (E2 @ stack
-    broadcasts, so a stack gives the N images at once)."""
-    out = E2.copy()
-    for a in w:
-        out = out @ imgs[a]
-    return out
+    of X, Y, -X, -Y to a 2x2 matrix or to an (N, 2, 2) stack, which
+    gives the N images at once; a single matrix is the N = 1 stack.
+    The product is taken on the four entry arrays (`mat2_product`), so
+    item k of a stack has the bits of the N = 1 call on it."""
+    if not w:
+        return np.broadcast_to(E2, imgs[X].shape).copy()
+    entries = {a: mat2_entries(imgs[a].reshape(-1, 2, 2)) for a in set(w)}
+    out = entries[w[0]]
+    for a in w[1:]:
+        out = mat2_product(out, entries[a])
+    out = mat2_stack(out)
+    return out[0] if imgs[X].ndim == 2 else out
 
 
 def fox_jacobian(w, imgx: np.ndarray,
@@ -128,22 +139,16 @@ def fox_blocks(w, imgs: dict) -> tuple[np.ndarray, np.ndarray]:
 def _fox_entries(w, imgs: dict) -> tuple[np.ndarray, np.ndarray]:
     """The pass of `fox_blocks` on (N, 2, 2) stacks, with the prefix and
     the blocks held as their four (N,) entry arrays (11, 12, 21, 22):
-    a letter costs 8 multiplies and 4 adds on them, and the blocks are
+    a letter costs one `mat2_product` on them, and the blocks are
     assembled once at the end."""
-    n = len(imgs[X])
-    entries = {a: np.ascontiguousarray(m.reshape(n, 4).T)
-               for a, m in imgs.items()}
-    zero = np.zeros(n, dtype=complex)
+    entries = {a: mat2_entries(m) for a, m in imgs.items()}
+    zero = np.zeros(len(imgs[X]), dtype=complex)
     blocks = {X: (zero,) * 4, Y: (zero,) * 4}
     prefix = (1, 0, 0, 1)
     for a in w:
         if a > 0:
             blocks[a] = tuple(map(np.add, blocks[a], prefix))
-        p11, p12, p21, p22 = prefix
-        g11, g12, g21, g22 = entries[a]
-        prefix = (p11 * g11 + p12 * g21, p11 * g12 + p12 * g22,
-                  p21 * g11 + p22 * g21, p21 * g12 + p22 * g22)
+        prefix = mat2_product(prefix, entries[a])
         if a < 0:
             blocks[-a] = tuple(map(np.subtract, blocks[-a], prefix))
-    return tuple(_check_finite(np.stack(blocks[g], axis=-1).reshape(n, 2, 2))
-                 for g in (X, Y))
+    return tuple(_check_finite(mat2_stack(blocks[g])) for g in (X, Y))

@@ -2,19 +2,52 @@
 tests hold `words.fox_jacobian` and `words.fox_blocks` against: the
 derivatives are formed as formal sums of words first, and each term is
 then evaluated as a word of its own.  `evaluate_word` evaluates a word
-from two generator images, inverting them with `mat2_inverse`."""
+from two generator images, inverting them with `mat2_inverse`, as a
+fold of `@`: the reference for `words.word_product` as well."""
+
+from functools import reduce
 
 import numpy as np
 
-from fig8torsion.linalg import mat2_inverse
-from fig8torsion.words import (IDENTITY, X, Y, word_concat, word_product,
-                               word_to_text)
+from fig8torsion.linalg import E2, mat2_inverse
+from fig8torsion.words import IDENTITY, X, Y, word_concat, word_to_text
 
 
 def evaluate_word(w, imgx: np.ndarray, imgy: np.ndarray) -> np.ndarray:
-    """Image of w under the representation x -> imgx, y -> imgy."""
-    return word_product(w, {X: imgx, Y: imgy,
-                            -X: mat2_inverse(imgx), -Y: mat2_inverse(imgy)})
+    """Image of w under the representation x -> imgx, y -> imgy, as a
+    fold of `@` from E2: not `words.word_product`, which it is a
+    reference for."""
+    imgs = {X: imgx, Y: imgy, -X: mat2_inverse(imgx), -Y: mat2_inverse(imgy)}
+    return reduce(np.matmul, (imgs[a] for a in w), E2)
+
+
+# stack lengths for the entry-array products: one item, a short stack,
+# `STACK_KERNEL_MIN_ITEMS`, and a surgery slope's candidate count
+ENTRY_STACK_LENGTHS = (1, 5, 48, 203)
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def spread_stack(rng, n, spread=20.0):
+    """n random complex 2x2 matrices with entries of modulus e^x, x
+    uniform in [-spread, spread], and uniform phase."""
+    return np.exp(rng.uniform(-spread, spread, (n, 2, 2))
+                  + 1j * rng.uniform(0, 2 * np.pi, (n, 2, 2)))
+
+
+def product_bound(factors):
+    """Twice Higham's bound on the rounding error of the product of the
+    k >= 1 complex 2x2 matrices (or stacks) `factors`, entry by entry
+    (Accuracy and Stability of Numerical Algorithms, ch. 3).  An entry
+    of one 2x2 complex product is a complex inner product of length 2,
+    off by at most gamma_4 times that of the moduli (gamma_n becomes
+    gamma_{n+2} in complex arithmetic, sec. 3.6), so the k - 1 products,
+    in any order, are off by at most ((1 + gamma_4)^(k-1) - 1)
+    |A_1|...|A_k| <= gamma_{4(k-1)} |A_1|...|A_k| (Lemma 3.3), with
+    gamma_n = n u / (1 - n u).  Two such computations differ by twice
+    that; gamma_{4k} also covers the rounding of the product of the
+    moduli, which has no cancellation."""
+    nu = 4 * len(factors) * UNIT_ROUNDOFF
+    return 2 * nu / (1 - nu) * reduce(np.matmul, [np.abs(f) for f in factors])
 
 
 class GroupRingElement:

@@ -1,10 +1,14 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from fig8torsion.errors import DegenerateLeadingCoefficient, SingularMatrix
 from fig8torsion.linalg import (E2, STACK_KERNEL_MIN_ITEMS, RANK_RTOL, mat2,
-                               mat2_inverse, rank, solve_quadratic, svd)
+                               mat2_entries, mat2_inverse, mat2_power,
+                               mat2_stack, rank, solve_quadratic, svd)
 from fig8torsion.riley import rep_matrices, solve_t
+from fox_reference import ENTRY_STACK_LENGTHS, product_bound, spread_stack
 
 
 def random_unimodular(rng):
@@ -299,3 +303,24 @@ def test_svd_branches(lapack_svds):
 def test_rank_rejects_non_finite():
     with pytest.raises(OverflowError):
         rank(np.array([[1.0, np.nan]]))
+
+
+@pytest.mark.parametrize("n", ENTRY_STACK_LENGTHS)
+def test_mat2_power_matches_repeated_matmul(n):
+    """a^k by squaring on entry arrays is E at k = 0 and a at k = 1,
+    agrees with k - 1 `@` products to `product_bound`, and gives
+    item j the bits of the one-item call on it."""
+    rng = np.random.default_rng(n)
+    a = spread_stack(rng, n)
+    a /= np.abs(a).max(axis=(1, 2), keepdims=True)  # a^40 stays finite
+    for k in (0, 1, 2, 3, 40):
+        power = mat2_stack(mat2_power(mat2_entries(a), k))
+        if k <= 1:
+            assert np.array_equal(power, a if k else
+                                  np.broadcast_to(E2, a.shape)), k
+        else:
+            gap = np.abs(power - reduce(np.matmul, [a] * k))
+            assert (gap <= product_bound([a] * k)).all(), k
+        for j in range(n):
+            one = mat2_stack(mat2_power(mat2_entries(a[j:j + 1]), k))
+            assert np.array_equal(one[0], power[j]), (k, j)

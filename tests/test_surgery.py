@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -6,15 +7,18 @@ import pytest
 
 from fig8torsion.errors import InvalidSlope
 from fig8torsion.linalg import E2
-from fig8torsion.riley import (RileyPoint, longitude_l11, longitude_matrix_word,
-                               make_point, rep_matrices, riley_poly, solve_t,
+from fig8torsion.riley import (LONGITUDE, RileyPoint, longitude_l11,
+                               longitude_matrix_word, make_point, point_arrays,
+                               rep_matrices, rep_stacks, riley_poly, solve_t,
                                trace_l, variety_membership)
 from fig8torsion.surgery import (BRANCH_POINT_TOL, CSV_HEADER, RELATION_TOL,
                                  SurgerySlope, _candidates,
                                  relation_residuals, _row_key, solve_surgery,
                                  surgery_residual, table_to_csv, table_to_json)
+from fig8torsion import surgery
 from fig8torsion.formulas import torsion_surgered
 from fig8torsion.verify import sample_variety_points
+from fig8torsion.words import X, word_product
 
 
 def test_slope_validation():
@@ -276,6 +280,42 @@ def test_solver_residual_is_one_point_residual():
     mixed = relation_residuals(s, t, [row.slope for row in rows])
     assert mixed.tolist() == [surgery_residual(row.point, row.slope)[1]
                               for row in rows]
+
+
+def test_zero_exponent_residuals():
+    """At 1/0 the residual is ||rho(x) - E|| and at 0/1 ||rho(l) - E||,
+    bit for bit: the zero power is E exactly, and a product with E is
+    the other factor."""
+    s, t, _ = point_arrays([solve_t(2.0)[1]] + sample_variety_points(60, 5))
+    imgs = rep_stacks(s, t)
+    for slope, image in ((SurgerySlope(1, 0), imgs[X]),
+                         (SurgerySlope(0, 1), word_product(LONGITUDE, imgs))):
+        assert relation_residuals(s, t, slope).tolist() \
+            == np.linalg.norm(image - E2, axis=(1, 2)).tolist(), slope
+
+
+def test_solver_logs_counts_per_slope(caplog, monkeypatch):
+    """With DEBUG on, one line per slope: its candidates, the rejections
+    by first failed test, and its rows.  On 199/50 the powers overflow on
+    ten candidates, which are on the variety.  With DEBUG off the counts
+    are not computed."""
+    slopes = [SurgerySlope(199, 50), SurgerySlope(1, 0)]
+    with caplog.at_level(logging.DEBUG, logger="fig8torsion.surgery"):
+        rows = solve_surgery(slopes)
+    assert len(rows) == 104
+    assert [r.getMessage() for r in caplog.records] == [
+        "slope 199/50: 400 candidates, 0 off the variety, 182 over "
+        "RELATION_TOL, 10 with a non-finite residual, 104 rows",
+        "slope 1/0: 2 candidates, 0 off the variety, 2 over RELATION_TOL, "
+        "0 with a non-finite residual, 0 rows"]
+    caplog.clear()
+
+    def counts(*args):
+        raise AssertionError("counted with DEBUG off")
+
+    monkeypatch.setattr(surgery, "_log_counts", counts)
+    assert solve_surgery(slopes) == rows
+    assert caplog.records == []
 
 
 # the test_character_count slopes, then the tied ones

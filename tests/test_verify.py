@@ -9,6 +9,7 @@ loop over a one-item array."""
 
 import cmath
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -22,9 +23,8 @@ from fig8torsion.formulas import (presentation_complex,
                                   torsion_exterior_oracle,
                                   torus_torsion_oracle)
 from fig8torsion.linalg import E2, STACK_KERNEL_MIN_ITEMS, mat2, mat2_inverse
-from fig8torsion.riley import (LONGITUDE, RELATOR, longitude_l11,
-                               longitude_matrix_word, rep_stacks, solve_t,
-                               trace_l, trace_u)
+from fig8torsion.riley import (LONGITUDE, RELATOR, longitude_l11, rep_stacks,
+                               solve_t, trace_l, trace_u)
 from fig8torsion.formulas import torsion_surgered
 from fig8torsion.surgery import SurgerySlope, solve_surgery, surgery_residual
 from fig8torsion.verify import (check_basis_independence,
@@ -338,7 +338,9 @@ def reference_checks(samples, seed):
     passed["trace identity 2 - tr rho(l) = u^2(5 - u^2)"] = worst <= 1e-8
     words, worst_closed, worst_l21 = [], 0.0, 0.0
     for pt in points:
-        word = longitude_matrix_word(pt)
+        # a fold of `@`, not the `word_product` the stacked check calls
+        imgs = rep_stacks(pt.s, pt.t)
+        word = reduce(np.matmul, (imgs[a][0] for a in LONGITUDE), E2)
         words.append(word)
         scale = max(1.0, float(np.max(np.abs(word))))
         gap = max(abs(longitude_l11(pt.s, pt.t) - word[0, 0]),

@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from fig8torsion.linalg import E2, STACK_KERNEL_MIN_ITEMS, mat2, mat2_inverse
 from fig8torsion.riley import RELATOR, rep_matrices, rep_stacks, solve_t
 from fig8torsion.words import (X, Y, fox_blocks, fox_jacobian, parse_word,
                                reduce_word, word_concat, word_inverse,
-                               word_to_text)
-from fox_reference import (GroupRingElement, evaluate_group_ring,
-                           evaluate_word, fox_derivative)
+                               word_product, word_to_text)
+from fox_reference import (ENTRY_STACK_LENGTHS, GroupRingElement,
+                           evaluate_group_ring, evaluate_word, fox_derivative,
+                           product_bound, spread_stack)
 
 
 def random_unimodular(rng):
@@ -54,6 +56,29 @@ def test_evaluate_word():
     my = mat2(2, 0, -1, 0.5)
     assert np.allclose(evaluate_word((), mx, my), E2)
     assert np.allclose(evaluate_word(parse_word("x"), mx, my), mx)
+
+
+@pytest.mark.parametrize("n", ENTRY_STACK_LENGTHS)
+def test_word_product_items_are_one_point_calls(n):
+    """Item k of `word_product` on a stack has the bits of the call on
+    the single matrices of item k, and the stack agrees with a fold of
+    `@` to `product_bound`, on entries spread over e^+-20 (the four
+    letters' images are independent, so the words are not reduced)."""
+    rng = np.random.default_rng(100 + n)
+    imgs = {a: spread_stack(rng, n) for a in (X, -X, Y, -Y)}
+    for length in (0, 1, 2, 8, 12):
+        w = random_word(rng, length)
+        stacked = word_product(w, imgs)
+        assert stacked.shape == (n, 2, 2)
+        for k in range(n):
+            one = word_product(w, {a: m[k] for a, m in imgs.items()})
+            assert np.array_equal(one, stacked[k]), (w, k)
+        if not w:
+            assert np.array_equal(stacked, np.broadcast_to(E2, (n, 2, 2)))
+            continue
+        factors = [imgs[a] for a in w]
+        gap = np.abs(stacked - reduce(np.matmul, factors))
+        assert (gap <= product_bound(factors)).all(), w
 
 
 def test_evaluate_longitude_geometric_trace():
