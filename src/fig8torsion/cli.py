@@ -26,9 +26,9 @@ from .verify import results_to_csv, run_all
 
 EXIT_OK, EXIT_USAGE, EXIT_MATH, EXIT_VERIFY = 0, 1, 2, 3
 # time and memory grow with the degree max(4|q|, |p|) of the surgery
-# relation's Chebyshev series: solve_surgery at 400 (slope 1/100) takes
-# ~0.07 s and ~35 MB peak RSS, at 800 (1/200) ~0.30 s and ~42 MB (fresh
-# interpreter, 2-core Xeon, numpy 2.4.6)
+# relation's Chebyshev series: a fresh `surgery --p 1 --q 100` process
+# (degree 400) takes ~0.16 s and ~36 MB peak RSS, and one at 1/200 with
+# the limit raised to 800 ~0.39 s and ~43 MB (2-core Xeon, numpy 2.4.6)
 MAX_SURGERY_DEGREE = 400
 RILEY_CSV_HEADER = "s_re,s_im,t_re,t_im,branch,residual"
 

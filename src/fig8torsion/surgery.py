@@ -48,15 +48,12 @@ so a check that re-tests rows gets the bits the solver filtered on.
 That holds because the longitude word, the powers and their product
 are all taken on the four entry arrays of the 2x2 stacks, whatever the
 stack length: elementwise arithmetic rounds item k the same way at
-every N, where numpy's `matmul` is not promised to.  With
-`logging.DEBUG` on for this module, `solve_surgery` logs one line per
-slope with its candidate count, the rejections by reason and the rows.
+every N, where numpy's `matmul` is not promised to.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import math
 from collections.abc import Sequence
 from itertools import groupby
@@ -69,10 +66,8 @@ from .linalg import mat2_entries, mat2_power, mat2_product
 from .riley import (LONGITUDE, RileyPoint, _t_branches, _t_from_l11,
                     complex_csv, complex_json, longitude_l11, rep_stacks,
                     riley_poly, trace_l, trace_u, variety_membership)
-from .words import X, word_product
+from .words import X, _word_entries
 from .formulas import torsion_surgered
-
-_log = logging.getLogger(__name__)
 
 RELATION_TOL = 1e-9      # ||rho(x)^p rho(l)^q - E|| at most this: a row
 # u = +-1 (lambda = -1) and u^2 = 5 (lambda = 1, t = 0): s is a branch
@@ -155,12 +150,14 @@ def relation_residuals(s: np.ndarray, t: np.ndarray,
             stop = start + sum(1 for _ in run)
             runs.append((slope, slice(start, stop)))
             start = stop
-    ml = mat2_entries(word_product(LONGITUDE, imgs))
-    rel = np.empty(ml.shape, dtype=complex)
+    entries = {a: mat2_entries(m) for a, m in imgs.items()}
+    ml = _word_entries(LONGITUDE, entries)
+    rel = np.empty((4, len(imgs[X])), dtype=complex)
     for slope, items in runs:
-        mx = mat2_entries(imgs[X if slope.p >= 0 else -X][items])
-        rel[:, items] = mat2_product(mat2_power(mx, abs(slope.p)),
-                                     mat2_power(ml[:, items], slope.q))
+        mx = entries[X if slope.p >= 0 else -X][:, items]
+        rel[:, items] = mat2_product(
+            mat2_power(mx, abs(slope.p)),
+            mat2_power([e[items] for e in ml], slope.q))
     rel[0] -= 1
     rel[3] -= 1
     return np.linalg.norm(rel, axis=0)
@@ -301,7 +298,6 @@ def solve_surgery(slopes: SurgerySlope | Sequence[SurgerySlope]
         lam = longitude_l11(s, t)
         u, trl = trace_u(s), trace_l(s, t)
     passed = on_variety & (mat_res <= RELATION_TOL)
-    debug = _log.isEnabledFor(logging.DEBUG)
 
     solutions = []
     stop = 0
@@ -314,26 +310,7 @@ def solve_surgery(slopes: SurgerySlope | Sequence[SurgerySlope]
                       (s, t, branch, residual, u, trl, lam, mat_res)))
         solutions += sorted((_solution(slope, *row) for row in cells),
                             key=_row_key)
-        if debug:
-            _log_counts(slope, on_variety[start:stop], mat_res[start:stop],
-                        len(rows))
     return solutions
-
-
-def _log_counts(slope: SurgerySlope, on_variety: np.ndarray,
-                mat_res: np.ndarray, rows: int) -> None:
-    """One DEBUG line for a slope of `solve_surgery`: its candidates, and
-    how many of them each test rejects first (off the variety; on it
-    with a non-finite matrix residual; with a finite one over
-    RELATION_TOL), and its rows."""
-    finite = np.isfinite(mat_res)
-    _log.debug("slope %d/%d: %d candidates, %d off the variety, %d over "
-               "RELATION_TOL, %d with a non-finite residual, %d rows",
-               slope.p, slope.q, len(mat_res),
-               np.count_nonzero(~on_variety),
-               np.count_nonzero(on_variety & finite
-                                & (mat_res > RELATION_TOL)),
-               np.count_nonzero(on_variety & ~finite), rows)
 
 
 def _solution(slope: SurgerySlope, s: complex, t: complex, branch: str,

@@ -93,11 +93,18 @@ def word_product(w, imgs: dict) -> np.ndarray:
     if not w:
         return np.broadcast_to(E2, imgs[X].shape).copy()
     entries = {a: mat2_entries(imgs[a].reshape(-1, 2, 2)) for a in set(w)}
+    out = mat2_stack(_word_entries(w, entries))
+    return out[0] if imgs[X].ndim == 2 else out
+
+
+def _word_entries(w, entries: dict) -> tuple:
+    """The product of `word_product` for a nonempty word w, on images
+    held as four (N,) entry arrays each (`linalg.mat2_entries`), and
+    kept as four entry arrays."""
     out = entries[w[0]]
     for a in w[1:]:
         out = mat2_product(out, entries[a])
-    out = mat2_stack(out)
-    return out[0] if imgs[X].ndim == 2 else out
+    return out
 
 
 def fox_jacobian(w, imgx: np.ndarray,
