@@ -77,7 +77,8 @@ def _add_flags(sub, *names):
 
 
 def _fmt_cx(z: complex) -> str:
-    return f"{z.real:.12g}{z.imag:+.12g}i"
+    # adding 0.0 turns -0.0 into 0.0: a zero part prints as 0 or +0
+    return f"{z.real + 0.0:.12g}{z.imag + 0.0:+.12g}i"
 
 
 def cmd_riley(ns) -> int:

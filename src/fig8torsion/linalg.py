@@ -11,15 +11,14 @@ returns the reduced U and V^H, which give an image basis and its lift.
 `det2`, `mat2_inverse`, `rank` and `svd` take an (N, ., .) stack of
 matrices as well as a single matrix, and work item by item;
 `solve_quadratic` takes arrays of coefficients.  `mat2_product` and
-`mat2_power` work on a 2x2 matrix held as its four (N,) entry arrays
-(`mat2_entries`, `mat2_stack`): 8 multiplies and 4 adds per product on
-the arrays, where numpy's `matmul` loops over the items of an
-(N, 2, 2) stack at ~0.22 us per complex product.  They are elementwise,
-so item k gets the same bits at every N; the word products and powers
-built on them (`words.word_product`, `surgery.relation_residuals`)
-therefore run on entry arrays at every stack length, one matrix
-included, and a one-point re-check reproduces a stacked result bit for
-bit.
+`mat2_power` work on 2x2 stacks held as one (2, 2, N) entry layout
+(`mat2_entries`, `mat2_stack`): a product is one broadcast multiply and
+one add, where numpy's `matmul` loops over the items of an (N, 2, 2)
+stack at ~0.18 us per complex product.  Both are elementwise, so item
+k gets the same bits at every N; the word products and powers built on
+them (`words.word_product`, `surgery.relation_residuals`) run on entry
+layouts at every stack length, one matrix included, and a one-point
+re-check reproduces a stacked result bit for bit.
 
 `svd` has two branches.  LAPACK (`np.linalg.svd`) runs one call per
 item, ~5-7 us for a 2 x 4 matrix, while an elementwise numpy call on a
@@ -35,9 +34,9 @@ LAPACK's; one rotation leaves it at eps * kappa^2 for a wide m.
 Single matrices, short stacks and every other shape stay on LAPACK,
 which computes the reduced factorization only, as does `rank`.
 The same stack length is the one from which `words.fox_blocks` runs
-its prefix pass on entry arrays: one Fox pass at N = 1, the `torsion`
-subcommand's, is ~4x cheaper with `@`, and its blocks need not match
-any other call's bits.
+its prefix pass on entry layouts.  That pass is cheaper from N ~ 8,
+but shorter stacks keep `@`, as a single point does, so that a
+41-point stack of the exterior oracle stays within 1e-14 of its points.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ RANK_RTOL = 1e-9         # rank threshold, relative to max(1, largest sigma)
 SINGULAR_TOL = 1e-12     # |det| below this means "singular" for 2x2 inverses
 LEADING_TOL = 1e-12      # |a| below this: a z^2 + b z + c is not a quadratic
 # the shortest stack that `svd` hands to `_jacobi_svd` and on which
-# `words.fox_blocks` runs its pass on entry arrays; word products and
+# `words.fox_blocks` runs its pass on entry layouts; word products and
 # matrix powers take no such switch, since their items must round alike
 # at every N (see the module docstring).  Median us per call
 # on stacks of N random matrices (2-core Xeon, Python 3.11.7, numpy
@@ -64,13 +63,13 @@ LEADING_TOL = 1e-12      # |a| below this: a z^2 + b z + c is not a quadratic
 #   2x3    82/16  129/106  172/237  182/290  187/347  163/596  283/1050
 #   3x2    93/17   96/73   148/186  136/189  155/227  215/563  301/1132
 # 2 x 2 product and the Fox pass over the 10-letter relator, `matmul` /
-# entry arrays:
+# entry layout:
 #   N          1        8       16       32       48      100      203
-#   a @ b   1.7/6.0  3.6/4.1  5.0/3.8  9.1/4.1  12/3.9   24/5.2   45/5.8
-#   Fox     22/86    40/86    54/84    96/86   120/82   242/104  460/120
-# The SVD kernel wins on every shape from N = 40 and the Fox pass from
-# N = 32; 48 leaves a margin for the 2 x 2 maps, on which LAPACK is
-# cheapest.
+#   a @ b   1.1/1.9  2.6/2.0  4.1/2.2  6.9/2.2  9.8/2.5   19/3.2   37/4.4
+#   Fox     16/27    31/31    45/32    75/35   101/37   195/44   378/62
+# The SVD kernel wins on every shape from N = 40; 48 leaves a margin for
+# the 2 x 2 maps, on which LAPACK is cheapest.  The Fox pass switches at
+# 48 for the item equality in the module docstring, not for speed.
 STACK_KERNEL_MIN_ITEMS = 48
 _TINY = np.finfo(float).tiny
 
@@ -91,35 +90,31 @@ def _check_finite(m: np.ndarray) -> np.ndarray:
 
 
 def mat2_entries(m: np.ndarray) -> np.ndarray:
-    """The four (N,) entry arrays (11, 12, 21, 22) of an (N, 2, 2) stack,
-    as the rows of one contiguous (4, N) array."""
-    return np.ascontiguousarray(m.reshape(len(m), 4).T)
+    """The contiguous (2, 2, N) entry layout of an (N, 2, 2) stack, [i, j]
+    the items' (i, j) entries: a view when the stack is itself a view of
+    a layout (`mat2_stack`, `riley.rep_stacks`), else a copy."""
+    return np.ascontiguousarray(m.transpose(1, 2, 0))
 
 
-def mat2_stack(entries) -> np.ndarray:
-    """The (N, 2, 2) stack whose entry arrays are `entries`."""
-    return np.stack(entries, axis=-1).reshape(-1, 2, 2)
+def mat2_stack(entries: np.ndarray) -> np.ndarray:
+    """The (N, 2, 2) stack of a (2, 2, N) entry layout, a view."""
+    return entries.transpose(2, 0, 1)
 
 
-def mat2_product(a, b) -> tuple:
-    """The product a b of two 2x2 matrices held as their four entry
-    arrays (11, 12, 21, 22): 8 multiplies and 4 adds on the arrays.
-    Each is elementwise, so item k of a stack gets the same bits
-    whatever its length."""
-    a11, a12, a21, a22 = a
-    b11, b12, b21, b22 = b
-    return (a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
-            a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)
+def mat2_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product a b of two (2, 2, N) entry layouts, one multiply and
+    one add on the whole layout: entry (i, k) is a_i1 b_1k + a_i2 b_2k,
+    elementwise, so item n gets the same bits whatever N is."""
+    t = a[:, :, None] * b
+    return t[:, 0] + t[:, 1]
 
 
-def mat2_power(a, k: int) -> tuple:
-    """a^k, k >= 0, for a 2x2 matrix held as four (N,) entry arrays, by
-    squaring: the squares a^(2^i) of the set bits i of k multiplied on
-    from the right in increasing i, with `mat2_product`; k = 0 gives
-    the identity."""
+def mat2_power(a: np.ndarray, k: int) -> np.ndarray:
+    """a^k, k >= 0, for a (2, 2, N) entry layout, by squaring: the
+    squares a^(2^i) of the set bits i of k multiplied on from the right
+    in increasing i, with `mat2_product`; k = 0 gives E at every item."""
     if k == 0:
-        one, zero = np.ones_like(a[0]), np.zeros_like(a[0])
-        return one, zero, zero, one
+        return np.broadcast_to(E2[:, :, None], a.shape)
     power = None
     while True:
         if k & 1:

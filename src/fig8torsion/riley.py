@@ -126,17 +126,19 @@ def rep_stacks(s: np.ndarray, t: np.ndarray) -> dict[int, np.ndarray]:
     stacks over the N points (s[k], t[k]), or over one point for scalar
     s and t: the one builder of the generator images.  Both generators
     are unimodular, so the inverses are exact:
-    x^-1 -> [[1/s, -1], [0, s]] and y^-1 -> [[1/s, 0], [t, s]]."""
+    x^-1 -> [[1/s, -1], [0, s]] and y^-1 -> [[1/s, 0], [t, s]].  Each
+    stack is a view of a (2, 2, N) entry layout, as `linalg.mat2_stack`
+    gives."""
     s = _check_s(np.asarray(s)).reshape(-1)
     t = np.asarray(t, dtype=complex).reshape(-1)
     inv = 1 / s
-    # entries (a11, a12, a21, a22) of x, x^-1, y, y^-1 at each point
-    entries = np.zeros((4, 4, s.size), dtype=complex)
-    entries[0::2, 0] = entries[1::2, 3] = s
-    entries[1::2, 0] = entries[0::2, 3] = inv
-    entries[0, 1], entries[1, 1] = 1, -1
-    entries[2, 2], entries[3, 2] = -t, t
-    imgs = entries.transpose(0, 2, 1).reshape(4, -1, 2, 2)
+    # the (2, 2, N) entry layouts of x, x^-1, y, y^-1
+    entries = np.zeros((4, 2, 2, s.size), dtype=complex)
+    entries[0::2, 0, 0] = entries[1::2, 1, 1] = s
+    entries[1::2, 0, 0] = entries[0::2, 1, 1] = inv
+    entries[0, 0, 1], entries[1, 0, 1] = 1, -1
+    entries[2, 1, 0], entries[3, 1, 0] = -t, t
+    imgs = entries.transpose(0, 3, 1, 2)
     return {X: imgs[0], -X: imgs[1], Y: imgs[2], -Y: imgs[3]}
 
 

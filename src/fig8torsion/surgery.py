@@ -46,9 +46,9 @@ variety.  A RileyPoint is built only for each row kept.
 slope or at one slope per point, and `surgery_residual` its N = 1 call,
 so a check that re-tests rows gets the bits the solver filtered on.
 That holds because the longitude word, the powers and their product
-are all taken on the four entry arrays of the 2x2 stacks, whatever the
-stack length: elementwise arithmetic rounds item k the same way at
-every N, where numpy's `matmul` is not promised to.
+are all taken on (2, 2, N) entry layouts, whatever the stack length:
+elementwise arithmetic rounds item k the same way at every N, where
+numpy's `matmul` is not promised to.
 """
 
 from __future__ import annotations
@@ -137,10 +137,10 @@ def relation_residuals(s: np.ndarray, t: np.ndarray,
     when p < 0.  The matrix powers are taken by squaring
     (`linalg.mat2_power`) on each run of consecutive items at one slope;
     everything else runs once on the stacks.  The word, the powers and
-    their product are taken on entry arrays at every stack length, so
-    item k has the same bits whatever the stack holds besides it; at
-    p = 0 or q = 0 that power is E, and the residual is that of the
-    other factor alone."""
+    their product are taken on (2, 2, N) entry layouts at every stack
+    length, so item k has the same bits whatever the stack holds besides
+    it; at p = 0 or q = 0 that power is E, and the residual is that of
+    the other factor alone."""
     imgs = rep_stacks(s, t)
     if isinstance(slopes, SurgerySlope):
         runs = [(slopes, slice(None))]
@@ -152,15 +152,14 @@ def relation_residuals(s: np.ndarray, t: np.ndarray,
             start = stop
     entries = {a: mat2_entries(m) for a, m in imgs.items()}
     ml = _word_entries(LONGITUDE, entries)
-    rel = np.empty((4, len(imgs[X])), dtype=complex)
+    rel = np.empty_like(ml)
     for slope, items in runs:
-        mx = entries[X if slope.p >= 0 else -X][:, items]
-        rel[:, items] = mat2_product(
-            mat2_power(mx, abs(slope.p)),
-            mat2_power([e[items] for e in ml], slope.q))
-    rel[0] -= 1
-    rel[3] -= 1
-    return np.linalg.norm(rel, axis=0)
+        mx = entries[X if slope.p >= 0 else -X][:, :, items]
+        rel[:, :, items] = mat2_product(mat2_power(mx, abs(slope.p)),
+                                        mat2_power(ml[:, :, items], slope.q))
+    rel[0, 0] -= 1
+    rel[1, 1] -= 1
+    return np.linalg.norm(rel, axis=(0, 1))
 
 
 def surgery_residual(pt: RileyPoint, slope: SurgerySlope) -> tuple[complex, float]:

@@ -3,15 +3,15 @@
 one prefix pass that gives both at once (`fox_jacobian`, or
 `fox_blocks` given the inverse images too).  `word_product`,
 `fox_jacobian` and `fox_blocks` take (N, 2, 2) stacks of images as well
-as single 2x2 matrices and give the N values at once.  numpy's `matmul`
-multiplies a stack of 2x2 complex matrices item by item, so
-`word_product` keeps each matrix as four (N,) entry arrays
+as single 2x2 matrices and give the N values at once.  numpy's
+`matmul` multiplies a stack of 2x2 complex matrices item by item, so
+`word_product` holds the stack as one (2, 2, N) entry layout
 (`linalg.mat2_product`) at every N, one matrix included: item k then
 has the same bits whatever the stack, which the surgery residual's
 one-point re-check relies on.  `fox_blocks` does the same from
 `linalg.STACK_KERNEL_MIN_ITEMS` images (see the crossover table
-there); its shorter stacks and single matrices use `@`, which is
-cheaper at N = 1, and no caller compares their bits with a stack's.
+there); its shorter stacks and single matrices use `@`, and no caller
+compares their bits with a stack's.
 
 A word is a tuple of nonzero ints: +1/-1 for x/x^-1, +2/-2 for y/y^-1,
 always stored freely reduced.  The canonical text form is the compact
@@ -88,8 +88,8 @@ def word_product(w, imgs: dict) -> np.ndarray:
     """Product of imgs[a] over the letters a of w, where imgs maps each
     of X, Y, -X, -Y to a 2x2 matrix or to an (N, 2, 2) stack, which
     gives the N images at once; a single matrix is the N = 1 stack.
-    The product is taken on the four entry arrays (`mat2_product`), so
-    item k of a stack has the bits of the N = 1 call on it."""
+    The product is taken on entry layouts (`mat2_product`), so item k
+    of a stack has the bits of the N = 1 call on it."""
     if not w:
         return np.broadcast_to(E2, imgs[X].shape).copy()
     entries = {a: mat2_entries(imgs[a].reshape(-1, 2, 2)) for a in set(w)}
@@ -97,10 +97,9 @@ def word_product(w, imgs: dict) -> np.ndarray:
     return out[0] if imgs[X].ndim == 2 else out
 
 
-def _word_entries(w, entries: dict) -> tuple:
+def _word_entries(w, entries: dict) -> np.ndarray:
     """The product of `word_product` for a nonempty word w, on images
-    held as four (N,) entry arrays each (`linalg.mat2_entries`), and
-    kept as four entry arrays."""
+    held as (2, 2, N) entry layouts (`linalg.mat2_entries`), as one."""
     out = entries[w[0]]
     for a in w[1:]:
         out = mat2_product(out, entries[a])
@@ -126,7 +125,7 @@ def fox_blocks(w, imgs: dict) -> tuple[np.ndarray, np.ndarray]:
     the Fox rules dg/dg = 1, d(g^-1)/dg = -g^-1 and
     d(uv)/dg = du/dg + u dv/dg, applied letter by letter.
     A stack of at least STACK_KERNEL_MIN_ITEMS images takes the pass on
-    entry arrays (`_fox_entries`), anything shorter `@`.
+    entry layouts (`_fox_entries`), anything shorter `@`.
     Raises OverflowError when a block is not finite.
     """
     if imgs[X].ndim == 3 and len(imgs[X]) >= STACK_KERNEL_MIN_ITEMS:
@@ -145,17 +144,16 @@ def fox_blocks(w, imgs: dict) -> tuple[np.ndarray, np.ndarray]:
 
 def _fox_entries(w, imgs: dict) -> tuple[np.ndarray, np.ndarray]:
     """The pass of `fox_blocks` on (N, 2, 2) stacks, with the prefix and
-    the blocks held as their four (N,) entry arrays (11, 12, 21, 22):
-    a letter costs one `mat2_product` on them, and the blocks are
-    assembled once at the end."""
+    the blocks held as (2, 2, N) entry layouts: a letter costs one
+    `mat2_product`, and the blocks go back to stacks once at the end."""
     entries = {a: mat2_entries(m) for a, m in imgs.items()}
-    zero = np.zeros(len(imgs[X]), dtype=complex)
-    blocks = {X: (zero,) * 4, Y: (zero,) * 4}
-    prefix = (1, 0, 0, 1)
+    blocks = {g: np.zeros((2, 2, len(imgs[X])), dtype=complex)
+              for g in (X, Y)}
+    prefix = E2[:, :, None]
     for a in w:
         if a > 0:
-            blocks[a] = tuple(map(np.add, blocks[a], prefix))
+            blocks[a] += prefix
         prefix = mat2_product(prefix, entries[a])
         if a < 0:
-            blocks[-a] = tuple(map(np.subtract, blocks[-a], prefix))
+            blocks[-a] -= prefix
     return tuple(_check_finite(mat2_stack(blocks[g])) for g in (X, Y))

@@ -129,6 +129,10 @@ def test_torsion_pretty(capsys):
     assert code == 0
     # the tau(M) line names its form
     assert "tau(M) (1/n form)          : -0.5" in out
+    # a zero part prints unsigned, though u = 2 gives tau as -0.5 - 0i
+    assert "tau(solid torus), u form   : 0.25+0i\n" in out
+    assert "tau(M) (1/n form)          : -0.5+0i\n" in out
+    assert "-0i" not in out
     # all five torsion quantities present
     for label in ("closed form", "Fox oracle", "trace", "u form",
                   "tau(M) (1/n form)"):

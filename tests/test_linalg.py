@@ -6,7 +6,8 @@ import pytest
 from fig8torsion.errors import DegenerateLeadingCoefficient, SingularMatrix
 from fig8torsion.linalg import (E2, STACK_KERNEL_MIN_ITEMS, RANK_RTOL, mat2,
                                mat2_entries, mat2_inverse, mat2_power,
-                               mat2_stack, rank, solve_quadratic, svd)
+                               mat2_product, mat2_stack, rank,
+                               solve_quadratic, svd)
 from fig8torsion.riley import rep_matrices, solve_t
 from fox_reference import ENTRY_STACK_LENGTHS, product_bound, spread_stack
 
@@ -306,8 +307,26 @@ def test_rank_rejects_non_finite():
 
 
 @pytest.mark.parametrize("n", ENTRY_STACK_LENGTHS)
+def test_mat2_product_is_the_written_out_sums(n):
+    """Entry (i, k) of `mat2_product` is a_i1 b_1k + a_i2 b_2k on the
+    (N,) entry arrays, bit for bit: the surgery table's rows are kept by
+    an absolute gate at the rounding edge (the FOUND line on
+    RELATION_TOL in CHANGES.md), so the product must round as these
+    sums do.  The entry layout and its stack share their memory."""
+    rng = np.random.default_rng(n)
+    a, b = (mat2_entries(spread_stack(rng, n)) for _ in range(2))
+    assert a.shape == (2, 2, n) and a.flags.c_contiguous
+    assert np.shares_memory(mat2_entries(mat2_stack(a)), a)
+    product = mat2_product(a, b)
+    for i in range(2):
+        for k in range(2):
+            written = a[i, 0] * b[0, k] + a[i, 1] * b[1, k]
+            assert np.array_equal(product[i, k], written), (i, k)
+
+
+@pytest.mark.parametrize("n", ENTRY_STACK_LENGTHS)
 def test_mat2_power_matches_repeated_matmul(n):
-    """a^k by squaring on entry arrays is E at k = 0 and a at k = 1,
+    """a^k by squaring on the entry layout is E at k = 0 and a at k = 1,
     agrees with k - 1 `@` products to `product_bound`, and gives
     item j the bits of the one-item call on it."""
     rng = np.random.default_rng(n)

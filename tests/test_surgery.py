@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -395,7 +396,15 @@ def test_row_order_stable_under_last_bit_changes(p, q):
 def test_slope_sign_symmetry():
     """p/q and -p/-q are one slope, stored with q >= 0 and as 1/0 when
     q = 0, so the two spellings give one table, bit for bit, on every
-    slope of the grid |p| <= 40, 1 <= q <= 16."""
+    slope of the grid |p| <= 40, 1 <= q <= 16.
+
+    The grid's totals are pinned as they stand: 24 293 rows of the
+    28 227 characters N(p/q), and 364 short slopes.  The absolute
+    RELATION_TOL sits at the rounding edge (the FOUND line on it in
+    CHANGES.md): changing only how the residual's products round moved
+    the rows of 137 grid slopes, 24 176 -> 24 293 rows and 367 -> 364
+    short slopes.  A relative gate is meant to make every slope complete,
+    and then updates these totals on purpose."""
     assert SurgerySlope(1, -2) == SurgerySlope(-1, 2)
     assert (SurgerySlope(-1, 0).p, SurgerySlope(-1, 0).q) == (1, 0)
     assert (SurgerySlope(0, -1).p, SurgerySlope(0, -1).q) == (0, 1)
@@ -405,6 +414,11 @@ def test_slope_sign_symmetry():
     rows = solve_surgery([SurgerySlope(p, q) for p, q in grid])
     twins = solve_surgery([SurgerySlope(-p, -q) for p, q in grid])
     assert table_to_csv(rows) == table_to_csv(twins)
+    counts = Counter((sol.slope.p, sol.slope.q) for sol in rows)
+    expected = {(p, q): _expected_count(p, q) for p, q in grid}
+    assert sum(expected.values()) == 28227
+    assert len(rows) == 24293
+    assert sum(counts[pq] < n for pq, n in expected.items()) == 364
 
 
 def test_determinism():

@@ -19,7 +19,8 @@ sympy = pytest.importorskip("sympy")
 from fig8torsion import riley                              # noqa: E402
 from fig8torsion.riley import (LONGITUDE, RELATOR,         # noqa: E402
                                longitude_l11, riley_poly, trace_l)
-from fig8torsion.surgery import SurgerySlope, _chebyshev_series  # noqa: E402
+from fig8torsion.surgery import (RELATION_TOL, SurgerySlope,  # noqa: E402
+                                 _chebyshev_series, solve_surgery)
 from fig8torsion.words import X, Y                         # noqa: E402
 from fox_reference import fox_derivative                   # noqa: E402
 
@@ -162,3 +163,58 @@ def test_parabolic_factor_exact():
         coeffs = _chebyshev_series(SurgerySlope(p, q))
         assert sum(sympy.Rational(c) * (-1) ** k
                    for k, c in enumerate(coeffs)) == 0, (p, q)
+
+
+def _power_sums(poly):
+    """[p_0, ..., p_{n-1}], p_k the sum of the k-th powers of the n roots
+    of poly, with multiplicity, by Newton's identities on its
+    coefficients: p_k = -k a_k - sum_{0<i<k} a_i p_{k-i} for the monic
+    v^n + a_1 v^(n-1) + ... + a_n."""
+    lead, *rest = poly.all_coeffs()
+    a = [c / lead for c in rest]
+    sums = [sympy.Integer(len(a))]
+    for k in range(1, len(a)):
+        sums.append(-k * a[k - 1]
+                    - sum(a[i - 1] * sums[k - i] for i in range(1, k)))
+    return sums
+
+
+# the exact sum of 1/tau over the rows of +-1/q
+TAU_SUMS = {1: sympy.Rational(5, 2), 2: 42, 3: 27, 5: 85, 8: 744, 12: 1692,
+            16: 3024}
+
+
+@pytest.mark.parametrize("q", sorted(TAU_SUMS))
+@pytest.mark.parametrize("p", [1, -1])
+def test_tau_column_sums_exact_on_the_1_over_n_slopes(p, q):
+    """On p = +-1 the printed paper form 2(u - 1)/(u^2 (u^2 - 5)) is the
+    true tau(M), and the table is complete: one row per root v of f's
+    Chebyshev series P once the parabolic factor v + 1 is divided out.
+    So sum 1/tau over the rows is sum g(v) over the roots of P, with
+    g = A/B, A = u^2 (u^2 - 5), B = 2(u - 1) and u = 2 T_q(v): a
+    symmetric function of the roots, taken here in exact arithmetic the
+    table does not use.  The extended gcd of B and P is 1, which proves
+    that no row has u = 1 and gives B^-1 modulo P; at every root, g is
+    then the polynomial R = A B^-1 mod P, and sum R(v_j) comes from the
+    roots' power sums (Newton's identities).
+
+    The bound comes from the rows' gate: a row is kept when
+    ||rho(x)^p rho(l)^q - E|| <= RELATION_TOL, and on the variety that
+    matrix is triangular with s^p lambda^q - 1 on its diagonal, so each
+    row's relation holds to RELATION_TOL.  Read as a relative error of
+    each term, that puts the float sum within RELATION_TOL sum |1/tau|
+    of the exact one."""
+    deflated, rest = sympy.div(_series_poly(p, q), sympy.Poly(v + 1, v))
+    assert rest.is_zero
+    u = 2 * _chebyshev_t(q)
+    inv_b, _, gcd = sympy.gcdex(2 * (u - 1), deflated)
+    assert gcd == sympy.Poly(1, v, domain=gcd.domain)
+    r = (u**2 * (u**2 - 5) * inv_b).rem(deflated)
+    exact = sum(c * p_k for c, p_k in
+                zip(reversed(r.all_coeffs()), _power_sums(deflated)))
+    assert exact == TAU_SUMS[q]
+    rows = solve_surgery(SurgerySlope(p, q))
+    assert len(rows) == deflated.degree() == 4 * q - 1
+    numeric = sum(1 / sol.torsion for sol in rows)
+    bound = RELATION_TOL * sum(abs(1 / sol.torsion) for sol in rows)
+    assert abs(numeric - float(exact)) <= bound
