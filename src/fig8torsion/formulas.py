@@ -36,8 +36,9 @@ from .riley import (RileyPoint, RELATOR, complex_csv, complex_json,
                     trace_l_scale, trace_u, variety_membership)
 from .words import X, Y, fox_blocks, fox_jacobian, parse_word
 
-DEGENERATE_TOL = 1e-8    # |u^2 (u^2 - 5)| below this is degenerate
-NONACYCLIC_TOL = 1e-8    # |2 - tr rho(l)| below this is non-acyclic
+# |u^2 (u^2 - 5)| below this is degenerate; on the variety that is
+# |2 - tr rho(l)| (`verify`'s trace identity), so the trace form too
+DEGENERATE_TOL = 1e-8
 COMPARE_TOL = 1e-8       # relative gap up to which a report check passes
 
 _COMMUTATOR = parse_word("xyXY")
@@ -79,9 +80,9 @@ def torsion_surgered(u):
 
 def torsion_solid_torus_from_trace(p: RileyPoint) -> complex:
     """tau of the solid torus via 1/(2 - tr rho(l)) with the closed-form
-    longitude trace."""
+    longitude trace; NotAcyclic within DEGENERATE_TOL of the pole."""
     gap = 2 - trace_l(p.s, p.t)
-    if abs(gap) <= NONACYCLIC_TOL:
+    if abs(gap) <= DEGENERATE_TOL:
         raise NotAcyclic(f"|2 - tr rho(l)| = {abs(gap):.3e}")
     return 1 / gap
 

@@ -33,10 +33,11 @@ Its two rotations keep the lift m V_r S_r^-1 = U_r to eps * kappa, as
 LAPACK's; one rotation leaves it at eps * kappa^2 for a wide m.
 Single matrices, short stacks and every other shape stay on LAPACK,
 which computes the reduced factorization only, as does `rank`.
-The same stack length is the one from which `words.fox_blocks` runs
-its prefix pass on entry layouts.  That pass is cheaper from N ~ 8,
-but shorter stacks keep `@`, as a single point does, so that a
-41-point stack of the exterior oracle stays within 1e-14 of its points.
+The same length picks `words.fox_blocks`' product kernel: `@` below
+it, since one point (the `torsion` subcommand) runs ~10% faster end to
+end on it, and entry layouts from it, not from the ~8 crossover, so
+that `test_stacked_exterior_oracle_matches_items`' 41-point stack of
+the exterior oracle takes its points' kernel.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ RANK_RTOL = 1e-9         # rank threshold, relative to max(1, largest sigma)
 SINGULAR_TOL = 1e-12     # |det| below this means "singular" for 2x2 inverses
 LEADING_TOL = 1e-12      # |a| below this: a z^2 + b z + c is not a quadratic
 # the shortest stack that `svd` hands to `_jacobi_svd` and on which
-# `words.fox_blocks` runs its pass on entry layouts; word products and
+# `words.fox_blocks` multiplies entry layouts; word products and
 # matrix powers take no such switch, since their items must round alike
 # at every N (see the module docstring).  Median us per call
 # on stacks of N random matrices (2-core Xeon, Python 3.11.7, numpy
@@ -68,8 +69,8 @@ LEADING_TOL = 1e-12      # |a| below this: a z^2 + b z + c is not a quadratic
 #   a @ b   1.1/1.9  2.6/2.0  4.1/2.2  6.9/2.2  9.8/2.5   19/3.2   37/4.4
 #   Fox     16/27    31/31    45/32    75/35   101/37   195/44   378/62
 # The SVD kernel wins on every shape from N = 40; 48 leaves a margin for
-# the 2 x 2 maps, on which LAPACK is cheapest.  The Fox pass switches at
-# 48 for the item equality in the module docstring, not for speed.
+# the 2 x 2 maps, on which LAPACK is cheapest.  The Fox pass keeps `@`
+# below 48 for one point's speed (see the module docstring).
 STACK_KERNEL_MIN_ITEMS = 48
 _TINY = np.finfo(float).tiny
 

@@ -18,18 +18,19 @@ the one builder of the generator images, gives them as (N, 2, 2) stacks.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularParameter
-from .linalg import solve_quadratic
+from .linalg import LEADING_TOL, solve_quadratic
 from .words import X, Y, parse_word, word_concat, word_inverse, word_product
 
 VARIETY_TOL = 1e-10      # membership: |R12| <= tol * max(1, |s|^2, |t|^2)
 # |s| <= S_ZERO_TOL is taken as s = 0: solve_t's quadratic in t has
-# leading coefficient s^2, which solve_quadratic refuses at 1e-12
-S_ZERO_TOL = 1e-6
+# leading coefficient s^2, which solve_quadratic refuses at LEADING_TOL
+S_ZERO_TOL = math.sqrt(LEADING_TOL)
 
 W_WORD = parse_word("xYXy")
 WTILDE_WORD = parse_word("XyxY")

@@ -35,8 +35,9 @@ from .riley import (LONGITUDE, RileyPoint, _t_branches, longitude_l11,
 from .words import word_product
 from .surgery import (RELATION_TOL, SurgerySlope, relation_residuals,
                       solve_surgery)
-from .formulas import (degenerate, full_report, torsion_exterior_closed,
-                       torsion_exterior_oracle, torsion_solid_torus_closed,
+from .formulas import (COMPARE_TOL, degenerate, full_report,
+                       torsion_exterior_closed, torsion_exterior_oracle,
+                       torsion_solid_torus_closed,
                        torsion_solid_torus_from_trace, torsion_surgered,
                        torus_torsion_oracle)
 
@@ -117,7 +118,8 @@ def check_exterior_oracle(points) -> CheckResult:
     worst = float(np.max(err, initial=0.0))
     masked = len(points) - err.size
     return CheckResult("exterior oracle |tau| vs closed form",
-                       masked == 0 and worst <= 1e-8, worst, 1e-8,
+                       masked == 0 and worst <= COMPARE_TOL, worst,
+                       COMPARE_TOL,
                        detail=f"{len(points)} points, {masked} not acyclic")
 
 
@@ -128,24 +130,25 @@ def check_trace_identity(points) -> CheckResult:
     err = _relerr(2 - trace_l(s, t), -u ** 4 + 5 * u ** 2)
     worst = float(np.max(err, initial=0.0))
     return CheckResult("trace identity 2 - tr rho(l) = u^2(5 - u^2)",
-                       worst <= 1e-8, worst, 1e-8,
+                       worst <= COMPARE_TOL, worst, COMPARE_TOL,
                        detail=f"{len(points)} points")
 
 
 def check_longitude_lemma(points) -> CheckResult:
     """Closed-form l11 and tr rho(l) match the word product, to 1e-9 of
-    its largest entry; the word's l21 vanishes, to 1e-8."""
+    its largest entry; the word's l21 vanishes, to COMPARE_TOL of it."""
     s, t, _ = point_arrays(points)
     word = word_product(LONGITUDE, rep_stacks(s, t))
     scale = np.maximum(1.0, np.max(np.abs(word), axis=(1, 2), initial=0.0))
     gap = np.maximum(np.abs(longitude_l11(s, t) - word[:, 0, 0]),
                      np.abs(trace_l(s, t) - np.trace(word, axis1=1, axis2=2)))
     worst_closed = float(np.max(gap / scale, initial=0.0))
-    worst_l21 = float(np.max(np.abs(word[:, 1, 0]) / scale, initial=0.0))
-    ok = worst_closed <= 1e-9 and worst_l21 <= 1e-8
+    l21 = float(np.max(np.abs(word[:, 1, 0]) / scale, initial=0.0))
+    tol = 1e-9
+    ok = worst_closed <= tol and l21 <= COMPARE_TOL
     return CheckResult("longitude l11 and trace vs word product",
-                       ok, worst_closed, 1e-9,
-                       detail=f"word l21 {worst_l21:.2e}, tol 1.0e-08")
+                       ok, worst_closed, tol,
+                       detail=f"word l21 {l21:.2e}, tol {COMPARE_TOL:.1e}")
 
 
 def random_acyclic_stacks(rng, n: int) -> list[ChainComplex]:
@@ -188,7 +191,8 @@ def check_basis_independence(n_fixtures: int, seed: int) -> CheckResult:
         worst = max(worst, float(np.max(err, initial=0.0)))
         masked += int(np.count_nonzero(~ok.all(axis=0)))
     return CheckResult("chain torsion basis independence",
-                       masked == 0 and worst <= 1e-8, worst, 1e-8,
+                       masked == 0 and worst <= COMPARE_TOL, worst,
+                       COMPARE_TOL,
                        detail=f"{n_fixtures} fixtures in {len(stacks)} shapes"
                               f" x 10 bases, {redrawn} redrawn, "
                               f"{masked} masked")
@@ -232,7 +236,8 @@ def check_torus_oracle(n: int, seed: int) -> CheckResult:
         worst = max(worst, float(np.max(err, initial=0.0)))
         done += err.size
         redrawn += len(imga) - err.size
-    return CheckResult("torus complex |tau| = 1", worst <= 1e-8, worst, 1e-8,
+    return CheckResult("torus complex |tau| = 1", worst <= COMPARE_TOL, worst,
+                       COMPARE_TOL,
                        detail=f"{n} commuting pairs, {redrawn} redrawn")
 
 
@@ -254,8 +259,8 @@ def check_product_identity(n: int, seed: int) -> CheckResult:
 
 
 def check_surgery_solver() -> CheckResult:
-    """Slope (1,0) finds nothing; every solution on other slopes
-    satisfies both residuals to RELATION_TOL and the torsion formula,
+    """Slope (1,0) finds nothing; every solution on other slopes meets
+    both residuals and the torsion formula to the printed RELATION_TOL,
     and a row without torsion is flagged degenerate.  One
     `solve_surgery` call solves the ten slopes, one `relation_residuals`
     call re-computes the residual of every row at its slope, and one
@@ -273,7 +278,7 @@ def check_surgery_solver() -> CheckResult:
     err = _relerr(np.array([sol.torsion for sol in with_tau], dtype=complex),
                   torsion_surgered(u))
     worst = max(np.max(res, initial=0.0), np.max(err, initial=0.0))
-    if (np.any(res > RELATION_TOL) or np.any(err > 1e-8)
+    if (np.any(res > RELATION_TOL) or np.any(err > RELATION_TOL)
             or any("degenerate" not in sol.flags
                    for sol in rows if sol.torsion is None)):
         ok = False

@@ -8,10 +8,11 @@ as single 2x2 matrices and give the N values at once.  numpy's
 `word_product` holds the stack as one (2, 2, N) entry layout
 (`linalg.mat2_product`) at every N, one matrix included: item k then
 has the same bits whatever the stack, which the surgery residual's
-one-point re-check relies on.  `fox_blocks` does the same from
-`linalg.STACK_KERNEL_MIN_ITEMS` images (see the crossover table
-there); its shorter stacks and single matrices use `@`, and no caller
-compares their bits with a stack's.
+one-point re-check relies on.  `fox_blocks` is one prefix loop whose
+product kernel is picked before it: entry layouts and `mat2_product`
+from `linalg.STACK_KERNEL_MIN_ITEMS` images, `@` on shorter stacks and
+single matrices, which is cheaper at one point (see the crossover
+table there); no caller compares their bits with a longer stack's.
 
 A word is a tuple of nonzero ints: +1/-1 for x/x^-1, +2/-2 for y/y^-1,
 always stored freely reduced.  The canonical text form is the compact
@@ -124,36 +125,25 @@ def fox_blocks(w, imgs: dict) -> tuple[np.ndarray, np.ndarray]:
     to the g-block, a letter g^-1 subtracts the next prefix P Phi(g)^-1:
     the Fox rules dg/dg = 1, d(g^-1)/dg = -g^-1 and
     d(uv)/dg = du/dg + u dv/dg, applied letter by letter.
-    A stack of at least STACK_KERNEL_MIN_ITEMS images takes the pass on
-    entry layouts (`_fox_entries`), anything shorter `@`.
+    The product kernel is picked before the pass: `mat2_product` on
+    (2, 2, N) entry layouts from STACK_KERNEL_MIN_ITEMS images, else `@`
+    with no conversion, cheaper at one point (see that constant).
     Raises OverflowError when a block is not finite.
     """
-    if imgs[X].ndim == 3 and len(imgs[X]) >= STACK_KERNEL_MIN_ITEMS:
-        return _fox_entries(w, imgs)
+    entry = imgs[X].ndim == 3 and len(imgs[X]) >= STACK_KERNEL_MIN_ITEMS
+    if entry:
+        imgs = {a: mat2_entries(m) for a, m in imgs.items()}
+        product, prefix = mat2_product, E2[:, :, None]
+    else:
+        product, prefix = np.matmul, E2
     blocks = {X: np.zeros(imgs[X].shape, dtype=complex),
               Y: np.zeros(imgs[X].shape, dtype=complex)}
-    prefix = E2
     for a in w:
         if a > 0:
             blocks[a] += prefix
-        prefix = prefix @ imgs[a]
+        prefix = product(prefix, imgs[a])
         if a < 0:
             blocks[-a] -= prefix
+    if entry:
+        blocks = {g: mat2_stack(b) for g, b in blocks.items()}
     return _check_finite(blocks[X]), _check_finite(blocks[Y])
-
-
-def _fox_entries(w, imgs: dict) -> tuple[np.ndarray, np.ndarray]:
-    """The pass of `fox_blocks` on (N, 2, 2) stacks, with the prefix and
-    the blocks held as (2, 2, N) entry layouts: a letter costs one
-    `mat2_product`, and the blocks go back to stacks once at the end."""
-    entries = {a: mat2_entries(m) for a, m in imgs.items()}
-    blocks = {g: np.zeros((2, 2, len(imgs[X])), dtype=complex)
-              for g in (X, Y)}
-    prefix = E2[:, :, None]
-    for a in w:
-        if a > 0:
-            blocks[a] += prefix
-        prefix = mat2_product(prefix, entries[a])
-        if a < 0:
-            blocks[-a] -= prefix
-    return tuple(_check_finite(mat2_stack(blocks[g])) for g in (X, Y))

@@ -17,7 +17,7 @@ from fig8torsion.surgery import (BRANCH_POINT_TOL, CSV_HEADER, RELATION_TOL,
                                  surgery_residual, table_to_csv, table_to_json)
 from fig8torsion.formulas import torsion_surgered
 from fig8torsion.verify import sample_variety_points
-from fig8torsion.words import X, word_product
+from fig8torsion.words import X, parse_word, word_product
 
 
 def test_slope_validation():
@@ -168,6 +168,43 @@ def test_large_slopes_complete(p, q):
     """The paper's 1/n family and a large |p| at the CLI's degree limit
     have every character: 199 rows on 1/50 and 399 on 400/1."""
     assert len(solve_surgery(SurgerySlope(p, q))) == _expected_count(p, q)
+
+
+REAL_TOL = 1e-9     # |Im| up to which u and tr rho([x, y]) count as real
+
+
+@pytest.mark.parametrize("p, q, su2", [
+    (1, 1, 2), (-1, 1, 2), (1, 2, 4), (-1, 2, 4), (1, 3, 6),
+    (1, 16, 32), (-1, 16, 32), (1, 50, 100),
+    # one short of 2q: ROADMAP item 2 (the absolute relation gate loses
+    # 1 of 1/100's 399 rows, an SU(2) one) and item 4 (the second count
+    # of the SU(2) rows); item 2's fix makes this 200
+    (1, 100, 199)])
+def test_casson_count_on_the_1_over_n_slopes(p, q, su2):
+    """Casson's surgery formula gives lambda(K_1/n) = n Delta''(1)/2 = -n
+    for the figure-eight (Delta = -t + 3 - 1/t; Akbulut and McCarthy,
+    1990), so its 1/n surgeries have at least 2|n| irreducible SU(2)
+    characters, and here exactly 2|n|: the rows whose u is real in
+    (-2, 2).  On each of them tr rho([x, y])
+    is real in [-2, 2], as on every SU(2) character (Goldman, 2009).
+    A row with that commutator trace and no SU(2) u has a real u with
+    |u| > 2, an SL(2, R) character: one such row on -1/1, -1/2, -1/16.
+    REAL_TOL sits in the gap of the data: on these slopes the real rows
+    read |Im u| <= 1.3e-14 and |Im tr rho([x, y])| <= 1.3e-12, the
+    others |Im u| >= 4.7e-7 (rows near u = -2 on 1/100) and
+    |Im tr rho([x, y])| >= 1.4e-2.  1/100 is pinned at 199, one short:
+    the comment on its case says why."""
+    rows = solve_surgery(SurgerySlope(p, q))
+    s, t, _ = point_arrays([sol.point for sol in rows])
+    u = np.array([sol.u for sol in rows])
+    kappa = np.trace(word_product(parse_word("xyXY"), rep_stacks(s, t)),
+                     axis1=1, axis2=2)
+    real_u = np.abs(u.imag) <= REAL_TOL
+    su2_rows = real_u & (np.abs(u.real) < 2)
+    kappa_rows = (np.abs(kappa.imag) <= REAL_TOL) & (np.abs(kappa.real) <= 2)
+    assert np.count_nonzero(su2_rows) == su2
+    assert np.all(kappa_rows[su2_rows])
+    assert np.all((real_u & (np.abs(u.real) > 2))[kappa_rows & ~su2_rows])
 
 
 @pytest.mark.parametrize(

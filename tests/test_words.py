@@ -167,19 +167,21 @@ def stack_images(imgx, imgy):
 
 def test_fox_entry_path_matches_matmul_items(monkeypatch):
     """A stack of STACK_KERNEL_MIN_ITEMS or more takes the pass on entry
-    arrays, each item alone takes `@`; both add up the same prefix
+    layouts, one `mat2_product` per letter, and each item alone takes
+    `@`, with no `mat2_product` call; both add up the same prefix
     products.  A prefix of k unimodular images rounds by a few
     k eps prod_{i<=k} ||Phi(g_i)||_F (Higham, ch. 3), and ||Phi(g)||_F >=
     sqrt(2), so the prefixes of w sum to a few len(w) eps prod_w
-    ||Phi(g)||_F: each block item agrees to 4 len(w) eps of that product."""
-    entry_calls = []
-    entries = words._fox_entries
+    ||Phi(g)||_F: each block item agrees to 4 len(w) eps of that product.
+    A single 2x2 call and its N = 1 stack give the same bits."""
+    product_calls = []
+    product = words.mat2_product
 
-    def counting(w, imgs):
-        entry_calls.append(len(imgs[X]))
-        return entries(w, imgs)
+    def counting(a, b):
+        product_calls.append(b.shape[-1])
+        return product(a, b)
 
-    monkeypatch.setattr(words, "_fox_entries", counting)
+    monkeypatch.setattr(words, "mat2_product", counting)
     rng = np.random.default_rng(15)
     n = STACK_KERNEL_MIN_ITEMS + 5
     s = np.exp(rng.uniform(-1.2, 1.2, n) + 1j * rng.uniform(0, 7, n))
@@ -191,16 +193,18 @@ def test_fox_entry_path_matches_matmul_items(monkeypatch):
         for _ in range(20)]
     eps = np.finfo(float).eps
     for w, imgs in cases:
-        del entry_calls[:]
+        del product_calls[:]
         blocks = fox_blocks(w, imgs)
-        assert entry_calls == [n]
+        assert product_calls == [n] * len(w)
         norms = {a: np.linalg.norm(m, axis=(1, 2)) for a, m in imgs.items()}
         bound = 4 * len(w) * eps * np.prod([norms[a] for a in w], axis=0)
         for k in range(n):
             item = fox_blocks(w, {a: m[k:k + 1] for a, m in imgs.items()})
-            for block, one in zip(blocks, item):
+            single = fox_blocks(w, {a: m[k] for a, m in imgs.items()})
+            for block, one, alone in zip(blocks, item, single):
                 assert np.abs(block[k] - one[0]).max() <= bound[k]
-    assert entry_calls == [n]
+                assert np.array_equal(one[0], alone)
+        assert product_calls == [n] * len(w)
 
 
 def test_fox_entry_path_raises_on_one_overflowing_item():
