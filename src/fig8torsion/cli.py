@@ -36,9 +36,11 @@ RILEY_CSV_HEADER = "s_re,s_im,t_re,t_im,branch,residual"
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # a value with a negative real part, as in --s -1,0, is a value
-        # and not an option; argparse's own pattern has no comma
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        # a value with a negative real part, as in --s -1,0 or --s -inf,0,
+        # is a value and not an option: argparse's own pattern has no comma,
+        # and no spelling of inf or nan that float() accepts
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)",
+                                                   re.IGNORECASE)
 
     # argparse exits 2 on usage errors; the contract here is exit 1
     def error(self, message):

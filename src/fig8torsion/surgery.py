@@ -49,11 +49,14 @@ That holds because the longitude word, the powers and their product
 are all taken on (2, 2, N) entry layouts, whatever the stack length:
 elementwise arithmetic rounds item k the same way at every N, where
 numpy's `matmul` is not promised to.
+
+The tables print each row from one template, the CSV row from its cells
+and the JSON row (`SurgerySolution.to_json_row`) byte for byte as
+`json.dumps` would print the row's nested object, without building it.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Sequence
 from itertools import groupby
@@ -64,8 +67,8 @@ import numpy as np
 from .errors import DegenerateU, InvalidSlope
 from .linalg import mat2_entries, mat2_power, mat2_product
 from .riley import (LONGITUDE, RileyPoint, _t_branches, _t_from_l11,
-                    complex_csv, complex_json, longitude_l11, rep_stacks,
-                    riley_poly, trace_l, trace_u, variety_membership)
+                    complex_csv, longitude_l11, rep_stacks, riley_poly,
+                    trace_l, trace_u, variety_membership)
 from .words import X, _word_entries
 from .formulas import torsion_surgered
 
@@ -78,6 +81,13 @@ BRANCH_POINT_TOL = 1e-6   # |t+ - t-| below this
 CSV_HEADER = ("s_re,s_im,t_re,t_im,branch,u_re,u_im,trl_re,trl_im,"
               "lambda_re,lambda_im,tau_re,tau_im,res_variety,res_relation,"
               "flags")
+# one JSON row (see `SurgerySolution.to_json_row`); the torsion cell is
+# null or {"re": ..., "im": ...}
+_JSON_ROW = ('{"point": {"s": {"re": %s, "im": %s}, '
+             '"t": {"re": %s, "im": %s}, "branch": "%s", "residual": %s}, '
+             '"u": {"re": %s, "im": %s}, "trace_l": {"re": %s, "im": %s}, '
+             '"lambda": {"re": %s, "im": %s}, "relation_residual": %s, '
+             '"torsion": %s, "flags": [%s]}')
 
 
 @dataclass(frozen=True)
@@ -109,13 +119,24 @@ class SurgerySolution:
     torsion: complex | None
     flags: list[str] = field(default_factory=list)
 
-    def to_json(self) -> dict:
-        return {"point": self.point.to_json(), "u": complex_json(self.u),
-                "trace_l": complex_json(self.trace_l),
-                "lambda": complex_json(self.lam),
-                "relation_residual": self.relation_residual,
-                "torsion": complex_json(self.torsion),
-                "flags": list(self.flags)}
+    def to_json_row(self) -> str:
+        """The row as JSON, byte for byte what `json.dumps` gives for its
+        nested dict (keys, key order, the default separators), from one
+        template: each float through `float.__repr__`, the function
+        json's encoder calls, `null` for a missing torsion, and branch
+        and flags quoted as the fixed ASCII identifiers they are.  A row
+        holds no NaN or inf, which json would print as bare NaN or
+        Infinity: the variety and relation gates reject every non-finite
+        candidate, and the torsion is finite or None."""
+        pt, tau, r = self.point, self.torsion, float.__repr__
+        s, t, u, trl, lam = pt.s, pt.t, self.u, self.trace_l, self.lam
+        return _JSON_ROW % (
+            r(s.real), r(s.imag), r(t.real), r(t.imag), pt.branch,
+            r(pt.residual), r(u.real), r(u.imag), r(trl.real), r(trl.imag),
+            r(lam.real), r(lam.imag), r(self.relation_residual),
+            "null" if tau is None else
+            '{"re": %s, "im": %s}' % (r(tau.real), r(tau.imag)),
+            ", ".join(['"%s"' % flag for flag in self.flags]))
 
     def to_csv_row(self) -> str:
         pt = self.point
@@ -351,4 +372,6 @@ def table_to_csv(solutions: list[SurgerySolution]) -> str:
 
 
 def table_to_json(solutions: list[SurgerySolution]) -> str:
-    return json.dumps([sol.to_json() for sol in solutions])
+    """The rows as one JSON array, as `json.dumps` of their list would
+    print it (see `SurgerySolution.to_json_row`)."""
+    return "[" + ", ".join([sol.to_json_row() for sol in solutions]) + "]"

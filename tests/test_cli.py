@@ -54,7 +54,10 @@ def test_small_s_error_names_s(capsys, argv):
                                   ("torsion", "--s", "1e200,0"),
                                   ("riley", "--s", "1e200,0"),
                                   ("riley", "--s", "1e50,0"),
-                                  ("torsion", "--s", "1e35,0.3")])
+                                  ("torsion", "--s", "1e35,0.3"),
+                                  ("torsion", "--s", "-inf,0"),
+                                  ("riley", "--s", "-nan,0"),
+                                  ("torsion", "--s", "-Infinity,1")])
 def test_non_finite_or_overflow_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2

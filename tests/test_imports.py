@@ -1,8 +1,10 @@
 """Every name a module of the package imports is used in that module
 (`__init__`, whose imports are its exports, aside), so a deletion
-cannot leave a dead import behind."""
+cannot leave a dead import behind; and every module parses under the
+oldest Python grammar that pyproject.toml's requires-python admits."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -95,3 +97,19 @@ def test_every_constant_is_read_or_exported():
               for name, line in top_level_constants(tree)
               if name not in read and name not in exported]
     assert not unread, f"constants neither read in src/ nor exported: {unread}"
+
+
+def test_sources_parse_under_requires_python():
+    """Every module of the package parses with the grammar of the
+    oldest Python that `requires-python` in pyproject.toml admits, so no
+    newer-only syntax (say, `except*`, new in 3.11) slips in.
+    `feature_version` is best effort: it rejects the syntax the parser
+    knows to be newer, not every newer construct."""
+    pyproject = (PACKAGE.parent.parent / "pyproject.toml").read_text()
+    found = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject,
+                      re.MULTILINE)
+    assert found, "pyproject.toml states no requires-python lower bound"
+    version = (int(found[1]), int(found[2]))
+    for path in sorted(PACKAGE.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path),
+                  feature_version=version)

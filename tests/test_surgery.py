@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 from collections import Counter
 
@@ -430,10 +431,40 @@ def test_row_order_stable_under_last_bit_changes(p, q):
         assert sorted(moved, key=_row_key) == moved
 
 
+def _csv_cells(csv: str) -> list[list]:
+    """The rows of a CSV table as lists of cells in its column order:
+    each float as `float.hex` (exact, -0.0 apart from 0.0), None for an
+    empty torsion cell, the branch, and the flags as a list."""
+    rows = []
+    for line in csv.splitlines()[1:]:
+        *cells, flags = line.split(",")
+        rows.append([cell if col == 4 else None if cell == ""
+                     else float(cell).hex() for col, cell in enumerate(cells)]
+                    + [flags.split(";") if flags else []])
+    return rows
+
+
+def _json_cells(text: str) -> list[list]:
+    """The rows of a JSON table as `_csv_cells` gives a CSV table's."""
+    rows = []
+    for row in json.loads(text):
+        pt, tau = row["point"], row["torsion"] or {"re": None, "im": None}
+        cells = [pt["s"]["re"], pt["s"]["im"], pt["t"]["re"], pt["t"]["im"],
+                 pt["branch"], row["u"]["re"], row["u"]["im"],
+                 row["trace_l"]["re"], row["trace_l"]["im"],
+                 row["lambda"]["re"], row["lambda"]["im"], tau["re"],
+                 tau["im"], pt["residual"], row["relation_residual"]]
+        rows.append([cell.hex() if isinstance(cell, float) else cell
+                     for cell in cells] + [row["flags"]])
+    return rows
+
+
 def test_slope_sign_symmetry():
     """p/q and -p/-q are one slope, stored with q >= 0 and as 1/0 when
     q = 0, so the two spellings give one table, bit for bit, on every
-    slope of the grid |p| <= 40, 1 <= q <= 16.
+    slope of the grid |p| <= 40, 1 <= q <= 16.  On that grid the JSON
+    table is what json's own encoder prints for it, and the CSV and JSON
+    tables give the same cells row by row.
 
     The grid's totals are pinned as they stand: 24 293 rows of the
     28 227 characters N(p/q), and 364 short slopes.  The absolute
@@ -450,7 +481,21 @@ def test_slope_sign_symmetry():
     assert len(grid) == 791
     rows = solve_surgery([SurgerySlope(p, q) for p, q in grid])
     twins = solve_surgery([SurgerySlope(-p, -q) for p, q in grid])
-    assert table_to_csv(rows) == table_to_csv(twins)
+    csv = table_to_csv(rows)
+    assert csv == table_to_csv(twins)
+    # the JSON tables are compared row by row, so that a failure names
+    # the first row that differs (pytest's diff of two whole one-line
+    # tables runs for minutes)
+    json_rows = [sol.to_json_row() for sol in rows]
+    assert json_rows == [sol.to_json_row() for sol in twins]
+    # the rows are written from a template: json's own encoder is the
+    # reference for their bytes, and for the table's
+    text = table_to_json(rows)
+    data = json.loads(text)
+    assert json_rows == [json.dumps(row) for row in data]
+    assert table_to_json(rows[:3]) == json.dumps(data[:3])
+    # the CSV and JSON rows are two hand-written formats of one row
+    assert _csv_cells(csv) == _json_cells(text)
     counts = Counter((sol.slope.p, sol.slope.q) for sol in rows)
     expected = {(p, q): _expected_count(p, q) for p, q in grid}
     assert sum(expected.values()) == 28227
@@ -471,19 +516,44 @@ def test_sorted_by_u():
 
 
 def test_table_formats():
-    sols = solve_surgery(SurgerySlope(1, 1))
-    csv = table_to_csv(sols)
-    lines = csv.strip().split("\n")
-    assert lines[0] == CSV_HEADER
-    assert len(lines) == len(sols) + 1
-    assert all(len(line.split(",")) == len(CSV_HEADER.split(","))
-               for line in lines[1:])
-    import json
-    data = json.loads(table_to_json(sols))
-    assert len(data) == len(sols)
-    if data:
-        assert set(data[0]) == {"point", "u", "trace_l", "lambda",
-                                "relation_residual", "torsion", "flags"}
+    """Both tables of 1/1, of 1/0 (no row), of 4/1 (one degenerate row)
+    and of 0/1 (three): the CSV's shape, and every field of each JSON
+    row, keys in order, equal to the row's attribute."""
+    tables = {}
+    for p, q in [(1, 1), (1, 0), (4, 1), (0, 1)]:
+        sols = solve_surgery(SurgerySlope(p, q))
+        csv = table_to_csv(sols)
+        lines = csv.strip().split("\n")
+        assert lines[0] == CSV_HEADER
+        assert len(lines) == len(sols) + 1
+        assert all(len(line.split(",")) == len(CSV_HEADER.split(","))
+                   for line in lines[1:])
+        data = json.loads(table_to_json(sols))
+        assert len(data) == len(sols)
+        for row, sol in zip(data, sols):
+            assert list(row) == ["point", "u", "trace_l", "lambda",
+                                 "relation_residual", "torsion", "flags"]
+            pt = row["point"]
+            assert list(pt) == ["s", "t", "branch", "residual"]
+            assert complex(pt["s"]["re"], pt["s"]["im"]) == sol.point.s
+            assert complex(pt["t"]["re"], pt["t"]["im"]) == sol.point.t
+            assert pt["branch"] == sol.point.branch
+            assert pt["residual"] == sol.point.residual
+            for key, value in [("u", sol.u), ("trace_l", sol.trace_l),
+                               ("lambda", sol.lam)]:
+                assert list(row[key]) == ["re", "im"]
+                assert complex(row[key]["re"], row[key]["im"]) == value
+            assert row["relation_residual"] == sol.relation_residual
+            assert row["torsion"] == (
+                None if sol.torsion is None else
+                {"re": sol.torsion.real, "im": sol.torsion.imag})
+            assert row["flags"] == sol.flags
+        tables[p, q] = data
+    assert tables[1, 0] == []
+    assert len(tables[4, 1]) == 1
+    assert tables[4, 1][0]["torsion"] is None
+    assert tables[4, 1][0]["flags"] == ["degenerate"]
+    assert len(tables[0, 1]) == 3
 
 
 def test_empty_table_csv():
