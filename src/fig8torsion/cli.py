@@ -1,7 +1,8 @@
 """Command-line surface: riley / torsion / surgery / verify.
 
 Complex numbers are passed as "re,im" pairs.  Exit codes: 0 success,
-1 usage or parse error, 2 invalid mathematical input (including a
+1 usage or parse error (including verify --samples above
+MAX_VERIFY_SAMPLES), 2 invalid mathematical input (including a
 non-finite value, an overflow, or a surgery slope whose Chebyshev
 degree max(4|q|, |p|) exceeds MAX_SURGERY_DEGREE), 3 verification failure.
 The output format and the verify seed can be set by flags or by the
@@ -19,8 +20,8 @@ import sys
 
 from .errors import Fig8Error, InvalidSlope
 from .riley import complex_csv, solve_t
-from .surgery import (CSV_HEADER, SurgerySlope, polynomial_degree,
-                      solve_surgery, table_to_csv, table_to_json)
+from .surgery import (SurgerySlope, polynomial_degree, solve_surgery,
+                      table_to_csv, table_to_json)
 from .formulas import REPORT_CSV_HEADER, full_report
 from .verify import results_to_csv, run_all
 
@@ -30,6 +31,10 @@ EXIT_OK, EXIT_USAGE, EXIT_MATH, EXIT_VERIFY = 0, 1, 2, 3
 # (degree 400) takes ~0.16 s and ~36 MB peak RSS, and one at 1/200 with
 # the limit raised to 800 ~0.39 s and ~43 MB (2-core Xeon, numpy 2.4.6)
 MAX_SURGERY_DEGREE = 400
+# peak RSS grows by ~2.1 KB per verify sample: a fresh `verify --samples
+# 20000` process takes ~0.35 s and ~74 MB, ~0.27 s and ~39 MB at the
+# default 200 (2-core Xeon, numpy 2.4.6); the parser refuses more
+MAX_VERIFY_SAMPLES = 20_000
 RILEY_CSV_HEADER = "s_re,s_im,t_re,t_im,branch,residual"
 
 
@@ -63,6 +68,14 @@ def parse_count(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"expected a non-negative integer, got {text!r}")
     return int(text)
+
+
+def parse_samples(text: str) -> int:
+    count = parse_count(text)
+    if count > MAX_VERIFY_SAMPLES:
+        raise argparse.ArgumentTypeError(
+            f"at most {MAX_VERIFY_SAMPLES} samples, got {count}")
+    return count
 
 
 _FLAGS = {"format": {"choices": ["json", "csv", "pretty"],
@@ -150,9 +163,7 @@ def cmd_surgery(ns) -> int:
         print(table_to_csv(rows), end="")
     else:
         print(f"slope {slope.p}/{slope.q}: {len(rows)} solution(s)")
-        print(CSV_HEADER)
-        for row in rows:
-            print(row.to_csv_row())
+        print(table_to_csv(rows), end="")
     return EXIT_OK
 
 
@@ -202,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_surgery)
 
     sub = subs.add_parser("verify", help="run the self-verification suite")
-    sub.add_argument("--samples", type=parse_count, default=200)
+    sub.add_argument("--samples", type=parse_samples, default=200)
     _add_flags(sub, "format", "seed")
     sub.set_defaults(func=cmd_verify)
     return parser

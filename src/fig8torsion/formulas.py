@@ -59,7 +59,7 @@ def _denominator(u):
     """u^2 (u^2 - 5), item by item for an array u; raises DegenerateU,
     naming the first |u^2 (u^2 - 5)|, if u or some item is `degenerate`."""
     denom = u * u * (u * u - 5)
-    bad = degenerate(u)    # a bool for a Python number, else numpy's
+    bad = abs(denom) <= DEGENERATE_TOL   # `degenerate`; a bool, or numpy's
     if bad is not False and np.count_nonzero(bad):
         raise DegenerateU(
             f"|u^2(u^2-5)| = {np.extract(bad, abs(denom))[0]:.3e}")

@@ -46,8 +46,9 @@ class RileyPoint:
     polynomial residual |R12(s, t)|.
 
     Points with large residual (e.g. the reducible t = 0 points) are
-    representable; operations that need variety membership check
-    `on_variety` and refuse them.
+    representable; operations that need variety membership test it with
+    `variety_membership`, on one point or a stack, and refuse them
+    (the Fox oracle) or drop them (the surgery solver).
     """
 
     s: complex

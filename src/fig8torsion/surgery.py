@@ -32,19 +32,19 @@ its seven terms, polishes every z where that step is finite.  When
 v^2 divides the series: it is divided out exactly before the roots are
 taken, and s = +-i, lambda = 1 join the candidates as one exact pair.
 
-`solve_surgery` takes one slope or a sequence of slopes, and solves a
-sequence in one stacked pass; one slope is its one-item case.  Per
-slope it takes only the roots and s, lambda from them, the matrix
-powers of the residual, the choice of one row per pair and the row
-build.  Once, on the stacks of the candidates of every slope joined, it
-takes the t-branch whose l11 is nearest lambda (with the branch-point
-rule applied through a mask), the variety residual and test, the
-longitude word product, u, tr rho(l), l11 and the residual norms: the
-matrix residual is the one test that rejects a candidate on the
-variety.  A RileyPoint is built only for each row kept.
-`relation_residuals` is that residual on any stack of points, at one
-slope or at one slope per point, and `surgery_residual` its N = 1 call,
-so a check that re-tests rows gets the bits the solver filtered on.
+`solve_surgery` takes one slope or a sequence of slopes, and solves
+either in one stacked pass on the same code.  Per slope it takes only
+the roots and s, lambda from them, the matrix powers of the residual,
+the choice of one row per pair and the row build.  Once, on the stacks
+of the candidates of every slope joined, it takes the t-branch whose
+l11 is nearest lambda (with the branch-point rule applied through a
+mask), the variety residual and test, the longitude word product, u,
+tr rho(l), l11 and the residual norms: the matrix residual is the one
+test that rejects a candidate on the variety.  A RileyPoint is built
+only for each row kept.  `relation_residuals` is that residual on any
+stack of points held as runs (slope, count), and `surgery_residual`
+its N = 1 call, so a check that re-tests rows gets the bits the solver
+filtered on.
 That holds because the longitude word, the powers and their product
 are all taken on (2, 2, N) entry layouts, whatever the stack length:
 elementwise arithmetic rounds item k the same way at every N, where
@@ -58,8 +58,7 @@ and the JSON row (`SurgerySolution.to_json_row`) byte for byte as
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from itertools import groupby
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,35 +148,31 @@ class SurgerySolution:
 
 
 def relation_residuals(s: np.ndarray, t: np.ndarray,
-                       slopes: SurgerySlope | Sequence[SurgerySlope]
+                       runs: Iterable[tuple[SurgerySlope, int]]
                        ) -> np.ndarray:
-    """||rho(x)^p rho(l)^q - E|| at each point of the stacks s, t, for
-    one slope or for one slope per item, with rho(l) multiplied out from
-    its word once.  A slope has q >= 0 (see `SurgerySlope`), so only
-    rho(x) is ever inverted, as the exact image x^-1 of `rep_stacks`
-    when p < 0.  The matrix powers are taken by squaring
-    (`linalg.mat2_power`) on each run of consecutive items at one slope;
-    everything else runs once on the stacks.  The word, the powers and
-    their product are taken on (2, 2, N) entry layouts at every stack
-    length, so item k has the same bits whatever the stack holds besides
-    it; at p = 0 or q = 0 that power is E, and the residual is that of
-    the other factor alone."""
-    imgs = rep_stacks(s, t)
-    if isinstance(slopes, SurgerySlope):
-        runs = [(slopes, slice(None))]
-    else:
-        runs, start = [], 0
-        for slope, run in groupby(slopes):
-            stop = start + sum(1 for _ in run)
-            runs.append((slope, slice(start, stop)))
-            start = stop
-    entries = {a: mat2_entries(m) for a, m in imgs.items()}
+    """||rho(x)^p rho(l)^q - E|| at each point of the stacks s, t, held
+    as runs (slope, count) that cover them in order, with rho(l)
+    multiplied out from its word once.  A slope has q >= 0 (see
+    `SurgerySlope`), so only rho(x) is ever inverted, as the exact image
+    x^-1 of `rep_stacks` when p < 0.  The matrix powers are taken by
+    squaring (`linalg.mat2_power`) once per run; everything else runs
+    once on the stacks.  The word, the powers and their product are
+    taken on (2, 2, N) entry layouts at every stack length, so item k
+    has the same bits whatever the stack holds besides it; at p = 0 or
+    q = 0 that power is E, and the residual is that of the other factor
+    alone."""
+    entries = {a: mat2_entries(m) for a, m in rep_stacks(s, t).items()}
     ml = _word_entries(LONGITUDE, entries)
     rel = np.empty_like(ml)
-    for slope, items in runs:
+    stop = 0
+    for slope, count in runs:
+        items = slice(stop, stop + count)
+        stop += count
         mx = entries[X if slope.p >= 0 else -X][:, :, items]
         rel[:, :, items] = mat2_product(mat2_power(mx, abs(slope.p)),
                                         mat2_power(ml[:, :, items], slope.q))
+    if stop != ml.shape[2]:
+        raise ValueError(f"runs cover {stop} of {ml.shape[2]} points")
     rel[0, 0] -= 1
     rel[1, 1] -= 1
     return np.linalg.norm(rel, axis=(0, 1))
@@ -191,7 +186,7 @@ def surgery_residual(pt: RileyPoint, slope: SurgerySlope) -> tuple[complex, floa
     bit."""
     lam = longitude_l11(pt.s, pt.t)
     scalar = pt.s ** slope.p * lam ** slope.q - 1
-    mat = relation_residuals(np.array([pt.s]), np.array([pt.t]), slope)
+    mat = relation_residuals(np.array([pt.s]), np.array([pt.t]), [(slope, 1)])
     return complex(scalar), float(mat[0])
 
 
@@ -233,11 +228,6 @@ def _newton_step(z: np.ndarray, slope: SurgerySlope) -> np.ndarray:
     return np.where(np.isfinite(step), z - step, z)
 
 
-def _slope_list(slopes) -> list[SurgerySlope]:
-    """One slope or a sequence of slopes as a list of slopes."""
-    return [slopes] if isinstance(slopes, SurgerySlope) else list(slopes)
-
-
 def _roots(slope: SurgerySlope) -> tuple[np.ndarray, np.ndarray]:
     """(s, lam) = (z^+-q, z^-|p|), q's sign that of p (0 counts as +), at
     every root z of f, as two halves: z = v + sqrt(v^2 - 1) for each root
@@ -263,18 +253,15 @@ def _roots(slope: SurgerySlope) -> tuple[np.ndarray, np.ndarray]:
     return s, lam
 
 
-def _candidates(slopes) -> tuple:
-    """The candidates of one slope, or of a sequence of slopes one after
+def _candidates(slopes: Sequence[SurgerySlope]) -> tuple:
+    """The candidates of a nonempty sequence of slopes, one slope after
     the other, as stacks (s, lam, t, branch, residual) and the list of
     each slope's candidate count: the `_roots` of each slope, then, once
     on the joined stacks, the t-branch whose aligned longitude
     eigenvalue l11 is nearest lam, its label "+" or "-", and
     |R12(s, t)|."""
-    parts = [_roots(slope) for slope in _slope_list(slopes)]
-    if len(parts) == 1:
-        s, lam = parts[0]
-    else:
-        s, lam = (np.concatenate(stack) for stack in zip(*parts))
+    parts = [_roots(slope) for slope in slopes]
+    s, lam = (np.concatenate(stack) for stack in zip(*parts))
     t_plus, t_minus = _t_branches(s)
     l11_plus, l11_minus = longitude_l11(s, np.stack([t_plus, t_minus]))
     minus = np.abs(l11_minus - lam) < np.abs(l11_plus - lam)
@@ -304,7 +291,7 @@ def solve_surgery(slopes: SurgerySlope | Sequence[SurgerySlope]
     candidates of all slopes are made and filtered at once, on stacks;
     only the roots, the matrix powers, the pair choice and the row build
     run per slope."""
-    slopes = _slope_list(slopes)
+    slopes = [slopes] if isinstance(slopes, SurgerySlope) else list(slopes)
     if not slopes:
         return []
     # a candidate far off the variety may overflow; its non-finite
@@ -312,9 +299,7 @@ def solve_surgery(slopes: SurgerySlope | Sequence[SurgerySlope]
     with np.errstate(all="ignore"):
         s, _, t, branch, residual, sizes = _candidates(slopes)
         on_variety = variety_membership(s, t, residual)
-        item_slopes = (slopes[0] if len(slopes) == 1 else
-                       [sl for sl, n in zip(slopes, sizes) for _ in range(n)])
-        mat_res = relation_residuals(s, t, item_slopes)
+        mat_res = relation_residuals(s, t, zip(slopes, sizes))
         lam = longitude_l11(s, t)
         u, trl = trace_u(s), trace_l(s, t)
     passed = on_variety & (mat_res <= RELATION_TOL)

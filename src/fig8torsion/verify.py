@@ -271,8 +271,9 @@ def check_surgery_solver() -> CheckResult:
     rows = solve_surgery(slopes)
     ok = all(sol.slope != SurgerySlope(1, 0) for sol in rows)
     s, t, residual = point_arrays([sol.point for sol in rows])
-    res = np.maximum(relation_residuals(s, t, [sol.slope for sol in rows]),
-                     residual)
+    # rows come slope after slope, at ten distinct slopes: one run each
+    runs = Counter(sol.slope for sol in rows).items()
+    res = np.maximum(relation_residuals(s, t, runs), residual)
     with_tau = [sol for sol in rows if sol.torsion is not None]
     u = np.array([sol.u for sol in with_tau], dtype=complex)
     err = _relerr(np.array([sol.torsion for sol in with_tau], dtype=complex),

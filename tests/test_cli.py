@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from fig8torsion import verify
-from fig8torsion.cli import RILEY_CSV_HEADER, main
+from fig8torsion import cli, verify
+from fig8torsion.cli import MAX_VERIFY_SAMPLES, RILEY_CSV_HEADER, main
 from fig8torsion.verify import CheckResult
 from fig8torsion.formulas import REPORT_CSV_HEADER
 from fig8torsion.surgery import CSV_HEADER
@@ -87,6 +87,24 @@ def test_usage_error_exit_1():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--samples", "-5"])
     assert exc.value.code == 1
+
+
+def test_verify_samples_above_the_limit_exit_1(capsys, monkeypatch):
+    """One past MAX_VERIFY_SAMPLES is a usage error, refused by the
+    parser before a sample is drawn."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("run_all called")
+
+    monkeypatch.setattr(cli, "run_all", no_draw)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--samples", str(MAX_VERIFY_SAMPLES + 1)])
+    assert exc.value.code == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    errors = [ln for ln in out.err.splitlines() if "error:" in ln]
+    assert errors == [f"fig8torsion verify: error: argument --samples: at "
+                      f"most {MAX_VERIFY_SAMPLES} samples, got "
+                      f"{MAX_VERIFY_SAMPLES + 1}"]
 
 
 @pytest.mark.parametrize("argv", [("verify", "--branch", "+"),

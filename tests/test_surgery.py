@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 from collections import Counter
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -317,20 +318,33 @@ def test_solver_residual_is_one_point_residual():
         for row in solve_surgery(slope):
             assert row.relation_residual \
                 == surgery_residual(row.point, slope)[1], slope
-        s, _, t, _, _, _ = _candidates(slope)
-        stacked = relation_residuals(s, t, slope)
+        s, _, t, _, _, _ = _candidates([slope])
+        stacked = relation_residuals(s, t, [(slope, len(s))])
         one_point = [surgery_residual(RileyPoint(sk, tk), slope)[1]
                      for sk, tk in zip(s.tolist(), t.tolist())]
         assert stacked.tolist() == one_point, slope
     # one call on the rows of every slope, each item at its own slope,
-    # in the solver's order (runs of one slope) and shuffled
+    # in the solver's order (one run per slope) and shuffled (runs of one)
     rows = solve_surgery(slopes + [SurgerySlope(-2, -1)])
-    rows += [rows[k] for k in np.random.default_rng(0).permutation(len(rows))]
+    runs = [(slope, len(list(run)))
+            for slope, run in groupby(row.slope for row in rows)]
+    assert len(runs) == len(slopes) + 1
+    shuffled = [rows[k]
+                for k in np.random.default_rng(0).permutation(len(rows))]
+    runs += [(row.slope, 1) for row in shuffled]
+    rows += shuffled
     s = np.array([row.point.s for row in rows])
     t = np.array([row.point.t for row in rows])
-    mixed = relation_residuals(s, t, [row.slope for row in rows])
+    mixed = relation_residuals(s, t, runs)
     assert mixed.tolist() == [surgery_residual(row.point, row.slope)[1]
                               for row in rows]
+
+
+def test_runs_must_cover_the_stack():
+    s, t, _ = point_arrays(sample_variety_points(6, 1))
+    for counts in ((5,), (4, 3)):
+        with pytest.raises(ValueError, match="runs cover"):
+            relation_residuals(s, t, [(SurgerySlope(1, 1), n) for n in counts])
 
 
 def test_zero_exponent_residuals():
@@ -341,7 +355,7 @@ def test_zero_exponent_residuals():
     imgs = rep_stacks(s, t)
     for slope, image in ((SurgerySlope(1, 0), imgs[X]),
                          (SurgerySlope(0, 1), word_product(LONGITUDE, imgs))):
-        assert relation_residuals(s, t, slope).tolist() \
+        assert relation_residuals(s, t, [(slope, len(s))]).tolist() \
             == np.linalg.norm(image - E2, axis=(1, 2)).tolist(), slope
 
 
@@ -356,7 +370,7 @@ def test_stacked_candidates_match_scalar(p, q):
     solve_t(s) and the nearest-l11 choice give.  Where the two branches
     meet, t comes from the branch-point rule instead, so those are
     exempt."""
-    s, lam, t, branch, _, _ = _candidates(SurgerySlope(p, q))
+    s, lam, t, branch, _, _ = _candidates([SurgerySlope(p, q)])
     checked = 0
     for sk, lk, tk, bk in zip(s.tolist(), lam.tolist(), t.tolist(),
                               branch.tolist()):
@@ -377,7 +391,7 @@ def test_on_variety_is_the_array_rule(p, q):
     """RileyPoint.on_variety() and the array rule agree exactly, item by
     item, on every candidate, and on the candidates with t moved by
     1e-10 relative, which puts many of them off the variety."""
-    s, _, t, _, residual, _ = _candidates(SurgerySlope(p, q))
+    s, _, t, _, residual, _ = _candidates([SurgerySlope(p, q)])
     moved = t * (1 + 1e-10)
     for tt, res in ((t, residual), (moved, np.abs(riley_poly(s, moved)))):
         rule = variety_membership(s, tt, res)
@@ -398,8 +412,8 @@ def test_relation_residual_is_the_only_rejection(p, q):
     enumerates on one of them."""
     slope = SurgerySlope(p, q)
     for root in (slope, SurgerySlope(-p, -q)):
-        s, _, t, _, residual, _ = _candidates(root)
-        mat_res = relation_residuals(s, t, slope)
+        s, _, t, _, residual, _ = _candidates([root])
+        mat_res = relation_residuals(s, t, [(slope, len(s))])
         for sk, tk, rk, mk in zip(s.tolist(), t.tolist(), residual.tolist(),
                                   mat_res.tolist()):
             pt = RileyPoint(sk, tk, residual=rk)

@@ -623,9 +623,9 @@ def test_surgery_check_makes_one_call_of_each(monkeypatch):
         solves.append(list(slopes))
         return solve(slopes)
 
-    def counting(s, t, slopes):
-        calls.append(list(slopes))
-        return residuals(s, t, slopes)
+    def counting(s, t, runs):
+        calls.append(list(runs))
+        return residuals(s, t, runs)
 
     def counting_tau(u):
         taus.append(len(u))
@@ -639,7 +639,8 @@ def test_surgery_check_makes_one_call_of_each(monkeypatch):
     rows = [sol for slope in solves[0] for sol in solve_surgery(slope)]
     assert SurgerySlope(1, 0) in solves[0]
     assert all(sol.slope != SurgerySlope(1, 0) for sol in rows)
-    assert calls == [[sol.slope for sol in rows]]
+    assert calls == [[(slope, n) for slope in solves[0]
+                      if (n := len(solve_surgery(slope)))]]
     # one torsion call over the rows of all slopes, less the degenerate
     assert taus == [sum(sol.torsion is not None for sol in rows)]
     # the per-row loop that the one residual call replaced
