@@ -63,18 +63,33 @@ def parse_complex(text: str) -> complex:
             f"expected 're,im' pair, got {text!r}") from exc
 
 
+def _clip(text: str) -> str:
+    """text, or its first 17 characters and "..." if it is longer than 20:
+    the most of an input that an error line quotes."""
+    return text if len(text) <= 20 else text[:17] + "..."
+
+
+def parse_int(text: str) -> int:
+    # int() refuses a decimal string of more than 4300 digits too
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {_clip(text)!r}") from None
+
+
 def parse_count(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}")
-    return int(text)
+            f"expected a non-negative integer, got {_clip(text)!r}")
+    return parse_int(text)
 
 
 def parse_samples(text: str) -> int:
     count = parse_count(text)
     if count > MAX_VERIFY_SAMPLES:
         raise argparse.ArgumentTypeError(
-            f"at most {MAX_VERIFY_SAMPLES} samples, got {count}")
+            f"at most {MAX_VERIFY_SAMPLES} samples, got {_clip(text)}")
     return count
 
 
@@ -207,8 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_torsion)
 
     sub = subs.add_parser("surgery", help="tabulate p/q surgery solutions")
-    sub.add_argument("--p", type=int, required=True)
-    sub.add_argument("--q", type=int, required=True)
+    sub.add_argument("--p", type=parse_int, required=True)
+    sub.add_argument("--q", type=parse_int, required=True)
     _add_flags(sub, "format")
     sub.set_defaults(func=cmd_surgery)
 
@@ -244,11 +259,11 @@ def main(argv=None) -> int:
         ns = parser.parse_args(_with_config(parser, argv, ns))
     try:
         return ns.func(ns)
-    except Fig8Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MATH
-    except OverflowError as exc:
-        print(f"error: numeric overflow: {exc}", file=sys.stderr)
+    except (Fig8Error, OverflowError) as exc:
+        # a number of more than 20 digits, as a slope's p, is clipped
+        message = re.sub(r"\d{21,}", lambda m: _clip(m[0]), str(exc))
+        overflow = "" if isinstance(exc, Fig8Error) else "numeric overflow: "
+        print(f"error: {overflow}{message}", file=sys.stderr)
         return EXIT_MATH
 
 

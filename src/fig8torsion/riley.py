@@ -13,6 +13,9 @@ t-branches for a given s, the longitude entry l11 and trace in closed
 form, and the whole longitude image as a word product, the oracle for
 both.  The closed forms also take arrays of points, and `rep_stacks`,
 the one builder of the generator images, gives them as (N, 2, 2) stacks.
+Each public form checks s (`_check_s`) and calls a private kernel on
+checked powers (`_powers`, `_l11_coefficients`), so the surgery solver
+checks s once, shares the powers, and gets the public forms' bits.
 """
 
 from __future__ import annotations
@@ -111,9 +114,15 @@ def _check_s(s):
     return s
 
 
+def _powers(s):
+    """(s^2, 1/s^2) of a checked s, or of an array of them."""
+    s2 = s * s
+    return s2, 1 / s2
+
+
 def make_point(s: complex, t: complex) -> RileyPoint:
     s = _check_s(s)
-    return RileyPoint(s, complex(t), residual=abs(riley_poly(s, t)))
+    return RileyPoint(s, complex(t), residual=abs(_riley_poly(*_powers(s), t)))
 
 
 def rep_matrices(p: RileyPoint) -> tuple[np.ndarray, np.ndarray]:
@@ -147,51 +156,59 @@ def rep_stacks(s: np.ndarray, t: np.ndarray) -> dict[int, np.ndarray]:
 def riley_poly(s: complex, t: complex) -> complex:
     """Defining polynomial R12 of the irreducible character variety:
     R12 = 3 - 1/s^2 - s^2 + 3t - t/s^2 - s^2 t + t^2."""
-    s = _check_s(s)
-    s2 = s * s
-    return 3 - 1 / s2 - s2 + 3 * t - t / s2 - s2 * t + t * t
+    return _riley_poly(*_powers(_check_s(s)), t)
 
 
-def _t_branches(s):
-    """(t+, t-), the roots of R12(s, t) = 0 in t:
+def _riley_poly(s2, inv2, t):
+    """`riley_poly` from (s^2, 1/s^2) = `_powers(s)`."""
+    return 3 - inv2 - s2 + 3 * t - t / s2 - s2 * t + t * t
+
+
+def _t_branches(s2):
+    """(t+, t-), the roots of R12(s, t) = 0 in t, from s2 = s^2:
     t = (1 - 3 s^2 + s^4 +- sqrt(1 - 2 s^2 - s^4 - 2 s^6 + s^8)) / (2 s^2).
 
     The "+" branch uses the principal square root (via solve_quadratic's
     deterministic pairing of s^2 t^2 + A t + A = 0, A = 3 s^2 - 1 - s^4).
-    s is a complex number or a complex array, not checked here; an array
-    gives arrays t+ and t-."""
-    s2 = s * s
+    s2 is a complex number or a complex array, not checked here; an
+    array gives arrays t+ and t-."""
     a_coef = 3 * s2 - 1 - s2 * s2
     return solve_quadratic(s2, a_coef, a_coef)
 
 
-def _l11_coefficients(s):
-    """(a, b) with l11 = a t + b modulo R12: a = s^2 - s^-2 and
-    b = s^2 - 1 - 2 s^-2 + s^-4; s may be an array, not checked here."""
-    s2 = s * s
-    inv2 = 1 / s2
+def _l11_coefficients(s2, inv2):
+    """(a, b) with l11 = a t + b modulo R12, from (s^2, 1/s^2) =
+    `_powers(s)`: a = s^2 - s^-2 and b = s^2 - 1 - 2 s^-2 + s^-4."""
     return s2 - inv2, s2 - 1 - 2 * inv2 + inv2 * inv2
 
 
-def _t_from_l11(s, lam):
+def _longitude_l11(a, b, t):
+    """`longitude_l11` from its coefficients (see `_l11_coefficients`)."""
+    return a * t + b
+
+
+def _t_from_l11(a, b, lam):
     """The t at which l11 = lam on the variety, (lam - b)/a (see
-    `_l11_coefficients`); s and lam may be arrays of one shape, not
-    checked here."""
-    a, b = _l11_coefficients(s)
+    `_l11_coefficients`); a, b and lam may be arrays of one shape."""
     return (lam - b) / a
 
 
 def solve_t(s: complex) -> tuple[RileyPoint, RileyPoint]:
     """The two t-branches over a given s (see `_t_branches`), as points."""
     s = _check_s(s)
-    t_plus, t_minus = _t_branches(s)
-    return (RileyPoint(s, t_plus, "+", abs(riley_poly(s, t_plus))),
-            RileyPoint(s, t_minus, "-", abs(riley_poly(s, t_minus))))
+    s2, inv2 = _powers(s)
+    t_plus, t_minus = _t_branches(s2)
+    return (RileyPoint(s, t_plus, "+", abs(_riley_poly(s2, inv2, t_plus))),
+            RileyPoint(s, t_minus, "-", abs(_riley_poly(s2, inv2, t_minus))))
 
 
 def trace_u(s):
     """Meridian trace u = s + 1/s; s may be an array."""
-    s = _check_s(s)
+    return _trace_u(_check_s(s))
+
+
+def _trace_u(s):
+    """`trace_u` at a checked s."""
     return s + 1 / s
 
 
@@ -206,9 +223,7 @@ def longitude_l11(s, t):
     `_l11_coefficients`): the longitude eigenvalue aligned with the
     eigenvalue s of the meridian image.  s and t may be arrays of one
     shape."""
-    s = _check_s(s)
-    a, b = _l11_coefficients(s)
-    return a * t + b
+    return _longitude_l11(*_l11_coefficients(*_powers(_check_s(s))), t)
 
 
 def trace_l(s, t):
@@ -218,7 +233,11 @@ def trace_l(s, t):
     modulo R12 it is s^4 - s^2 - 2 - s^-2 + s^-4, the u-form that the
     trace checks compare it with."""
     s = _check_s(s)
-    s2, s4 = s * s, s ** 4
+    return _trace_l(s * s, s ** 4, t)
+
+
+def _trace_l(s2, s4, t):
+    """`trace_l` from s2 = s * s and s4 = s ** 4."""
     t2, t3 = t * t, t ** 3
     return (2 - 2 * t2 + t2 / s4 + s4 * t2 - 2 * t3 - t3 / s2 - s2 * t3)
 

@@ -33,22 +33,22 @@ v^2 divides the series: it is divided out exactly before the roots are
 taken, and s = +-i, lambda = 1 join the candidates as one exact pair.
 
 `solve_surgery` takes one slope or a sequence of slopes, and solves
-either in one stacked pass on the same code.  Per slope it takes only
-the roots and s, lambda from them, the matrix powers of the residual,
-the choice of one row per pair and the row build.  Once, on the stacks
-of the candidates of every slope joined, it takes the t-branch whose
-l11 is nearest lambda (with the branch-point rule applied through a
-mask), the variety residual and test, the longitude word product, u,
-tr rho(l), l11 and the residual norms: the matrix residual is the one
-test that rejects a candidate on the variety.  A RileyPoint is built
-only for each row kept.  `relation_residuals` is that residual on any
-stack of points held as runs (slope, count), and `surgery_residual`
-its N = 1 call, so a check that re-tests rows gets the bits the solver
-filtered on.
-That holds because the longitude word, the powers and their product
-are all taken on (2, 2, N) entry layouts, whatever the stack length:
-elementwise arithmetic rounds item k the same way at every N, where
-numpy's `matmul` is not promised to.
+either in one pass on the same code.  Per slope it takes the roots,
+s and lambda from them, and the matrix powers of the residual.  Once,
+on the joined stacks of every slope's candidates, it checks s, takes
+s^2, 1/s^2 and the l11 coefficients once, and from them, through the
+`riley` kernels, the t-branch whose l11 is nearest lambda (with the
+branch-point rule applied through a mask), R12, the printed l11, u and
+tr rho(l); then the variety test and the matrix residual, the one test
+that rejects a candidate on the variety.  Per slope again, it picks one
+row per pair, sorts the rows on the column lists, and builds each row
+once, in that order.  `relation_residuals` is that residual on any
+stack of points held as runs (slope, count), and `surgery_residual` its
+N = 1 call, so a check that re-tests rows gets the bits the solver
+filtered on.  That holds because the longitude word, the powers and
+their product are all taken on (2, 2, N) entry layouts, whatever the
+stack length: elementwise arithmetic rounds item k the same way at
+every N, where numpy's `matmul` is not promised to.
 
 The tables print each row from one template, the CSV row from its cells
 and the JSON row (`SurgerySolution.to_json_row`) byte for byte as
@@ -65,9 +65,10 @@ import numpy as np
 
 from .errors import DegenerateU, InvalidSlope
 from .linalg import mat2_entries, mat2_power, mat2_product
-from .riley import (LONGITUDE, RileyPoint, _t_branches, _t_from_l11,
-                    complex_csv, longitude_l11, rep_stacks, riley_poly,
-                    trace_l, trace_u, variety_membership)
+from .riley import (LONGITUDE, RileyPoint, _check_s, _l11_coefficients,
+                    _longitude_l11, _powers, _riley_poly, _t_branches,
+                    _t_from_l11, _trace_l, _trace_u, complex_csv,
+                    longitude_l11, rep_stacks, variety_membership)
 from .words import X, _word_entries
 from .formulas import torsion_surgered
 
@@ -245,32 +246,39 @@ def _roots(slope: SurgerySlope) -> tuple[np.ndarray, np.ndarray]:
     s = z ** (slope.q if slope.p >= 0 else -slope.q)
     lam = z ** -abs(slope.p)
     if slope.p % 4 == 0:
-        # z = +-i give s = +-i and lam = 1, inserted as values, since
+        # z = +-i give s = +-i and lam = 1, written as values, since
         # numpy takes z ** n by exp/log for |n| >= 100, off by ~1e-15
         m = len(v)
-        s = np.insert(s, (m, 2 * m), (1j, -1j))
-        lam = np.insert(lam, (m, 2 * m), (1, 1))
+        s_lam = np.ones((2, 2, m + 1), dtype=complex)
+        s_lam[0, :, :m], s_lam[1, :, :m] = s.reshape(2, m), lam.reshape(2, m)
+        s_lam[0, :, m] = 1j, -1j
+        s, lam = s_lam.reshape(2, -1)
     return s, lam
 
 
-def _candidates(slopes: Sequence[SurgerySlope]) -> tuple:
+def _candidate_columns(slopes: Sequence[SurgerySlope]) -> tuple:
     """The candidates of a nonempty sequence of slopes, one slope after
-    the other, as stacks (s, lam, t, branch, residual) and the list of
-    each slope's candidate count: the `_roots` of each slope, then, once
-    on the joined stacks, the t-branch whose aligned longitude
-    eigenvalue l11 is nearest lam, its label "+" or "-", and
-    |R12(s, t)|."""
+    the other: the stacks (s, lam, t, branch, residual), the list of each
+    slope's candidate count and the stacks (l11, u, trl).  After each
+    slope's `_roots`, one pass on the joined stacks checks s, takes its
+    powers once (see the module docstring), and picks the t-branch whose
+    l11 is nearest lam, labelled "+" or "-"."""
     parts = [_roots(slope) for slope in slopes]
     s, lam = (np.concatenate(stack) for stack in zip(*parts))
-    t_plus, t_minus = _t_branches(s)
-    l11_plus, l11_minus = longitude_l11(s, np.stack([t_plus, t_minus]))
+    s = _check_s(s)
+    s2, inv2 = _powers(s)
+    a, b = _l11_coefficients(s2, inv2)
+    t_plus, t_minus = _t_branches(s2)
+    l11_plus, l11_minus = (_longitude_l11(a, b, t_plus),
+                           _longitude_l11(a, b, t_minus))
     minus = np.abs(l11_minus - lam) < np.abs(l11_plus - lam)
     t = np.where(minus, t_minus, t_plus)
     meet = np.abs(t_plus - t_minus) <= BRANCH_POINT_TOL
     if meet.any():
-        t[meet] = _t_from_l11(s[meet], lam[meet])
-    return (s, lam, t, np.where(minus, "-", "+"), np.abs(riley_poly(s, t)),
-            [len(part[0]) for part in parts])
+        t[meet] = _t_from_l11(a[meet], b[meet], lam[meet])
+    return (s, lam, t, np.where(minus, "-", "+"),
+            np.abs(_riley_poly(s2, inv2, t)), [len(part[0]) for part in parts],
+            _longitude_l11(a, b, t), _trace_u(s), _trace_l(s2, s ** 4, t))
 
 
 def solve_surgery(slopes: SurgerySlope | Sequence[SurgerySlope]
@@ -287,34 +295,34 @@ def solve_surgery(slopes: SurgerySlope | Sequence[SurgerySlope]
     raises DegenerateU.
 
     A sequence of slopes gives one flat list: the rows of each slope in
-    input order, each slope's rows chosen and sorted on their own.  All
-    candidates of all slopes are made and filtered at once, on stacks;
-    only the roots, the matrix powers, the pair choice and the row build
-    run per slope."""
+    input order, each slope's rows chosen and sorted on their own.  One
+    pass on the stacks of all slopes' candidates gives every column;
+    only the roots, the matrix powers, the pair choice and the sort, on
+    the column lists, run per slope, and each row is built once."""
     slopes = [slopes] if isinstance(slopes, SurgerySlope) else list(slopes)
     if not slopes:
         return []
     # a candidate far off the variety may overflow; its non-finite
     # residuals fail the comparisons below, which reject it
     with np.errstate(all="ignore"):
-        s, _, t, branch, residual, sizes = _candidates(slopes)
+        s, _, t, branch, residual, sizes, lam, u, trl = \
+            _candidate_columns(slopes)
         on_variety = variety_membership(s, t, residual)
         mat_res = relation_residuals(s, t, zip(slopes, sizes))
-        lam = longitude_l11(s, t)
-        u, trl = trace_u(s), trace_l(s, t)
     passed = on_variety & (mat_res <= RELATION_TOL)
 
     solutions = []
     stop = 0
     for slope, size in zip(slopes, sizes):
-        start, stop = stop, stop + size
+        start, half, stop = stop, stop + size // 2, stop + size
         # one row per pair: z where it passes, else its partner 1/z
-        z_ok, w_ok = np.split(passed[start:stop], 2)
-        rows = np.flatnonzero(np.concatenate([z_ok, w_ok & ~z_ok])) + start
+        z_ok = passed[start:half]
+        rows = np.flatnonzero(
+            np.concatenate([z_ok, passed[half:stop] & ~z_ok])) + start
         cells = zip(*(column[rows].tolist() for column in
                       (s, t, branch, residual, u, trl, lam, mat_res)))
-        solutions += sorted((_solution(slope, *row) for row in cells),
-                            key=_row_key)
+        solutions += [_solution(slope, *cell) for cell in sorted(
+            cells, key=lambda cell: _row_key(cell[4], cell[2]))]
     return solutions
 
 
@@ -337,18 +345,18 @@ def _solution(slope: SurgerySlope, s: complex, t: complex, branch: str,
 _PI_10 = round(math.pi, 10)
 
 
-def _row_key(sol: SurgerySolution) -> tuple[float, float, str]:
-    """Sort key (|u|, arg u, branch) with |u| to 10 significant digits
+def _row_key(u: complex, branch: str) -> tuple[float, float, str]:
+    """Sort key (|u|, arg u, branch) of the row with this u and branch,
+    taken before the row is built, with |u| to 10 significant digits
     and arg u to 1e-10, in (-pi, pi]: far above the ~1e-14 rounding
     noise in u, so rows whose |u| tie in exact arithmetic (u and
     -conj(u)) keep their order when u moves in the last bits, and far
     below the gap between |u| that do not tie, at least 5.8e-6 relative
     on the slopes |p| <= 40, 1 <= q <= 16."""
-    u = sol.u
     arg = round(math.atan2(u.imag, u.real), 10)
     if arg == -_PI_10:      # -pi and pi are one direction
         arg = _PI_10
-    return float(f"{abs(u):.9e}"), arg, sol.point.branch
+    return float(f"{abs(u):.9e}"), arg, branch
 
 
 def table_to_csv(solutions: list[SurgerySolution]) -> str:

@@ -77,7 +77,7 @@ def sample_variety_points(n: int, seed: int) -> list[RileyPoint]:
                                    size=(n - s.size, 2)).T
         draw = np.exp(log_r) * np.exp(1j * theta)
         s = np.concatenate([s, draw[np.abs(2 - trace_u(draw)) >= 1e-3]])
-    t = np.where(np.arange(n) % 2 == 0, *_t_branches(s))
+    t = np.where(np.arange(n) % 2 == 0, *_t_branches(s * s))
     cols = zip(s.tolist(), t.tolist(), np.abs(riley_poly(s, t)).tolist())
     return [RileyPoint(a, b, "+-"[k % 2], res)
             for k, (a, b, res) in enumerate(cols)]

@@ -107,6 +107,47 @@ def test_verify_samples_above_the_limit_exit_1(capsys, monkeypatch):
                       f"{MAX_VERIFY_SAMPLES + 1}"]
 
 
+@pytest.mark.parametrize("argv, code", [
+    (("verify", "--samples", "9" * 5000), 1),
+    (("verify", "--samples", "9" * 400), 1),
+    (("verify", "--seed", "9" * 5000), 1),
+    (("surgery", "--p", "9" * 5000, "--q", "1"), 1),
+    (("surgery", "--p", "1", "--q", "-" + "9" * 5000), 1),
+    (("surgery", "--p", "x" * 5000, "--q", "1"), 1),
+    (("surgery", "--p", "9" * 400, "--q", "1"), 2),
+    (("surgery", "--p", "9" * 400, "--q", "3"), 2)])
+def test_over_long_integer_one_short_error_line(capsys, argv, code):
+    """An integer flag over Python's 4300-digit int() limit, or a valid
+    count or slope hundreds of digits long, gives today's exit code and
+    one short error line, which quotes at most 20 characters of the
+    input and names no parser function."""
+    try:
+        assert main(list(argv)) == code
+    except SystemExit as exc:
+        assert exc.code == code
+    out = capsys.readouterr()
+    assert out.out == ""
+    errors = [ln for ln in out.err.splitlines() if "error:" in ln]
+    assert len(errors) == 1 and len(errors[0]) < 200, errors
+    assert "parse_" not in out.err and "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("surgery", "--p", "abc", "--q", "1"),
+     "fig8torsion surgery: error: argument --p: invalid int value: 'abc'"),
+    (("surgery", "--p", "1", "--q", "1.5"),
+     "fig8torsion surgery: error: argument --q: invalid int value: '1.5'"),
+    (("verify", "--seed", "-3"), "fig8torsion verify: error: argument "
+     "--seed: expected a non-negative integer, got '-3'")])
+def test_bad_integer_messages(capsys, argv, message):
+    """Ordinary bad integers keep argparse's wording, input quoted."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 1
+    assert [ln for ln in capsys.readouterr().err.splitlines()
+            if "error:" in ln] == [message]
+
+
 @pytest.mark.parametrize("argv", [("verify", "--branch", "+"),
                                   ("riley", "--s", "1,0",
                                    "--tol-compare", "1e-3"),

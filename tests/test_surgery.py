@@ -12,14 +12,20 @@ from fig8torsion.linalg import E2
 from fig8torsion.riley import (LONGITUDE, RileyPoint, longitude_l11,
                                longitude_matrix_word, make_point, point_arrays,
                                rep_matrices, rep_stacks, riley_poly, solve_t,
-                               trace_l, variety_membership)
+                               trace_l, trace_u, variety_membership)
 from fig8torsion.surgery import (BRANCH_POINT_TOL, CSV_HEADER, RELATION_TOL,
-                                 SurgerySlope, _candidates,
+                                 SurgerySlope, _candidate_columns,
                                  relation_residuals, _row_key, solve_surgery,
                                  surgery_residual, table_to_csv, table_to_json)
 from fig8torsion.formulas import torsion_surgered
 from fig8torsion.verify import sample_variety_points
 from fig8torsion.words import X, parse_word, word_product
+
+
+def _candidates(slopes):
+    """The candidate stacks (s, lam, t, branch, residual) and the list of
+    each slope's candidate count: the first six of `_candidate_columns`."""
+    return _candidate_columns(slopes)[:6]
 
 
 def test_slope_validation():
@@ -340,6 +346,29 @@ def test_solver_residual_is_one_point_residual():
                               for row in rows]
 
 
+def test_columns_are_the_public_closed_forms():
+    """Every printed column of a row is the public closed form at the
+    row's (s, t), bit for bit: u, tr rho(l), lambda and the variety
+    residual on one-item arrays, as the solver evaluates them on its
+    stacks, and the torsion from `torsion_surgered(u)`.  One batched
+    call covers 1/1, -4/3, 29/6, 1/16, 40/13 and the ten slopes of the
+    verify check."""
+    pairs = [(1, 1), (-4, 3), (29, 6), (1, 16), (40, 13), (1, 0), (1, 1),
+             (2, 1), (3, 1), (5, 1), (1, 2), (3, 2), (5, 3), (-1, 2), (4, 1)]
+    rows = solve_surgery([SurgerySlope(p, q) for p, q in pairs])
+    assert len(rows) > 100
+    for row in rows:
+        s, t = np.array([row.point.s]), np.array([row.point.t])
+        assert row.u == trace_u(s)[0], row.slope
+        assert row.trace_l == trace_l(s, t)[0], row.slope
+        assert row.lam == longitude_l11(s, t)[0], row.slope
+        assert row.point.residual == abs(riley_poly(s, t))[0], row.slope
+        if row.torsion is None:
+            assert row.flags == ["degenerate"], row.slope
+        else:
+            assert row.torsion == torsion_surgered(row.u), row.slope
+
+
 def test_runs_must_cover_the_stack():
     s, t, _ = point_arrays(sample_variety_points(6, 1))
     for counts in ((5,), (4, 3)):
@@ -442,7 +471,8 @@ def test_row_order_stable_under_last_bit_changes(p, q):
         moved = [dataclasses.replace(
                      row, u=complex(nudge(row.u.real), nudge(row.u.imag)))
                  for row in rows]
-        assert sorted(moved, key=_row_key) == moved
+        assert sorted(moved, key=lambda row: _row_key(
+            row.u, row.point.branch)) == moved
 
 
 def _csv_cells(csv: str) -> list[list]:
