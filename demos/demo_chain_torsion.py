@@ -12,8 +12,9 @@ import numpy as np
 
 from fig8torsion import ChainComplex, solve_t, torsion, \
     torsion_with_basis_perturbation
-from fig8torsion.riley import longitude_matrix_word, rep_matrices
+from fig8torsion.riley import longitude_matrix_word, rep_stacks
 from fig8torsion.formulas import torus_torsion_oracle
+from fig8torsion.words import X
 
 print("One-map complex 0 -> C --[2]--> C -> 0:")
 cx = ChainComplex(dims=(1, 1), boundaries=(np.array([[2.0]], dtype=complex),))
@@ -32,7 +33,7 @@ print()
 
 print("Twisted torus complex (generators -> rho(x), rho(l)) at s = 2:")
 pt = solve_t(2.0)[0]
-mx, _ = rep_matrices(pt)
+mx = rep_stacks(pt.s, pt.t)[X][0]
 ml = longitude_matrix_word(pt)
 val = torus_torsion_oracle(mx, ml)
 print(f"  tau = {val.value:.12g}, |tau| = {abs(val.value):.12f} (expected 1)")

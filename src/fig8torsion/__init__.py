@@ -7,10 +7,10 @@ from .chain import (ChainComplex, TorsionValue, is_acyclic, torsion,
 from .errors import (DegenerateLeadingCoefficient, DegenerateU,
                      DimensionMismatch, Fig8Error, InvalidSlope, NotAcyclic,
                      SingularMatrix, SingularParameter, WordParseError)
-from .linalg import E2, mat2, mat2_inverse, solve_quadratic, svd
+from .linalg import E2, mat2_inverse, solve_quadratic, svd
 from .riley import (LONGITUDE, RileyPoint, longitude_l11,
-                    longitude_matrix_word, make_point, rep_matrices,
-                    riley_poly, solve_t, trace_l, trace_u)
+                    longitude_matrix_word, riley_poly, solve_t, trace_l,
+                    trace_u)
 from .surgery import (SurgerySlope, SurgerySolution, solve_surgery,
                       surgery_residual)
 from .formulas import (TorsionReport, full_report, torsion_exterior_closed,

@@ -78,11 +78,6 @@ E2 = np.eye(2, dtype=complex)
 _ADJUGATE_SIGNS = np.array([[1, -1], [-1, 1]])
 
 
-def mat2(a11, a12, a21, a22) -> np.ndarray:
-    """Build a 2x2 complex matrix from its entries."""
-    return np.array([[a11, a12], [a21, a22]], dtype=complex)
-
-
 def _check_finite(m: np.ndarray) -> np.ndarray:
     # count_nonzero is the cheapest exact test on these tiny arrays
     if np.count_nonzero(np.isfinite(m)) != m.size:

@@ -59,10 +59,6 @@ class RileyPoint:
     branch: str = "?"        # "+", "-", or "?" for ad-hoc points
     residual: float = 0.0
 
-    def on_variety(self) -> bool:
-        """Membership within VARIETY_TOL (see `variety_membership`)."""
-        return bool(variety_membership(self.s, self.t, self.residual))
-
     def to_json(self) -> dict:
         return {"s": complex_json(self.s), "t": complex_json(self.t),
                 "branch": self.branch, "residual": self.residual}
@@ -118,18 +114,6 @@ def _powers(s):
     """(s^2, 1/s^2) of a checked s, or of an array of them."""
     s2 = s * s
     return s2, 1 / s2
-
-
-def make_point(s: complex, t: complex) -> RileyPoint:
-    s = _check_s(s)
-    return RileyPoint(s, complex(t), residual=abs(_riley_poly(*_powers(s), t)))
-
-
-def rep_matrices(p: RileyPoint) -> tuple[np.ndarray, np.ndarray]:
-    """The images of the generators x and y at p: the N = 1 items of
-    `rep_stacks`."""
-    imgs = rep_stacks(p.s, p.t)
-    return imgs[X][0], imgs[Y][0]
 
 
 def rep_stacks(s: np.ndarray, t: np.ndarray) -> dict[int, np.ndarray]:

@@ -44,11 +44,11 @@ that rejects a candidate on the variety.  Per slope again, it picks one
 row per pair, sorts the rows on the column lists, and builds each row
 once, in that order.  `relation_residuals` is that residual on any
 stack of points held as runs (slope, count), and `surgery_residual` its
-N = 1 call, so a check that re-tests rows gets the bits the solver
-filtered on.  That holds because the longitude word, the powers and
-their product are all taken on (2, 2, N) entry layouts, whatever the
-stack length: elementwise arithmetic rounds item k the same way at
-every N, where numpy's `matmul` is not promised to.
+N = 1 call, which gives a row's `relation_residual` bit for bit.  That
+holds because the longitude word, the powers and their product are all
+taken on (2, 2, N) entry layouts, whatever the stack length:
+elementwise arithmetic rounds item k the same way at every N, where
+numpy's `matmul` is not promised to.
 
 The tables print each row from one template, the CSV row from its cells
 and the JSON row (`SurgerySolution.to_json_row`) byte for byte as

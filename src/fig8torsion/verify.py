@@ -8,8 +8,8 @@ pairs and u make one stacked call each (N items at once, see
 `formulas.torsion_exterior_oracle` and `riley.rep_stacks`), the
 basis-independence check one `torsion` call and one perturbed call per
 dims, on fixtures drawn as one stack per dims, and the surgery check
-one `solve_surgery` call on its ten slopes, one residual call on all
-their rows and one torsion call.
+one `solve_surgery` call on its ten slopes and one torsion call; it
+reads each row's residuals from the row.
 The samples are stacked draws: a round draws every missing item at
 once and the items a rule rejects are drawn again in the next round;
 the torus and product checks give that count in their detail.
@@ -33,8 +33,7 @@ from .riley import (LONGITUDE, RileyPoint, _t_branches, longitude_l11,
                     point_arrays, rep_stacks, riley_poly, solve_t, trace_l,
                     trace_u)
 from .words import word_product
-from .surgery import (RELATION_TOL, SurgerySlope, relation_residuals,
-                      solve_surgery)
+from .surgery import RELATION_TOL, SurgerySlope, solve_surgery
 from .formulas import (COMPARE_TOL, degenerate, full_report,
                        torsion_exterior_closed, torsion_exterior_oracle,
                        torsion_solid_torus_closed,
@@ -262,18 +261,16 @@ def check_surgery_solver() -> CheckResult:
     """Slope (1,0) finds nothing; every solution on other slopes meets
     both residuals and the torsion formula to the printed RELATION_TOL,
     and a row without torsion is flagged degenerate.  One
-    `solve_surgery` call solves the ten slopes, one `relation_residuals`
-    call re-computes the residual of every row at its slope, and one
-    `torsion_surgered` call the torsion of every non-degenerate row."""
+    `solve_surgery` call solves the ten slopes and one `torsion_surgered`
+    call gives the torsion of every non-degenerate row; each row's
+    relation and variety residuals are read from the row."""
     slopes = [SurgerySlope(p, q)
               for p, q in ((1, 0), (1, 1), (2, 1), (3, 1), (5, 1), (1, 2),
                            (3, 2), (5, 3), (-1, 2), (4, 1))]
     rows = solve_surgery(slopes)
     ok = all(sol.slope != SurgerySlope(1, 0) for sol in rows)
-    s, t, residual = point_arrays([sol.point for sol in rows])
-    # rows come slope after slope, at ten distinct slopes: one run each
-    runs = Counter(sol.slope for sol in rows).items()
-    res = np.maximum(relation_residuals(s, t, runs), residual)
+    res = np.array([max(sol.relation_residual, sol.point.residual)
+                    for sol in rows], dtype=float)
     with_tau = [sol for sol in rows if sol.torsion is not None]
     u = np.array([sol.u for sol in with_tau], dtype=complex)
     err = _relerr(np.array([sol.torsion for sol in with_tau], dtype=complex),

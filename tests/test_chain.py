@@ -8,7 +8,7 @@ from fig8torsion.chain import (ChainComplex, is_acyclic, torsion,
                                torsion_with_basis_perturbation)
 from fig8torsion.errors import DimensionMismatch, NotAcyclic
 from fig8torsion.linalg import E2, STACK_KERNEL_MIN_ITEMS, svd
-from fig8torsion.riley import rep_matrices, solve_t
+from fig8torsion.riley import rep_stacks, solve_t
 from fig8torsion.formulas import presentation_complex
 from fig8torsion.words import X, Y, parse_word
 from complex_reference import random_acyclic_complex
@@ -24,7 +24,7 @@ def torus_complex_at(pt):
     # peripheral torus: generators map to rho(x) and rho(l), which
     # commute on the variety
     from fig8torsion.riley import longitude_matrix_word
-    mx, _ = rep_matrices(pt)
+    mx = rep_stacks(pt.s, pt.t)[X][0]
     ml = longitude_matrix_word(pt)
     comm = parse_word("xyXY")
     drdx = evaluate_group_ring(fox_derivative(comm, X), mx, ml)

@@ -1,15 +1,19 @@
 """Every name a module of the package imports is used in that module
 (`__init__`, whose imports are its exports, aside), so a deletion
-cannot leave a dead import behind; and every module parses under the
-oldest Python grammar that pyproject.toml's requires-python admits."""
+cannot leave a dead import behind; every export is read outside the
+tests; the package imports only the standard library and numpy; and
+every module parses under the oldest Python grammar that
+pyproject.toml's requires-python admits."""
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fig8torsion"
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "fig8torsion"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -97,6 +101,58 @@ def test_every_constant_is_read_or_exported():
               for name, line in top_level_constants(tree)
               if name not in read and name not in exported]
     assert not unread, f"constants neither read in src/ nor exported: {unread}"
+
+
+def names_read(tree):
+    """The names and attributes a module reads, less each top-level
+    function's or class's reads of its own name."""
+    for node in tree.body:
+        own = getattr(node, "name", None)
+        for sub in ast.walk(node):
+            name = (sub.id if isinstance(sub, ast.Name) else
+                    sub.attr if isinstance(sub, ast.Attribute) else None)
+            if name is not None and name != own:
+                yield name
+
+
+# the reference predicate and the reference oracle: the tests compare
+# `torsion`'s acyclic mask and the trace form of the solid-torus torsion
+# with them, and nothing outside the tests reads them
+READ_ONLY_BY_TESTS = {"is_acyclic", "torsion_solid_torus_oracle"}
+
+
+def test_every_export_is_read_outside_the_tests():
+    """Each name `__init__` exports is read in `src/` outside its own
+    definition, in `bench/` or in `demos/`, so the package exports no
+    name that only the tests call (READ_ONLY_BY_TESTS aside)."""
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = {name for name, _ in imported_names(init)}
+    paths = [*MODULES, *(REPO / "bench").glob("*.py"),
+             *(REPO / "demos").glob("*.py")]
+    read = set()
+    for path in paths:
+        read.update(names_read(ast.parse(path.read_text(), filename=str(path))))
+    assert READ_ONLY_BY_TESTS <= exported - read
+    unread = sorted(exported - read - READ_ONLY_BY_TESTS)
+    assert not unread, f"exports read only by the tests: {unread}"
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    """numpy is the one runtime dependency in pyproject.toml; sympy,
+    mpmath and the other test dependencies stay out of `src/`."""
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    foreign = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            foreign += [f"{path.name}: {top} (line {node.lineno})"
+                        for top in tops if top not in allowed]
+    assert not foreign, f"imports outside stdlib and numpy: {foreign}"
 
 
 def test_sources_parse_under_requires_python():

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from fig8torsion.errors import DegenerateLeadingCoefficient, SingularMatrix
-from fig8torsion.linalg import (E2, STACK_KERNEL_MIN_ITEMS, RANK_RTOL, mat2,
+from fig8torsion.linalg import (E2, STACK_KERNEL_MIN_ITEMS, RANK_RTOL,
                                mat2_entries, mat2_inverse, mat2_power,
                                mat2_product, mat2_stack, rank,
                                solve_quadratic, svd)
-from fig8torsion.riley import rep_matrices, solve_t
+from fig8torsion.riley import rep_stacks, solve_t
+from fig8torsion.words import X
 from fox_reference import ENTRY_STACK_LENGTHS, product_bound, spread_stack
 
 
@@ -48,10 +49,11 @@ def test_inverse_two_sided_random():
 
 def test_inverse_examples():
     assert np.allclose(mat2_inverse(E2), E2)
-    assert np.allclose(mat2_inverse(mat2(2, 1, 0, 0.5)),
-                       mat2(0.5, -1, 0, 2))
+    assert np.allclose(
+        mat2_inverse(np.array([[2, 1], [0, 0.5]], dtype=complex)),
+        np.array([[0.5, -1], [0, 2]], dtype=complex))
     with pytest.raises(SingularMatrix):
-        mat2_inverse(mat2(0, 0, 0, 0))
+        mat2_inverse(np.zeros((2, 2), dtype=complex))
 
 
 def test_quadratic_simple():
@@ -118,7 +120,7 @@ def test_nullspace_examples():
     assert_orthonormal(basis)
     # rho(x) - E at s = 2 is invertible (det = 2 - u = -1/2)
     pt = solve_t(2.0)[0]
-    mx, _ = rep_matrices(pt)
+    mx = rep_stacks(pt.s, pt.t)[X][0]
     assert kernel(mx - E2).shape[1] == 0
 
 

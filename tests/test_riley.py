@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from fig8torsion.errors import SingularParameter
-from fig8torsion.linalg import E2, mat2
-from fig8torsion.riley import (LONGITUDE, longitude_l11, longitude_matrix_word,
-                               make_point, rep_matrices, rep_stacks,
-                               riley_poly, solve_t, trace_l, trace_u)
+from fig8torsion.linalg import E2
+from fig8torsion.riley import (LONGITUDE, RileyPoint, longitude_l11,
+                               longitude_matrix_word, rep_stacks, riley_poly,
+                               solve_t, trace_l, trace_u, variety_membership)
 from fig8torsion.verify import sample_variety_points
-from fig8torsion.words import word_to_text
+from fig8torsion.words import X, Y, word_to_text
 
 
 def random_s(rng):
@@ -19,10 +19,9 @@ def random_s(rng):
 
 
 def test_rep_matrices_display():
-    pt = make_point(2.0, 1.0)
-    mx, my = rep_matrices(pt)
-    assert np.allclose(mx, mat2(2, 1, 0, 0.5))
-    assert np.allclose(my, mat2(2, 0, -1, 0.5))
+    imgs = rep_stacks(2.0, 1.0)
+    assert np.allclose(imgs[X][0], np.array([[2, 1], [0, 0.5]]))
+    assert np.allclose(imgs[Y][0], np.array([[2, 0], [-1, 0.5]]))
 
 
 def test_rep_matrices_unimodular_random():
@@ -30,9 +29,9 @@ def test_rep_matrices_unimodular_random():
     for _ in range(50):
         s = random_s(rng)
         t = complex(rng.normal(), rng.normal())
-        mx, my = rep_matrices(make_point(s, t))
-        assert abs(np.linalg.det(mx) - 1) < 1e-12
-        assert abs(np.linalg.det(my) - 1) < 1e-12
+        imgs = rep_stacks(s, t)
+        assert abs(np.linalg.det(imgs[X][0]) - 1) < 1e-12
+        assert abs(np.linalg.det(imgs[Y][0]) - 1) < 1e-12
 
 
 def test_singular_parameter():
@@ -93,15 +92,17 @@ def test_closed_forms_on_arrays():
 
 def test_rep_stacks_match_rep_matrices():
     # images of x, y, x^-1, y^-1 (letters 1, 2, -1, -2) on one stack, and
-    # rep_matrices, against the images written out entry by entry
+    # on each point alone, against the images written out entry by entry
     pts = sample_variety_points(20, seed=10)
     imgs = rep_stacks([pt.s for pt in pts], [pt.t for pt in pts])
     for k, pt in enumerate(pts):
         scale = max(1.0, abs(pt.s), 1 / abs(pt.s), abs(pt.t)) ** 2
-        written = (mat2(pt.s, 1, 0, 1 / pt.s), mat2(pt.s, 0, -pt.t, 1 / pt.s))
-        for g, img, one in zip((1, 2), written, rep_matrices(pt)):
+        written = (np.array([[pt.s, 1], [0, 1 / pt.s]], dtype=complex),
+                   np.array([[pt.s, 0], [-pt.t, 1 / pt.s]], dtype=complex))
+        alone = rep_stacks(pt.s, pt.t)
+        for g, img in zip((X, Y), written):
             assert np.max(np.abs(imgs[g][k] - img)) <= 1e-15 * scale
-            assert np.array_equal(one, imgs[g][k])
+            assert np.array_equal(alone[g][0], imgs[g][k])
             assert np.max(np.abs(imgs[-g][k] @ img - E2)) <= 1e-15 * scale
 
 
@@ -120,7 +121,7 @@ def test_solve_t_residuals_random():
         for pt in solve_t(s):
             scale = max(1.0, abs(pt.s) ** 2, abs(pt.t) ** 2)
             assert pt.residual <= 1e-12 * scale * max(1, abs(pt.t))
-            assert pt.on_variety()
+            assert variety_membership(pt.s, pt.t, pt.residual)
 
 
 def test_homomorphism_relation_on_variety():
@@ -133,15 +134,16 @@ def test_homomorphism_relation_on_variety():
     for _ in range(50):
         s = random_s(rng)
         for pt in solve_t(s):
-            mx, my = rep_matrices(pt)
+            imgs = rep_stacks(pt.s, pt.t)
+            mx, my = imgs[X][0], imgs[Y][0]
             mw = evaluate_word(w, mx, my)
             r = mw @ mx - my @ mw
             scale = max(1.0, float(np.max(np.abs(mw))) ** 2)
             assert np.max(np.abs(r)) <= 1e-9 * scale
     # diagonal entries vanish off the variety too
     for _ in range(20):
-        pt = make_point(random_s(rng), complex(rng.normal(), rng.normal()))
-        mx, my = rep_matrices(pt)
+        imgs = rep_stacks(random_s(rng), complex(rng.normal(), rng.normal()))
+        mx, my = imgs[X][0], imgs[Y][0]
         mw = evaluate_word(w, mx, my)
         r = mw @ mx - my @ mw
         scale = max(1.0, float(np.max(np.abs(mw))) ** 2)
@@ -162,7 +164,7 @@ def test_longitude_word():
 def test_longitude_trivial_at_t_zero():
     rng = np.random.default_rng(4)
     for _ in range(10):
-        pt = make_point(random_s(rng), 0.0)
+        pt = RileyPoint(random_s(rng), 0j)
         assert np.max(np.abs(longitude_matrix_word(pt) - E2)) < 1e-10
 
 
@@ -186,7 +188,7 @@ def test_peripheral_commutation():
     for _ in range(50):
         s = random_s(rng)
         for pt in solve_t(s):
-            mx, _ = rep_matrices(pt)
+            mx = rep_stacks(pt.s, pt.t)[X][0]
             ml = longitude_matrix_word(pt)
             scale = max(1.0, float(np.max(np.abs(ml))))
             assert np.max(np.abs(mx @ ml - ml @ mx)) <= 1e-9 * scale
@@ -213,11 +215,12 @@ def test_branch_symmetry_s_inverse():
     for _ in range(50):
         s = random_s(rng)
         for pt in solve_t(s):
-            mirrored = make_point(1 / s, pt.t)
-            assert mirrored.on_variety()
+            mirrored = 1 / s
+            assert variety_membership(mirrored, pt.t,
+                                      abs(riley_poly(mirrored, pt.t)))
             trl = trace_l(pt.s, pt.t)
             scale = max(1.0, abs(trl))
-            assert abs(trl - trace_l(mirrored.s, mirrored.t)) <= 1e-8 * scale
+            assert abs(trl - trace_l(mirrored, pt.t)) <= 1e-8 * scale
 
 
 def test_riley_point_json():

@@ -10,9 +10,9 @@ import pytest
 from fig8torsion.errors import InvalidSlope
 from fig8torsion.linalg import E2
 from fig8torsion.riley import (LONGITUDE, RileyPoint, longitude_l11,
-                               longitude_matrix_word, make_point, point_arrays,
-                               rep_matrices, rep_stacks, riley_poly, solve_t,
-                               trace_l, trace_u, variety_membership)
+                               longitude_matrix_word, point_arrays, rep_stacks,
+                               riley_poly, solve_t, trace_l, trace_u,
+                               variety_membership)
 from fig8torsion.surgery import (BRANCH_POINT_TOL, CSV_HEADER, RELATION_TOL,
                                  SurgerySlope, _candidate_columns,
                                  relation_residuals, _row_key, solve_surgery,
@@ -59,8 +59,8 @@ def test_aligned_eigenvalue_properties_random():
 def test_aligned_eigenvalue_off_variety():
     """Off the variety l21 does not vanish, and the variety test refuses
     the point."""
-    pt = make_point(2.0, 0.7)
-    assert not pt.on_variety()
+    pt = RileyPoint(2.0, 0.7, residual=abs(riley_poly(2.0, 0.7)))
+    assert not variety_membership(pt.s, pt.t, pt.residual)
     assert abs(longitude_matrix_word(pt)[1, 0]) > 1e-3
 
 
@@ -94,7 +94,7 @@ def test_solutions_satisfy_relation():
     sols = solve_surgery(slope)
     assert sols, "expected at least one solution for slope 1/1"
     for sol in sols:
-        mx, _ = rep_matrices(sol.point)
+        mx = rep_stacks(sol.point.s, sol.point.t)[X][0]
         ml = longitude_matrix_word(sol.point)
         res = np.linalg.norm(mx @ ml - E2)
         assert res <= 1e-9
@@ -417,14 +417,14 @@ def test_stacked_candidates_match_scalar(p, q):
 
 @pytest.mark.parametrize("p, q", CANDIDATE_SLOPES)
 def test_on_variety_is_the_array_rule(p, q):
-    """RileyPoint.on_variety() and the array rule agree exactly, item by
+    """The variety rule on one point and on arrays agree exactly, item by
     item, on every candidate, and on the candidates with t moved by
     1e-10 relative, which puts many of them off the variety."""
     s, _, t, _, residual, _ = _candidates([SurgerySlope(p, q)])
     moved = t * (1 + 1e-10)
     for tt, res in ((t, residual), (moved, np.abs(riley_poly(s, moved)))):
         rule = variety_membership(s, tt, res)
-        one_point = [RileyPoint(sk, tk, residual=rk).on_variety()
+        one_point = [bool(variety_membership(sk, tk, rk))
                      for sk, tk, rk in zip(s.tolist(), tt.tolist(),
                                            res.tolist())]
         assert rule.tolist() == one_point
@@ -445,9 +445,8 @@ def test_relation_residual_is_the_only_rejection(p, q):
         mat_res = relation_residuals(s, t, [(slope, len(s))])
         for sk, tk, rk, mk in zip(s.tolist(), t.tolist(), residual.tolist(),
                                   mat_res.tolist()):
-            pt = RileyPoint(sk, tk, residual=rk)
-            if pt.on_variety():
-                word = longitude_matrix_word(pt)
+            if variety_membership(sk, tk, rk):
+                word = longitude_matrix_word(RileyPoint(sk, tk))
                 scale = max(1.0, float(np.max(np.abs(word))))
                 assert abs(word[1, 0]) <= 1e-8 * scale, (p, q, sk)
             if abs(sk * sk - 1) <= 1e-6:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from fig8torsion.errors import DegenerateU, NotAcyclic
-from fig8torsion.riley import make_point, solve_t, trace_u
+from fig8torsion.riley import (RileyPoint, riley_poly, solve_t, trace_u,
+                               variety_membership)
 from fig8torsion.formulas import (COMPARE_TOL, TorsionReport, degenerate,
                                  full_report,
                                  torsion_exterior_closed,
@@ -14,6 +15,10 @@ from fig8torsion.formulas import (COMPARE_TOL, TorsionReport, degenerate,
                                  torsion_solid_torus_oracle, torsion_surgered,
                                  torus_torsion_oracle)
 from fig8torsion.verify import random_commuting_pairs, sample_variety_points
+
+
+# the reducible point s = 1, t = 0, off the variety
+REDUCIBLE = RileyPoint(1 + 0j, 0j, residual=abs(riley_poly(1 + 0j, 0j)))
 
 
 def test_exterior_closed_values():
@@ -138,8 +143,8 @@ def test_solid_trace_check_tolerates_rounding_near_u2_five():
 def test_exterior_oracle_off_variety_point_raises():
     """One point off the variety in a sequence raises, naming its
     residual."""
-    good, bad = solve_t(2.0)[0], make_point(1.0, 0.0)
-    assert not bad.on_variety()
+    good, bad = solve_t(2.0)[0], REDUCIBLE
+    assert not variety_membership(bad.s, bad.t, bad.residual)
     with pytest.raises(NotAcyclic, match=re.escape(f"{bad.residual:.3e}")):
         torsion_exterior_oracle([good, bad, good])
 
@@ -147,7 +152,7 @@ def test_exterior_oracle_off_variety_point_raises():
 def test_solid_trace_fixture_and_errors():
     assert abs(torsion_solid_torus_from_trace(solve_t(1.0)[0]) - 0.25) < 1e-12
     with pytest.raises(NotAcyclic):
-        torsion_solid_torus_from_trace(make_point(1.0, 0.0))
+        torsion_solid_torus_from_trace(REDUCIBLE)
 
 
 def test_solid_oracle_agreement_random():
@@ -195,12 +200,12 @@ def test_full_report_s2():
 
 
 def test_all_pass_is_false_without_flags_or_with_one_not_pass():
-    assert full_report(make_point(1.0, 0.0)).all_pass is False
+    assert full_report(REDUCIBLE).all_pass is False
     assert TorsionReport(u=2.5).all_pass is False
 
 
 def test_full_report_reducible():
-    rep = full_report(make_point(1.0, 0.0))
+    rep = full_report(REDUCIBLE)
     assert "non-acyclic" in rep.annotations
     # u = 2 is not degenerate, so the report keeps the 1/n form's value;
     # printing 0 for a non-acyclic point is the CLI's convention

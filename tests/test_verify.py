@@ -22,9 +22,9 @@ from fig8torsion.formulas import (presentation_complex,
                                   torsion_exterior_closed,
                                   torsion_exterior_oracle,
                                   torus_torsion_oracle)
-from fig8torsion.linalg import E2, STACK_KERNEL_MIN_ITEMS, mat2, mat2_inverse
+from fig8torsion.linalg import E2, STACK_KERNEL_MIN_ITEMS, mat2_inverse
 from fig8torsion.riley import (LONGITUDE, RELATOR, longitude_l11, rep_stacks,
-                               solve_t, trace_l, trace_u)
+                               solve_t, trace_l, trace_u, variety_membership)
 from fig8torsion.formulas import torsion_surgered
 from fig8torsion.surgery import SurgerySlope, solve_surgery, surgery_residual
 from fig8torsion.verify import (check_basis_independence,
@@ -158,7 +158,8 @@ def test_non_acyclic_torus_pair_masks_only_its_item(pairs):
 
 
 def test_one_singular_item_raises(pairs):
-    a = np.array([x for x, _ in pairs[:4]] + [mat2(1, 2, 2, 4)])
+    a = np.array([x for x, _ in pairs[:4]]
+                 + [np.array([[1, 2], [2, 4]], dtype=complex)])
     b = np.array([y for _, y in pairs[:5]])
     with pytest.raises(SingularMatrix):
         mat2_inverse(a)
@@ -291,7 +292,7 @@ def test_variety_samples_match_reference_loop(seed):
     for p, q in zip(pts, ref):
         assert abs(p.s - q.s) <= 1e-15 * abs(q.s)
         assert close(p.t, q.t, 1e-14)
-        assert p.on_variety()
+        assert variety_membership(p.s, p.t, p.residual)
 
 
 def test_draw_call_counts(monkeypatch):
@@ -613,37 +614,29 @@ def test_masked_fixture_fails_the_basis_check(monkeypatch):
 
 
 def test_surgery_check_makes_one_call_of_each(monkeypatch):
-    """One solve_surgery call on the ten slopes, one relation_residuals
-    call on all their rows, each at its own slope, and one torsion
-    call; the worst residual is the per-row loop's, bit for bit."""
-    solves, calls, taus = [], [], []
-    solve, residuals = verify.solve_surgery, verify.relation_residuals
+    """One solve_surgery call on the ten slopes and one torsion call;
+    the worst residual is the per-row loop's, bit for bit."""
+    solves, taus = [], []
+    solve = verify.solve_surgery
 
     def counting_solve(slopes):
         solves.append(list(slopes))
         return solve(slopes)
-
-    def counting(s, t, runs):
-        calls.append(list(runs))
-        return residuals(s, t, runs)
 
     def counting_tau(u):
         taus.append(len(u))
         return torsion_surgered(u)
 
     monkeypatch.setattr(verify, "solve_surgery", counting_solve)
-    monkeypatch.setattr(verify, "relation_residuals", counting)
     monkeypatch.setattr(verify, "torsion_surgered", counting_tau)
     res = check_surgery_solver()
     assert len(solves) == 1 and len(set(solves[0])) == len(solves[0]) == 10
     rows = [sol for slope in solves[0] for sol in solve_surgery(slope)]
     assert SurgerySlope(1, 0) in solves[0]
     assert all(sol.slope != SurgerySlope(1, 0) for sol in rows)
-    assert calls == [[(slope, n) for slope in solves[0]
-                      if (n := len(solve_surgery(slope)))]]
     # one torsion call over the rows of all slopes, less the degenerate
     assert taus == [sum(sol.torsion is not None for sol in rows)]
-    # the per-row loop that the one residual call replaced
+    # the per-row loop of one-point residuals
     worst = 0.0
     for sol in rows:
         worst = max(worst, surgery_residual(sol.point, sol.slope)[1],

@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 
 from fig8torsion import words
 from fig8torsion.errors import WordParseError
-from fig8torsion.linalg import E2, STACK_KERNEL_MIN_ITEMS, mat2, mat2_inverse
-from fig8torsion.riley import RELATOR, rep_matrices, rep_stacks, solve_t
+from fig8torsion.linalg import E2, STACK_KERNEL_MIN_ITEMS, mat2_inverse
+from fig8torsion.riley import RELATOR, rep_stacks, solve_t
 from fig8torsion.words import (X, Y, fox_blocks, fox_jacobian, parse_word,
                                reduce_word, word_concat, word_inverse,
                                word_product, word_to_text)
@@ -52,8 +52,8 @@ def test_inverse_concat():
 
 
 def test_evaluate_word():
-    mx = mat2(2, 1, 0, 0.5)
-    my = mat2(2, 0, -1, 0.5)
+    mx = np.array([[2, 1], [0, 0.5]], dtype=complex)
+    my = np.array([[2, 0], [-1, 0.5]], dtype=complex)
     assert np.allclose(evaluate_word((), mx, my), E2)
     assert np.allclose(evaluate_word(parse_word("x"), mx, my), mx)
 
@@ -83,7 +83,8 @@ def test_word_product_items_are_one_point_calls(n):
 
 def test_evaluate_longitude_geometric_trace():
     pt = solve_t(1.0)[0]
-    mx, my = rep_matrices(pt)
+    imgs = rep_stacks(pt.s, pt.t)
+    mx, my = imgs[X][0], imgs[Y][0]
     from fig8torsion.riley import LONGITUDE
     assert abs(np.trace(evaluate_word(LONGITUDE, mx, my)) - (-2)) < 1e-12
 
@@ -133,7 +134,7 @@ def unimodular(draw):
             c = -c
     det = a * d - b * c
     assert abs(det) >= 0.5
-    return mat2(a, b, c, d) / np.sqrt(det)
+    return np.array([[a, b], [c, d]], dtype=complex) / np.sqrt(det)
 
 
 @given(reduced_words, unimodular(), unimodular())
@@ -222,13 +223,13 @@ def test_fox_entry_path_raises_on_one_overflowing_item():
 
 
 def test_evaluate_group_ring():
-    mx = mat2(2, 1, 0, 0.5)
-    my = mat2(2, 0, -1, 0.5)
+    mx = np.array([[2, 1], [0, 0.5]], dtype=complex)
+    my = np.array([[2, 0], [-1, 0.5]], dtype=complex)
     one = GroupRingElement({(): 1})
     assert np.allclose(evaluate_group_ring(one, mx, my), E2)
     one_minus_x = GroupRingElement({(): 1, (X,): -1})
     assert np.allclose(evaluate_group_ring(one_minus_x, mx, my),
-                       mat2(-1, -1, 0, 0.5))
+                       np.array([[-1, -1], [0, 0.5]], dtype=complex))
 
 
 def test_relator_derivative_determinant_on_variety():
@@ -243,7 +244,8 @@ def test_relator_derivative_determinant_on_variety():
             u = trace_u(s)
             if abs(2 - u) < 1e-3:
                 continue
-            mx, my = rep_matrices(pt)
+            imgs = rep_stacks(pt.s, pt.t)
+            mx, my = imgs[X][0], imgs[Y][0]
             d = np.linalg.det(
                 evaluate_group_ring(fox_derivative(RELATOR, Y), mx, my))
             expect = (2 - u) * 2 * (u - 1)
