@@ -15,8 +15,8 @@ a point is acyclic is the chain torsion's one rule (forced ranks,
 nonsingular bases); comparing the value with the closed form is left
 to `full_report` and to `verify`.
 
-`presentation_complex`, `torsion_exterior_oracle` (given a sequence of
-points) and `torus_torsion_oracle` (given (N, 2, 2) stacks) work on N
+`presentation_complex`, `torsion_exterior_oracle` (given arrays s and
+t) and `torus_torsion_oracle` (given (N, 2, 2) stacks) work on N
 points at once through the stacked chain torsion; a non-acyclic item
 is masked in the result, where the call on one point raises NotAcyclic.
 """
@@ -32,7 +32,7 @@ from .chain import EPS, ChainComplex, TorsionValue, stack_result, torsion
 from .errors import DegenerateU, NotAcyclic
 from .linalg import E2
 from .riley import (RileyPoint, RELATOR, complex_csv, complex_json,
-                    longitude_matrix_word, point_arrays, rep_stacks, trace_l,
+                    longitude_matrix_word, rep_stacks, riley_poly, trace_l,
                     trace_l_scale, trace_u, variety_membership)
 from .words import X, Y, fox_blocks, fox_jacobian, parse_word
 
@@ -101,25 +101,25 @@ def presentation_complex(imgx: np.ndarray, imgy: np.ndarray,
     return ChainComplex(dims=(2, 4, 2), boundaries=(d1, d2))
 
 
-def torsion_exterior_oracle(p) -> TorsionValue:
-    """Torsion of the knot-exterior presentation complex at a point p,
-    or at each point of a sequence p of N points (see `TorsionValue`).
+def torsion_exterior_oracle(s, t) -> TorsionValue:
+    """Torsion of the knot-exterior presentation complex at the point
+    (s, t), or at each point of (N,) arrays s and t (see `TorsionValue`).
 
     An item is acyclic when `chain.torsion` finds it so: every boundary
     has its forced rank and the assembled bases are nonsingular.  The
     result is only defined up to sign, so sign_ambiguous is set.  A
-    point off the variety raises NotAcyclic, for a sequence too.
-    """
-    s, t, residual = point_arrays([p] if isinstance(p, RileyPoint) else p)
-    on = variety_membership(s, t, residual)
-    if not on.all():
-        raise NotAcyclic(
-            f"(s, t) is not a homomorphism: |R12| = {residual[~on][0]:.3e}")
+    point off the variety, by |R12(s, t)|, raises NotAcyclic, in a stack
+    too."""
+    residual = np.abs(riley_poly(s, t))
+    off = ~variety_membership(s, t, residual)
+    if np.count_nonzero(off):
+        raise NotAcyclic("(s, t) is not a homomorphism: "
+                         f"|R12| = {np.extract(off, residual)[0]:.3e}")
     imgs = rep_stacks(s, t)
     chain = torsion(presentation_complex(imgs[X], imgs[Y],
                                          *fox_blocks(RELATOR, imgs)))
-    return stack_result(not isinstance(p, RileyPoint), chain.value,
-                        chain.acyclic, sign_ambiguous=True)
+    return stack_result(np.ndim(s) > 0, chain.value, chain.acyclic,
+                        sign_ambiguous=True)
 
 
 def torsion_solid_torus_oracle(p: RileyPoint) -> TorsionValue:
@@ -195,13 +195,13 @@ def full_report(p: RileyPoint) -> TorsionReport:
     """Evaluate every torsion quantity at p and cross-check, to a relative
     gap of COMPARE_TOL: closed-vs-oracle (up to sign), trace-form vs
     u-form for the solid torus (plus their rounding bound), and the
-    product identity for tau(M)."""
+    product identity for tau(M), taken only where the oracle has a value."""
     u = trace_u(p.s)
     rep = TorsionReport(u=u)
     rep.tau_exterior_closed = torsion_exterior_closed(u)
 
     try:
-        rep.tau_exterior_oracle = torsion_exterior_oracle(p)
+        rep.tau_exterior_oracle = torsion_exterior_oracle(p.s, p.t)
     except NotAcyclic:
         rep.annotations.append("exterior-non-acyclic")
     try:
@@ -210,7 +210,8 @@ def full_report(p: RileyPoint) -> TorsionReport:
         rep.annotations.append("solid-torus-non-acyclic")
     try:
         rep.tau_solid_closed = torsion_solid_torus_closed(u)
-        rep.tau_surgered = torsion_surgered(u)
+        if rep.tau_exterior_oracle is not None:
+            rep.tau_surgered = torsion_surgered(u)
     except DegenerateU:
         rep.annotations.append("degenerate")
 

@@ -49,9 +49,10 @@ class RileyPoint:
     polynomial residual |R12(s, t)|.
 
     Points with large residual (e.g. the reducible t = 0 points) are
-    representable; operations that need variety membership test it with
-    `variety_membership`, on one point or a stack, and refuse them
-    (the Fox oracle) or drop them (the surgery solver).
+    representable.  The stored residual is a record: operations that
+    need variety membership test their own |R12(s, t)| with
+    `variety_membership`, on one point or a stack, and refuse such
+    points (the Fox oracle) or drop them (the surgery solver).
     """
 
     s: complex
@@ -70,13 +71,6 @@ def variety_membership(s, t, residual):
     tested item by item."""
     return residual <= VARIETY_TOL * np.maximum(
         1.0, np.maximum(np.abs(s) ** 2, np.abs(t) ** 2))
-
-
-def point_arrays(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The s, t and residual of a sequence of points as three arrays."""
-    return (np.array([p.s for p in points], dtype=complex),
-            np.array([p.t for p in points], dtype=complex),
-            np.array([p.residual for p in points], dtype=float))
 
 
 def complex_json(z):

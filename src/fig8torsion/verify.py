@@ -3,13 +3,13 @@ independent oracle on random variety samples plus fixed fixtures.
 
 Each check returns a CheckResult with the worst residual seen and the
 tolerance it was held to; `run_all` aggregates them deterministically
-for a given (samples, seed) pair.  The checks over sampled points,
-pairs and u make one stacked call each (N items at once, see
-`formulas.torsion_exterior_oracle` and `riley.rep_stacks`), the
+for a given (samples, seed) pair.  Variety points are arrays (s, t).
+The checks over them, pairs and u make one stacked call each (N items
+at once, see `formulas.torsion_exterior_oracle`), the
 basis-independence check one `torsion` call and one perturbed call per
 dims, on fixtures drawn as one stack per dims, and the surgery check
 one `solve_surgery` call on its ten slopes and one torsion call; it
-reads each row's residuals from the row.
+reads each row's residuals from the row, and counts each slope's rows.
 The samples are stacked draws: a round draws every missing item at
 once and the items a rule rejects are drawn again in the next round;
 the torus and product checks give that count in their detail.
@@ -29,11 +29,11 @@ import numpy as np
 
 from .chain import ChainComplex, torsion, torsion_with_basis_perturbation
 from .linalg import det2, mat2_inverse
-from .riley import (LONGITUDE, RileyPoint, _t_branches, longitude_l11,
-                    point_arrays, rep_stacks, riley_poly, solve_t, trace_l,
-                    trace_u)
+from .riley import (LONGITUDE, _t_branches, longitude_l11, rep_stacks,
+                    solve_t, trace_l, trace_u)
 from .words import word_product
-from .surgery import RELATION_TOL, SurgerySlope, solve_surgery
+from .surgery import (RELATION_TOL, SurgerySlope, polynomial_degree,
+                      solve_surgery)
 from .formulas import (COMPARE_TOL, degenerate, full_report,
                        torsion_exterior_closed, torsion_exterior_oracle,
                        torsion_solid_torus_closed,
@@ -64,10 +64,11 @@ class CheckResult:
                 f" (tol {self.tol:.1e}){extra}")
 
 
-def sample_variety_points(n: int, seed: int) -> list[RileyPoint]:
-    """n random variety points: |s| log-uniform in [0.3, 3], uniform
-    angle, alternating branches, excluding |2 - u| < 1e-3.  Each round
-    draws the missing points at once and redraws the excluded ones."""
+def sample_variety_points(n: int, seed: int) -> tuple:
+    """n random variety points as (n,) arrays (s, t): |s| log-uniform in
+    [0.3, 3], uniform angle, excluding |2 - u| < 1e-3, and t on the "+"
+    branch at even k and the "-" branch at odd k.  Each round draws the
+    missing points at once and redraws the excluded ones."""
     rng = np.random.default_rng(seed)
     s = np.empty(0, dtype=complex)
     while s.size < n:
@@ -76,10 +77,7 @@ def sample_variety_points(n: int, seed: int) -> list[RileyPoint]:
                                    size=(n - s.size, 2)).T
         draw = np.exp(log_r) * np.exp(1j * theta)
         s = np.concatenate([s, draw[np.abs(2 - trace_u(draw)) >= 1e-3]])
-    t = np.where(np.arange(n) % 2 == 0, *_t_branches(s * s))
-    cols = zip(s.tolist(), t.tolist(), np.abs(riley_poly(s, t)).tolist())
-    return [RileyPoint(a, b, "+-"[k % 2], res)
-            for k, (a, b, res) in enumerate(cols)]
+    return s, np.where(np.arange(n) % 2 == 0, *_t_branches(s * s))
 
 
 def _relerr(a, b):
@@ -107,36 +105,34 @@ def check_geometric_point() -> CheckResult:
     return CheckResult("geometric point s=1 fixed values", ok, worst, 1e-10)
 
 
-def check_exterior_oracle(points) -> CheckResult:
+def check_exterior_oracle(s, t) -> CheckResult:
     """|Fox-calculus torsion| = |-2(u - 1)| on the variety; every point
     must be acyclic."""
-    oracle = torsion_exterior_oracle(points)
-    u = trace_u(point_arrays(points)[0])[oracle.acyclic]
+    oracle = torsion_exterior_oracle(s, t)
+    u = trace_u(s)[oracle.acyclic]
     err = _relerr(np.abs(oracle.value[oracle.acyclic]),
                   np.abs(torsion_exterior_closed(u)))
     worst = float(np.max(err, initial=0.0))
-    masked = len(points) - err.size
+    masked = s.size - err.size
     return CheckResult("exterior oracle |tau| vs closed form",
                        masked == 0 and worst <= COMPARE_TOL, worst,
                        COMPARE_TOL,
-                       detail=f"{len(points)} points, {masked} not acyclic")
+                       detail=f"{s.size} points, {masked} not acyclic")
 
 
-def check_trace_identity(points) -> CheckResult:
+def check_trace_identity(s, t) -> CheckResult:
     """2 - tr rho(l) = -u^4 + 5 u^2 on the variety."""
-    s, t, _ = point_arrays(points)
     u = trace_u(s)
     err = _relerr(2 - trace_l(s, t), -u ** 4 + 5 * u ** 2)
     worst = float(np.max(err, initial=0.0))
     return CheckResult("trace identity 2 - tr rho(l) = u^2(5 - u^2)",
                        worst <= COMPARE_TOL, worst, COMPARE_TOL,
-                       detail=f"{len(points)} points")
+                       detail=f"{s.size} points")
 
 
-def check_longitude_lemma(points) -> CheckResult:
+def check_longitude_lemma(s, t) -> CheckResult:
     """Closed-form l11 and tr rho(l) match the word product, to 1e-9 of
     its largest entry; the word's l21 vanishes, to COMPARE_TOL of it."""
-    s, t, _ = point_arrays(points)
     word = word_product(LONGITUDE, rep_stacks(s, t))
     scale = np.maximum(1.0, np.max(np.abs(word), axis=(1, 2), initial=0.0))
     gap = np.maximum(np.abs(longitude_l11(s, t) - word[:, 0, 0]),
@@ -258,17 +254,23 @@ def check_product_identity(n: int, seed: int) -> CheckResult:
 
 
 def check_surgery_solver() -> CheckResult:
-    """Slope (1,0) finds nothing; every solution on other slopes meets
-    both residuals and the torsion formula to the printed RELATION_TOL,
-    and a row without torsion is flagged degenerate.  One
-    `solve_surgery` call solves the ten slopes and one `torsion_surgered`
-    call gives the torsion of every non-degenerate row; each row's
-    relation and variety residuals are read from the row."""
+    """Each slope has its N(p/q) characters as rows, N = max(4|q|, |p|)
+    - [p odd] - [4 | p] and 1 at 4/1 (none at 1/0); each row meets both
+    residuals and the torsion formula to the printed RELATION_TOL, and a
+    row without torsion is flagged degenerate.  One `solve_surgery` call
+    solves the ten slopes and one `torsion_surgered` call gives the
+    torsion of every non-degenerate row; each row's relation and variety
+    residuals are read from the row."""
     slopes = [SurgerySlope(p, q)
               for p, q in ((1, 0), (1, 1), (2, 1), (3, 1), (5, 1), (1, 2),
                            (3, 2), (5, 3), (-1, 2), (4, 1))]
     rows = solve_surgery(slopes)
-    ok = all(sol.slope != SurgerySlope(1, 0) for sol in rows)
+    found, short = Counter(sol.slope for sol in rows), []
+    for sl in slopes:
+        n = 1 if (abs(sl.p), sl.q) == (4, 1) else (
+            polynomial_degree(sl) - sl.p % 2 - (sl.p % 4 == 0))
+        if found[sl] != n:
+            short.append(f"; {sl.p}/{sl.q}: {found[sl]} of {n} rows")
     res = np.array([max(sol.relation_residual, sol.point.residual)
                     for sol in rows], dtype=float)
     with_tau = [sol for sol in rows if sol.torsion is not None]
@@ -276,24 +278,23 @@ def check_surgery_solver() -> CheckResult:
     err = _relerr(np.array([sol.torsion for sol in with_tau], dtype=complex),
                   torsion_surgered(u))
     worst = max(np.max(res, initial=0.0), np.max(err, initial=0.0))
-    if (np.any(res > RELATION_TOL) or np.any(err > RELATION_TOL)
-            or any("degenerate" not in sol.flags
-                   for sol in rows if sol.torsion is None)):
-        ok = False
+    ok = not short and worst <= RELATION_TOL and all(
+        "degenerate" in sol.flags for sol in rows if sol.torsion is None)
     return CheckResult("surgery solver residuals + torsion", ok, worst,
                        RELATION_TOL,
-                       detail=f"{len(slopes)} slopes, {len(rows)} solutions")
+                       detail=f"{len(slopes)} slopes, {len(rows)} solutions"
+                              + "".join(short))
 
 
 def run_all(samples: int = 200, seed: int = 0) -> list[CheckResult]:
-    """The full verification sweep; samples = 0 keeps the fixed
-    fixtures only for the sampled checks."""
-    points = sample_variety_points(samples, seed) if samples else []
-    fixture_pts = [solve_t(1.0)[0], *solve_t(2.0)]
+    """The full verification sweep; the sampled checks take three fixed
+    points first, so samples = 0 keeps those only."""
+    fixed = np.array([(p.s, p.t) for p in (solve_t(1.0)[0], *solve_t(2.0))])
+    s, t = np.hstack([fixed.T, sample_variety_points(samples, seed)])
     checks = [(check_geometric_point,),
-              (check_exterior_oracle, fixture_pts + points),
-              (check_trace_identity, fixture_pts + points),
-              (check_longitude_lemma, fixture_pts + points),
+              (check_exterior_oracle, s, t),
+              (check_trace_identity, s, t),
+              (check_longitude_lemma, s, t),
               (check_basis_independence, 20, seed + 1),
               (check_torus_oracle, 100, seed + 2),
               (check_product_identity, 1000, seed + 3),

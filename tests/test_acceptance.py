@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from fig8torsion.riley import (longitude_l11, longitude_matrix_word, solve_t,
-                               trace_l, trace_u)
+from fig8torsion.riley import (RileyPoint, longitude_l11,
+                               longitude_matrix_word, solve_t, trace_l,
+                               trace_u)
 from fig8torsion.surgery import SurgerySlope, solve_surgery, surgery_residual
 from fig8torsion.formulas import (full_report, torsion_exterior_closed,
                                  torsion_exterior_oracle,
@@ -26,7 +27,8 @@ def report(name, worst, tol):
 
 @pytest.fixture(scope="module")
 def points200():
-    return sample_variety_points(200, seed=20240823)
+    s, t = sample_variety_points(200, seed=20240823)
+    return [RileyPoint(a, b) for a, b in zip(s.tolist(), t.tolist())]
 
 
 def test_criterion_1_geometric_point_chain():
@@ -48,7 +50,7 @@ def test_criterion_2_exterior_oracle(points200):
     worst = 0.0
     for pt in points200:
         closed = torsion_exterior_closed(trace_u(pt.s))
-        oracle = torsion_exterior_oracle(pt)
+        oracle = torsion_exterior_oracle(pt.s, pt.t)
         worst = max(worst, abs(abs(oracle.value) - abs(closed))
                     / max(1.0, abs(closed)))
     report("criterion 2: Fox-calculus exterior oracle, 200 points",

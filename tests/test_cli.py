@@ -230,6 +230,25 @@ def test_torsion_json(capsys):
     assert data["flags"]["product_identity"] == "pass"
 
 
+def test_torsion_json_at_a_non_acyclic_exterior(capsys):
+    """At u = 1 (s = e^{i pi/3}) the exterior is not acyclic: no oracle
+    value, so no tau(M) and no product identity, while the pretty form
+    keeps its convention line."""
+    code, out, _ = run(capsys, "torsion", "--s", "0.5,0.8660254037844386",
+                       "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["tau_exterior_oracle"] is None
+    assert data["tau_surgered"] is None
+    assert data["flags"] == {"exterior_oracle_abs": "skipped",
+                             "solid_trace_vs_u": "pass",
+                             "product_identity": "skipped"}
+    assert data["annotations"] == ["exterior-non-acyclic", "non-acyclic"]
+    code, out, _ = run(capsys, "torsion", "--s", "0.5,0.8660254037844386")
+    assert code == 0
+    assert "tau(M) (1/n form)          : 0 (non-acyclic convention)\n" in out
+
+
 def test_torsion_degenerate_annotated(capsys):
     golden = (1 + 5 ** 0.5) / 2
     for s in (f"{golden},0", "0,1"):     # u = sqrt(5) and u = 0
@@ -321,6 +340,11 @@ def test_surgery_invalid_slope(capsys):
 
 
 def test_surgery_slope_bound_exit_2(capsys):
+    # 1/100 needs a degree-400 Chebyshev series, the CLI's limit itself
+    code, out, err = run(capsys, "surgery", "--p", "1", "--q", "100")
+    assert code == 0
+    assert out.startswith("slope 1/100: ")
+    assert err == ""
     # 1/101 needs a degree-404 Chebyshev series, past the CLI's 400
     code, out, err = run(capsys, "surgery", "--p", "1", "--q", "101")
     assert code == 2

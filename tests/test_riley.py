@@ -77,29 +77,26 @@ def test_closed_forms_on_arrays():
     # the same expressions on arrays; numpy's complex division rounds
     # differently from Python's, so the values agree to rounding, taken
     # relative to the largest monomial bound |s|^+-4 |t|^4
-    pts = sample_variety_points(200, seed=9)
-    s = np.array([pt.s for pt in pts])
-    t = np.array([pt.t for pt in pts])
+    s, t = sample_variety_points(200, seed=9)
     l11, trl = longitude_l11(s, t), trace_l(s, t)
-    for k, pt in enumerate(pts):
-        scale = max(1.0, abs(pt.s), 1 / abs(pt.s)) ** 4 \
-            * max(1.0, abs(pt.t)) ** 4
+    for k, (sk, tk) in enumerate(zip(s.tolist(), t.tolist())):
+        scale = max(1.0, abs(sk), 1 / abs(sk)) ** 4 * max(1.0, abs(tk)) ** 4
         for array_value, scalar in (
-                (l11[k], longitude_l11(pt.s, pt.t)),
-                (trl[k], trace_l(pt.s, pt.t))):
+                (l11[k], longitude_l11(sk, tk)),
+                (trl[k], trace_l(sk, tk))):
             assert abs(array_value - scalar) <= 1e-13 * scale
 
 
 def test_rep_stacks_match_rep_matrices():
     # images of x, y, x^-1, y^-1 (letters 1, 2, -1, -2) on one stack, and
     # on each point alone, against the images written out entry by entry
-    pts = sample_variety_points(20, seed=10)
-    imgs = rep_stacks([pt.s for pt in pts], [pt.t for pt in pts])
-    for k, pt in enumerate(pts):
-        scale = max(1.0, abs(pt.s), 1 / abs(pt.s), abs(pt.t)) ** 2
-        written = (np.array([[pt.s, 1], [0, 1 / pt.s]], dtype=complex),
-                   np.array([[pt.s, 0], [-pt.t, 1 / pt.s]], dtype=complex))
-        alone = rep_stacks(pt.s, pt.t)
+    s, t = sample_variety_points(20, seed=10)
+    imgs = rep_stacks(s, t)
+    for k, (sk, tk) in enumerate(zip(s.tolist(), t.tolist())):
+        scale = max(1.0, abs(sk), 1 / abs(sk), abs(tk)) ** 2
+        written = (np.array([[sk, 1], [0, 1 / sk]], dtype=complex),
+                   np.array([[sk, 0], [-tk, 1 / sk]], dtype=complex))
+        alone = rep_stacks(sk, tk)
         for g, img in zip((X, Y), written):
             assert np.max(np.abs(imgs[g][k] - img)) <= 1e-15 * scale
             assert np.array_equal(alone[g][0], imgs[g][k])
@@ -122,6 +119,13 @@ def test_solve_t_residuals_random():
             scale = max(1.0, abs(pt.s) ** 2, abs(pt.t) ** 2)
             assert pt.residual <= 1e-12 * scale * max(1, abs(pt.t))
             assert variety_membership(pt.s, pt.t, pt.residual)
+
+
+def test_variety_membership_floor():
+    # at |s| = |t| = 0.5 the scale max(1, |s|^2, |t|^2) is its floor 1,
+    # so the bound is VARIETY_TOL = 1e-10 itself
+    assert variety_membership(0.5, 0.5, 0.5e-10)
+    assert not variety_membership(0.5, 0.5, 1.5e-10)
 
 
 def test_homomorphism_relation_on_variety():

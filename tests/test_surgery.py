@@ -10,7 +10,7 @@ import pytest
 from fig8torsion.errors import InvalidSlope
 from fig8torsion.linalg import E2
 from fig8torsion.riley import (LONGITUDE, RileyPoint, longitude_l11,
-                               longitude_matrix_word, point_arrays, rep_stacks,
+                               longitude_matrix_word, rep_stacks,
                                riley_poly, solve_t, trace_l, trace_u,
                                variety_membership)
 from fig8torsion.surgery import (BRANCH_POINT_TOL, CSV_HEADER, RELATION_TOL,
@@ -46,7 +46,7 @@ def test_aligned_eigenvalue_properties_random():
     """On the variety l21 = 0, so the aligned eigenvalue lam = l11 has
     lam + 1/lam = tr rho(l) and lam * l22 = det rho(l) = 1 (l21 and l22
     from the word product)."""
-    for pt in sample_variety_points(50, seed=0):
+    for pt in map(RileyPoint, *sample_variety_points(50, seed=0)):
         word = longitude_matrix_word(pt)
         lam, l21, l22 = longitude_l11(pt.s, pt.t), word[1, 0], word[1, 1]
         trl = trace_l(pt.s, pt.t)
@@ -77,7 +77,7 @@ def test_surgery_residual_nonzero_cases():
 def test_scalar_vs_matrix_residual():
     # matrix norm small multiple of scalar residual when s^2 away from 1
     slope = SurgerySlope(2, 1)
-    for pt in sample_variety_points(30, seed=1):
+    for pt in map(RileyPoint, *sample_variety_points(30, seed=1)):
         if abs(pt.s * pt.s - 1) < 0.1:
             continue
         scalar, mat = surgery_residual(pt, slope)
@@ -203,7 +203,8 @@ def test_casson_count_on_the_1_over_n_slopes(p, q, su2):
     |Im tr rho([x, y])| >= 1.4e-2.  1/100 is pinned at 199, one short:
     the comment on its case says why."""
     rows = solve_surgery(SurgerySlope(p, q))
-    s, t, _ = point_arrays([sol.point for sol in rows])
+    s = np.array([sol.point.s for sol in rows])
+    t = np.array([sol.point.t for sol in rows])
     u = np.array([sol.u for sol in rows])
     kappa = np.trace(word_product(parse_word("xyXY"), rep_stacks(s, t)),
                      axis1=1, axis2=2)
@@ -370,7 +371,7 @@ def test_columns_are_the_public_closed_forms():
 
 
 def test_runs_must_cover_the_stack():
-    s, t, _ = point_arrays(sample_variety_points(6, 1))
+    s, t = sample_variety_points(6, 1)
     for counts in ((5,), (4, 3)):
         with pytest.raises(ValueError, match="runs cover"):
             relation_residuals(s, t, [(SurgerySlope(1, 1), n) for n in counts])
@@ -380,7 +381,9 @@ def test_zero_exponent_residuals():
     """At 1/0 the residual is ||rho(x) - E|| and at 0/1 ||rho(l) - E||,
     bit for bit: the zero power is E exactly, and a product with E is
     the other factor."""
-    s, t, _ = point_arrays([solve_t(2.0)[1]] + sample_variety_points(60, 5))
+    minus = solve_t(2.0)[1]
+    s, t = np.concatenate([[[minus.s], [minus.t]],
+                           sample_variety_points(60, 5)], axis=1)
     imgs = rep_stacks(s, t)
     for slope, image in ((SurgerySlope(1, 0), imgs[X]),
                          (SurgerySlope(0, 1), word_product(LONGITUDE, imgs))):

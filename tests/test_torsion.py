@@ -86,17 +86,18 @@ def test_product_identity_random():
 def test_exterior_oracle_fixtures():
     # s = 2: u = 2.5, closed form -3
     for pt in solve_t(2.0):
-        val = torsion_exterior_oracle(pt)
+        val = torsion_exterior_oracle(pt.s, pt.t)
         assert val.sign_ambiguous
         assert abs(abs(val.value) - 3.0) < 1e-10
     # s = 1 geometric point: u = 2, closed form -2
-    assert abs(abs(torsion_exterior_oracle(solve_t(1.0)[0]).value) - 2) < 1e-10
+    plus = solve_t(1.0)[0]
+    assert abs(abs(torsion_exterior_oracle(plus.s, plus.t).value) - 2) < 1e-10
 
 
 def test_exterior_oracle_random():
-    for pt in sample_variety_points(200, seed=42):
-        u = trace_u(pt.s)
-        val = torsion_exterior_oracle(pt)
+    for s, t in zip(*sample_variety_points(200, seed=42)):
+        u = trace_u(s)
+        val = torsion_exterior_oracle(s, t)
         closed = torsion_exterior_closed(u)
         assert abs(abs(val.value) - abs(closed)) \
             <= 1e-8 * max(1.0, abs(closed))
@@ -108,7 +109,7 @@ def test_exterior_oracle_nonacyclic_at_u_one():
     assert abs(trace_u(s) - 1) < 1e-12
     for pt in solve_t(s):
         with pytest.raises(NotAcyclic):
-            torsion_exterior_oracle(pt)
+            torsion_exterior_oracle(pt.s, pt.t)
 
 
 @pytest.mark.parametrize("branch, flag", [("+", "fail"), ("-", "pass")])
@@ -120,7 +121,7 @@ def test_small_s_exterior_is_acyclic(branch, flag):
     non-acyclic."""
     pt = solve_t(0.05)[0 if branch == "+" else 1]
     assert pt.branch == branch
-    val = torsion_exterior_oracle(pt)
+    val = torsion_exterior_oracle(pt.s, pt.t)
     assert abs(abs(val.value) - 38.1) <= 1e-5 * 38.1
     rep = full_report(pt)
     assert rep.flags["exterior_oracle_abs"] == flag
@@ -141,12 +142,13 @@ def test_solid_trace_check_tolerates_rounding_near_u2_five():
 
 
 def test_exterior_oracle_off_variety_point_raises():
-    """One point off the variety in a sequence raises, naming its
+    """One point off the variety in a stack raises, naming its
     residual."""
     good, bad = solve_t(2.0)[0], REDUCIBLE
     assert not variety_membership(bad.s, bad.t, bad.residual)
     with pytest.raises(NotAcyclic, match=re.escape(f"{bad.residual:.3e}")):
-        torsion_exterior_oracle([good, bad, good])
+        torsion_exterior_oracle(np.array([good.s, bad.s, good.s]),
+                                np.array([good.t, bad.t, good.t]))
 
 
 def test_solid_trace_fixture_and_errors():
@@ -156,7 +158,7 @@ def test_solid_trace_fixture_and_errors():
 
 
 def test_solid_oracle_agreement_random():
-    for pt in sample_variety_points(100, seed=43):
+    for pt in map(RileyPoint, *sample_variety_points(100, seed=43)):
         try:
             trace_form = torsion_solid_torus_from_trace(pt)
         except NotAcyclic:
@@ -166,7 +168,7 @@ def test_solid_oracle_agreement_random():
 
 
 def test_solid_trace_vs_u_form_random():
-    for pt in sample_variety_points(100, seed=44):
+    for pt in map(RileyPoint, *sample_variety_points(100, seed=44)):
         u = trace_u(pt.s)
         try:
             closed = torsion_solid_torus_closed(u)
@@ -207,9 +209,19 @@ def test_all_pass_is_false_without_flags_or_with_one_not_pass():
 def test_full_report_reducible():
     rep = full_report(REDUCIBLE)
     assert "non-acyclic" in rep.annotations
-    # u = 2 is not degenerate, so the report keeps the 1/n form's value;
-    # printing 0 for a non-acyclic point is the CLI's convention
-    assert abs(rep.tau_surgered - (-0.5)) < 1e-10
+    # u = 2 is not degenerate, but the exterior oracle has no value off
+    # the variety, so there is no tau(M) and no product identity to check
+    assert rep.tau_surgered is None
+    assert rep.flags["product_identity"] == "skipped"
+
+
+def test_full_report_off_variety_point():
+    """(2, 1) is not a homomorphism (|R12| = 1.5); the oracle computes
+    that itself instead of trusting the point's stored residual of 0."""
+    rep = full_report(RileyPoint(2.0, 1.0))
+    assert rep.tau_exterior_oracle is None
+    assert "exterior-non-acyclic" in rep.annotations
+    assert rep.tau_surgered is None
 
 
 def test_full_report_degenerate():

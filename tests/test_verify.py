@@ -23,8 +23,9 @@ from fig8torsion.formulas import (presentation_complex,
                                   torsion_exterior_oracle,
                                   torus_torsion_oracle)
 from fig8torsion.linalg import E2, STACK_KERNEL_MIN_ITEMS, mat2_inverse
-from fig8torsion.riley import (LONGITUDE, RELATOR, longitude_l11, rep_stacks,
-                               solve_t, trace_l, trace_u, variety_membership)
+from fig8torsion.riley import (LONGITUDE, RELATOR, RileyPoint, longitude_l11,
+                               rep_stacks, riley_poly, solve_t, trace_l,
+                               trace_u, variety_membership)
 from fig8torsion.formulas import torsion_surgered
 from fig8torsion.surgery import SurgerySlope, solve_surgery, surgery_residual
 from fig8torsion.verify import (check_basis_independence,
@@ -56,8 +57,11 @@ def close_matrix(a, b, rtol=STACK_RTOL):
 
 @pytest.fixture(scope="module")
 def points():
-    # the s = 1 fixture, where det(rho(x) - E) = 0, rides along
-    return [solve_t(1.0)[0]] + sample_variety_points(40, seed=3)
+    # (s, t) as the rows of a (2, 41) array; the s = 1 fixture, where
+    # det(rho(x) - E) = 0, rides along
+    plus = solve_t(1.0)[0]
+    return np.concatenate([[[plus.s], [plus.t]],
+                           sample_variety_points(40, seed=3)], axis=1)
 
 
 @pytest.fixture(scope="module")
@@ -67,18 +71,18 @@ def pairs():
                                       for _ in range(30))]
 
 
-def exterior_complexes(pts):
-    imgs = rep_stacks(np.array([p.s for p in pts]),
-                      np.array([p.t for p in pts]))
+def exterior_complexes(s, t):
+    imgs = rep_stacks(s, t)
     return presentation_complex(imgs[X], imgs[Y],
                                 *fox_jacobian(RELATOR, imgs[X], imgs[Y]))
 
 
 def test_stacked_torsion_matches_items(points):
-    stack = exterior_complexes(points)
+    n = points.shape[1]
+    stack = exterior_complexes(*points)
     val = torsion(stack)
-    assert stack.stacked and stack.size == len(points)
-    assert val.acyclic.shape == (len(points),) and val.acyclic.all()
+    assert stack.stacked and stack.size == n
+    assert val.acyclic.shape == (n,) and val.acyclic.all()
     assert is_acyclic(stack).all()
     for k, (d1, d2) in enumerate(zip(*stack.boundaries)):
         one = ChainComplex(dims=stack.dims, boundaries=(d1, d2))
@@ -87,10 +91,10 @@ def test_stacked_torsion_matches_items(points):
 
 
 def test_stacked_exterior_oracle_matches_items(points):
-    val = torsion_exterior_oracle(points)
+    val = torsion_exterior_oracle(*points)
     assert val.sign_ambiguous and val.acyclic.all()
-    for k, pt in enumerate(points):
-        assert close(val.value[k], torsion_exterior_oracle(pt).value)
+    for k, (s, t) in enumerate(points.T):
+        assert close(val.value[k], torsion_exterior_oracle(s, t).value)
 
 
 def test_stacked_torus_oracle_matches_items(pairs):
@@ -108,18 +112,20 @@ def test_exterior_stack_above_the_jacobi_crossover_matches_items():
     put the torsions within a few eps * kappa(d_1) kappa(d_2) of each
     other; that product stays below 1e4 for |s| in [0.3, 3], so the
     bound is REFERENCE_RTOL, that of a different route, not STACK_RTOL."""
-    points = [solve_t(1.0)[0], *solve_t(2.0)] + sample_variety_points(200, 5)
-    assert len(points) >= STACK_KERNEL_MIN_ITEMS
-    cx = exterior_complexes(points)
-    kappa = np.ones(len(points))
+    fixed = [solve_t(1.0)[0], *solve_t(2.0)]
+    s, t = np.concatenate([[[p.s for p in fixed], [p.t for p in fixed]],
+                           sample_variety_points(200, 5)], axis=1)
+    assert len(s) >= STACK_KERNEL_MIN_ITEMS
+    cx = exterior_complexes(s, t)
+    kappa = np.ones(len(s))
     for d in cx.boundaries:
         sv = np.linalg.svd(d, compute_uv=False)
         kappa *= sv[:, 0] / sv[:, 1]
     assert kappa.max() < 1e4
-    val = torsion_exterior_oracle(points)
+    val = torsion_exterior_oracle(s, t)
     assert val.acyclic.all()
-    for k, pt in enumerate(points):
-        assert close(val.value[k], torsion_exterior_oracle(pt).value,
+    for k in range(len(s)):
+        assert close(val.value[k], torsion_exterior_oracle(s[k], t[k]).value,
                      REFERENCE_RTOL)
 
 
@@ -139,13 +145,14 @@ def test_stacked_fox_jacobian_and_inverse_match_items(pairs):
 def test_u_one_point_masks_only_its_item(points):
     bad = solve_t(S_U_ONE)[0]
     assert abs(trace_u(bad.s) - 1) < 1e-12
-    stack = points[:5] + [bad] + points[5:10]
-    val = torsion_exterior_oracle(stack)
+    stack = np.concatenate([points[:, :5], [[bad.s], [bad.t]],
+                            points[:, 5:10]], axis=1)
+    val = torsion_exterior_oracle(*stack)
     assert np.flatnonzero(~val.acyclic).tolist() == [5]
     assert np.isnan(val.value[5])
     assert np.isfinite(val.value[val.acyclic]).all()
     with pytest.raises(NotAcyclic):
-        torsion_exterior_oracle(bad)
+        torsion_exterior_oracle(bad.s, bad.t)
 
 
 def test_non_acyclic_torus_pair_masks_only_its_item(pairs):
@@ -195,9 +202,9 @@ def test_zero_map_gets_no_svd(monkeypatch, points):
     monkeypatch.setattr(chain, "svd", counting_svd)
     # one call per boundary, d_1 (2 x 4) and d_2 (4 x 2); the zero map
     # C_3 -> C_2 has none
-    torsion(exterior_complexes(points))
-    torsion_exterior_oracle(points[0])
-    n = len(points)
+    torsion(exterior_complexes(*points))
+    torsion_exterior_oracle(*points[:, 0])
+    n = points.shape[1]
     assert shapes == [(n, 2, 4), (n, 4, 2), (1, 2, 4), (1, 4, 2)]
 
 
@@ -286,13 +293,14 @@ def test_variety_samples_match_reference_loop(seed):
     """The same points and branches; np.exp and math.exp may round apart
     in the last bit, so s agrees to 1e-15 and t, which the quadratic
     passes s's rounding on to, to 1e-14."""
-    pts = sample_variety_points(200, seed)
+    s, t = sample_variety_points(200, seed)
     ref = reference_variety_points(200, seed)
-    assert [p.branch for p in pts] == [p.branch for p in ref]
-    for p, q in zip(pts, ref):
-        assert abs(p.s - q.s) <= 1e-15 * abs(q.s)
-        assert close(p.t, q.t, 1e-14)
-        assert variety_membership(p.s, p.t, p.residual)
+    # the sampler takes t from the "+" branch at even k, "-" at odd k
+    assert [q.branch for q in ref] == ["+", "-"] * 100
+    for sk, tk, q in zip(s, t, ref):
+        assert abs(sk - q.s) <= 1e-15 * abs(q.s)
+        assert close(tk, q.t, 1e-14)
+    assert variety_membership(s, t, np.abs(riley_poly(s, t))).all()
 
 
 def test_draw_call_counts(monkeypatch):
@@ -310,7 +318,8 @@ def test_draw_call_counts(monkeypatch):
                         counting("draws", random_commuting_pairs))
     monkeypatch.setattr(verify, "torus_torsion_oracle",
                         counting("oracle", torus_torsion_oracle))
-    assert len(sample_variety_points(200, seed=5)) == 200
+    s, t = sample_variety_points(200, seed=5)
+    assert s.shape == t.shape == (200,)
     assert calls["branches"] == 1
     res = check_torus_oracle(100, seed=6)
     assert res.detail.endswith(", 0 redrawn")
@@ -320,11 +329,11 @@ def test_draw_call_counts(monkeypatch):
 def reference_checks(samples, seed):
     """The per-point loops that the stacked checks replaced: the passed
     flag of each sampled check, and the per-point values."""
-    points = sample_variety_points(samples, seed)
+    points = list(map(RileyPoint, *sample_variety_points(samples, seed)))
     points = [solve_t(1.0)[0], solve_t(2.0)[0], solve_t(2.0)[1]] + points
     ext, worst = [], 0.0
     for pt in points:
-        val = torsion_exterior_oracle(pt).value
+        val = torsion_exterior_oracle(pt.s, pt.t).value
         ext.append(val)
         closed = torsion_exterior_closed(trace_u(pt.s))
         worst = max(worst, abs(abs(val) - abs(closed)) / max(1.0, abs(val),
@@ -371,10 +380,10 @@ def test_stacked_checks_match_reference_loops(seed):
     for name, ok in passed.items():
         assert results[name].passed == ok, name
     # the per-point values behind the stacked checks
-    val = torsion_exterior_oracle(points)
-    assert all(close(a, b, REFERENCE_RTOL) for a, b in zip(val.value, ext))
     s = np.array([p.s for p in points])
     t = np.array([p.t for p in points])
+    val = torsion_exterior_oracle(s, t)
+    assert all(close(a, b, REFERENCE_RTOL) for a, b in zip(val.value, ext))
     assert all(close(a, b, REFERENCE_RTOL)
                for a, b in zip(2 - trace_l(s, t), trace))
     stacked_words = word_product(LONGITUDE, rep_stacks(s, t))
@@ -665,3 +674,40 @@ def test_run_all_returns_its_rows_from_one_solve_call(monkeypatch):
     check = run_all(200, 0)[-1]
     assert len(counts) == 1 and counts[0] > 0
     assert check.detail == f"10 slopes, {counts[0]} solutions"
+
+
+def _drop_last_row(slopes):
+    return surgery.solve_surgery(slopes)[:-1]
+
+
+def _no_rows(slopes):
+    return []
+
+
+def _t_from_l11_sign_flipped(a, b, lam):
+    return (b - lam) / a
+
+
+@pytest.mark.parametrize("module, name, defect", [
+    (verify, "solve_surgery", _drop_last_row),
+    (verify, "solve_surgery", _no_rows),
+    (surgery, "_t_from_l11", _t_from_l11_sign_flipped)],
+    ids=["drop_last_row", "no_rows", "t_from_l11_sign_flipped"])
+def test_planted_surgery_defects_fail_verify(monkeypatch, module, name,
+                                             defect):
+    """A solver that loses rows fails the surgery check by its count of
+    characters, N(p/q) per slope: the rows it keeps still meet every
+    residual.  A sign-flipped t at the branch points loses the rows of
+    3/1 and 3/2 whose t it gives."""
+    monkeypatch.setattr(module, name, defect)
+    results = run_all(0, 0)
+    assert [r.passed for r in results] == [True] * 7 + [False]
+    assert "FAIL" in results[-1].line()
+
+
+def test_surgery_check_names_only_a_short_slope(monkeypatch):
+    assert check_surgery_solver().detail == "10 slopes, 47 solutions"
+    monkeypatch.setattr(verify, "solve_surgery", _drop_last_row)
+    res = check_surgery_solver()
+    assert not res.passed
+    assert res.detail == "10 slopes, 46 solutions; 4/1: 0 of 1 rows"
