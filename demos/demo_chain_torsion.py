@@ -34,6 +34,6 @@ print()
 print("Twisted torus complex (generators -> rho(x), rho(l)) at s = 2:")
 pt = solve_t(2.0)[0]
 mx = rep_stacks(pt.s, pt.t)[X][0]
-ml = longitude_matrix_word(pt)
+ml = longitude_matrix_word(pt.s, pt.t)
 val = torus_torsion_oracle(mx, ml)
 print(f"  tau = {val.value:.12g}, |tau| = {abs(val.value):.12f} (expected 1)")

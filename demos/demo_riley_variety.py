@@ -31,7 +31,7 @@ for s in (1.0, 2.0, 0.5 + 0.5j):
 
         # multiply out the longitude word, and compare its l11 and trace
         # with the closed forms; on the variety its l21 vanishes
-        ml = longitude_matrix_word(pt)
+        ml = longitude_matrix_word(pt.s, pt.t)
         l11, trl = longitude_l11(pt.s, pt.t), trace_l(pt.s, pt.t)
         print(f"    word product: l11 = {ml[0, 0]:.6g}, "
               f"tr rho(l) = {np.trace(ml):.6g}, |l21| = {abs(ml[1, 0]):.1e}")

@@ -4,7 +4,8 @@ Complex numbers are passed as "re,im" pairs.  Exit codes: 0 success,
 1 usage or parse error (including verify --samples above
 MAX_VERIFY_SAMPLES), 2 invalid mathematical input (including a
 non-finite value, an overflow, or a surgery slope whose Chebyshev
-degree max(4|q|, |p|) exceeds MAX_SURGERY_DEGREE), 3 verification failure.
+degree max(4|q|, |p|) exceeds `surgery.MAX_SURGERY_DEGREE`, which
+`solve_surgery` refuses), 3 verification failure.
 The output format and the verify seed can be set by flags or by the
 "format" and "seed" keys of a JSON config file (--config); flags win.
 A subcommand accepts only the flags it reads, and --config.
@@ -18,19 +19,13 @@ import json
 import re
 import sys
 
-from .errors import Fig8Error, InvalidSlope
+from .errors import Fig8Error
 from .riley import complex_csv, solve_t
-from .surgery import (SurgerySlope, polynomial_degree, solve_surgery,
-                      table_to_csv, table_to_json)
+from .surgery import SurgerySlope, solve_surgery, table_to_csv, table_to_json
 from .formulas import REPORT_CSV_HEADER, full_report
 from .verify import results_to_csv, run_all
 
 EXIT_OK, EXIT_USAGE, EXIT_MATH, EXIT_VERIFY = 0, 1, 2, 3
-# time and memory grow with the degree max(4|q|, |p|) of the surgery
-# relation's Chebyshev series: a fresh `surgery --p 1 --q 100` process
-# (degree 400) takes ~0.16 s and ~36 MB peak RSS, and one at 1/200 with
-# the limit raised to 800 ~0.39 s and ~43 MB (2-core Xeon, numpy 2.4.6)
-MAX_SURGERY_DEGREE = 400
 # peak RSS grows by ~2.1 KB per verify sample: a fresh `verify --samples
 # 20000` process takes ~0.35 s and ~74 MB, ~0.27 s and ~39 MB at the
 # default 200 (2-core Xeon, numpy 2.4.6); the parser refuses more
@@ -166,11 +161,6 @@ def cmd_torsion(ns) -> int:
 
 def cmd_surgery(ns) -> int:
     slope = SurgerySlope(ns.p, ns.q)
-    degree = polynomial_degree(slope)
-    if degree > MAX_SURGERY_DEGREE:
-        raise InvalidSlope(f"slope {slope.p}/{slope.q} needs a "
-                           f"degree-{degree} Chebyshev series; the limit "
-                           f"is {MAX_SURGERY_DEGREE}")
     rows = solve_surgery(slope)
     if ns.format == "json":
         print(table_to_json(rows))

@@ -15,10 +15,12 @@ a point is acyclic is the chain torsion's one rule (forced ranks,
 nonsingular bases); comparing the value with the closed form is left
 to `full_report` and to `verify`.
 
-`presentation_complex`, `torsion_exterior_oracle` (given arrays s and
-t) and `torus_torsion_oracle` (given (N, 2, 2) stacks) work on N
-points at once through the stacked chain torsion; a non-acyclic item
-is masked in the result, where the call on one point raises NotAcyclic.
+A variety point is two numbers (s, t), N points two (N,) arrays.
+`presentation_complex`, the exterior and solid-torus oracles (given
+arrays s and t) and `torus_torsion_oracle` (given (N, 2, 2) stacks)
+work on N points at once through the stacked chain torsion; a
+non-acyclic item is masked in the result, where the call on one point
+raises NotAcyclic.
 """
 
 from __future__ import annotations
@@ -55,15 +57,19 @@ def degenerate(u):
     return abs(u * u * (u * u - 5)) <= DEGENERATE_TOL
 
 
+def _refuse_near_zero(x, error, name: str):
+    """x, a number or an array; raises error, naming the first |x|, if
+    |x| or some item's is within DEGENERATE_TOL of 0."""
+    bad = abs(x) <= DEGENERATE_TOL   # a bool for one number: no numpy call
+    if bad is not False and np.count_nonzero(bad):
+        raise error(f"|{name}| = {np.extract(bad, abs(x))[0]:.3e}")
+    return x
+
+
 def _denominator(u):
     """u^2 (u^2 - 5), item by item for an array u; raises DegenerateU,
     naming the first |u^2 (u^2 - 5)|, if u or some item is `degenerate`."""
-    denom = u * u * (u * u - 5)
-    bad = abs(denom) <= DEGENERATE_TOL   # `degenerate`; a bool, or numpy's
-    if bad is not False and np.count_nonzero(bad):
-        raise DegenerateU(
-            f"|u^2(u^2-5)| = {np.extract(bad, abs(denom))[0]:.3e}")
-    return denom
+    return _refuse_near_zero(u * u * (u * u - 5), DegenerateU, "u^2(u^2-5)")
 
 
 def torsion_solid_torus_closed(u):
@@ -78,13 +84,13 @@ def torsion_surgered(u):
     return 2 * (u - 1) / _denominator(u)
 
 
-def torsion_solid_torus_from_trace(p: RileyPoint) -> complex:
+def torsion_solid_torus_from_trace(s, t):
     """tau of the solid torus via 1/(2 - tr rho(l)) with the closed-form
-    longitude trace; NotAcyclic within DEGENERATE_TOL of the pole."""
-    gap = 2 - trace_l(p.s, p.t)
-    if abs(gap) <= DEGENERATE_TOL:
-        raise NotAcyclic(f"|2 - tr rho(l)| = {abs(gap):.3e}")
-    return 1 / gap
+    longitude trace, at (s, t) or at each item of arrays s and t of one
+    shape; raises NotAcyclic, naming the first |2 - tr rho(l)| within
+    DEGENERATE_TOL of the pole."""
+    return 1 / _refuse_near_zero(2 - trace_l(s, t), NotAcyclic,
+                                 "2 - tr rho(l)")
 
 
 def presentation_complex(imgx: np.ndarray, imgy: np.ndarray,
@@ -122,12 +128,12 @@ def torsion_exterior_oracle(s, t) -> TorsionValue:
                         sign_ambiguous=True)
 
 
-def torsion_solid_torus_oracle(p: RileyPoint) -> TorsionValue:
+def torsion_solid_torus_oracle(s, t) -> TorsionValue:
     """Circle complex 0 -> C1 --Phi(l - 1)--> C0 -> 0 for the core of
-    the glued solid torus, fed to the chain-torsion module."""
-    ml = longitude_matrix_word(p)
-    cx = ChainComplex(dims=(2, 2), boundaries=((ml - E2).T,))
-    return torsion(cx)
+    the glued solid torus, fed to the chain-torsion module, at (s, t) or
+    at each point of (N,) arrays s and t (see `TorsionValue`)."""
+    ml = longitude_matrix_word(s, t)
+    return torsion(ChainComplex(dims=(2, 2), boundaries=((ml - E2).mT,)))
 
 
 def torus_torsion_oracle(imga: np.ndarray, imgb: np.ndarray) -> TorsionValue:
@@ -205,7 +211,7 @@ def full_report(p: RileyPoint) -> TorsionReport:
     except NotAcyclic:
         rep.annotations.append("exterior-non-acyclic")
     try:
-        rep.tau_solid_trace = torsion_solid_torus_from_trace(p)
+        rep.tau_solid_trace = torsion_solid_torus_from_trace(p.s, p.t)
     except NotAcyclic:
         rep.annotations.append("solid-torus-non-acyclic")
     try:

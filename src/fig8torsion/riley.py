@@ -11,8 +11,9 @@ and the pair (s, t) is a homomorphism exactly when the defining
 polynomial vanishes.  This module provides that polynomial, its two
 t-branches for a given s, the longitude entry l11 and trace in closed
 form, and the whole longitude image as a word product, the oracle for
-both.  The closed forms also take arrays of points, and `rep_stacks`,
-the one builder of the generator images, gives them as (N, 2, 2) stacks.
+both.  These take a point as two numbers (s, t), or a stack of points
+as two arrays of one shape, and `rep_stacks`, the one builder of the
+generator images, gives them as (N, 2, 2) stacks.
 Each public form checks s (`_check_s`) and calls a private kernel on
 checked powers (`_powers`, `_l11_coefficients`), so the surgery solver
 checks s once, shares the powers, and gets the public forms' bits.
@@ -46,7 +47,8 @@ LONGITUDE = word_concat(word_inverse(W_WORD), WTILDE_WORD)   # YxyXXyxY
 @dataclass(frozen=True)
 class RileyPoint:
     """A parameter point (s, t), its branch label, and the defining
-    polynomial residual |R12(s, t)|.
+    polynomial residual |R12(s, t)|: the record that `solve_t` returns
+    and a surgery row holds.  The functions of a point take (s, t).
 
     Points with large residual (e.g. the reducible t = 0 points) are
     representable.  The stored residual is a record: operations that
@@ -190,10 +192,13 @@ def _trace_u(s):
     return s + 1 / s
 
 
-def longitude_matrix_word(p: RileyPoint) -> np.ndarray:
-    """Longitude image by multiplying out the word l = w^-1 wtilde: the
-    N = 1 item of `word_product` on `rep_stacks`."""
-    return word_product(LONGITUDE, rep_stacks(p.s, p.t))[0]
+def longitude_matrix_word(s, t) -> np.ndarray:
+    """Longitude image by multiplying out the word l = w^-1 wtilde
+    (`word_product` on `rep_stacks`): a 2x2 matrix at the point (s, t),
+    or one per item of arrays s and t of one shape, each with the bits
+    of its one-point call."""
+    return word_product(LONGITUDE, rep_stacks(s, t)).reshape(
+        np.shape(s) + (2, 2))
 
 
 def longitude_l11(s, t):

@@ -33,22 +33,23 @@ v^2 divides the series: it is divided out exactly before the roots are
 taken, and s = +-i, lambda = 1 join the candidates as one exact pair.
 
 `solve_surgery` takes one slope or a sequence of slopes, and solves
-either in one pass on the same code.  Per slope it takes the roots,
-s and lambda from them, and the matrix powers of the residual.  Once,
-on the joined stacks of every slope's candidates, it checks s, takes
-s^2, 1/s^2 and the l11 coefficients once, and from them, through the
-`riley` kernels, the t-branch whose l11 is nearest lambda (with the
-branch-point rule applied through a mask), R12, the printed l11, u and
-tr rho(l); then the variety test and the matrix residual, the one test
-that rejects a candidate on the variety.  Per slope again, it picks one
-row per pair, sorts the rows on the column lists, and builds each row
-once, in that order.  `relation_residuals` is that residual on any
-stack of points held as runs (slope, count), and `surgery_residual` its
-N = 1 call, which gives a row's `relation_residual` bit for bit.  That
-holds because the longitude word, the powers and their product are all
-taken on (2, 2, N) entry layouts, whatever the stack length:
-elementwise arithmetic rounds item k the same way at every N, where
-numpy's `matmul` is not promised to.
+either in one pass on the same code; it refuses a slope whose degree n
+exceeds MAX_SURGERY_DEGREE before taking any root.  Per slope it takes
+the roots, s and lambda from them, and the matrix powers of the
+residual.  Once, on the joined stacks of every slope's candidates, it
+checks s, takes s^2, 1/s^2 and the l11 coefficients once, and from
+them, through the `riley` kernels, the t-branch whose l11 is nearest
+lambda (with the branch-point rule applied through a mask), R12, the
+printed l11, u and tr rho(l); then the variety test and the matrix
+residual, the one test that rejects a candidate on the variety.  Per
+slope again, it picks one row per pair, sorts the rows on the column
+lists, and builds each row once, in that order.  `relation_residuals`
+is that residual on any stack of points held as runs (slope, count),
+and `surgery_residual` its N = 1 call, which gives a row's
+`relation_residual` bit for bit.  That holds because the longitude
+word, the powers and their product are all taken on (2, 2, N) entry
+layouts, whatever the stack length: elementwise arithmetic rounds item
+k the same way at every N, where numpy's `matmul` is not promised to.
 
 The tables print each row from one template, the CSV row from its cells
 and the JSON row (`SurgerySolution.to_json_row`) byte for byte as
@@ -77,6 +78,11 @@ RELATION_TOL = 1e-9      # ||rho(x)^p rho(l)^q - E|| at most this: a row
 # point of solve_t, whose square root is then good only to ~1e-8; where the
 # two t-branches meet, take t from l11 reduced modulo R12 instead
 BRANCH_POINT_TOL = 1e-6   # |t+ - t-| below this
+# time and memory grow with the degree max(4|q|, |p|) of the surgery
+# relation's Chebyshev series: a fresh `surgery --p 1 --q 100` process
+# (degree 400) takes ~0.16 s and ~36 MB peak RSS, and one at 1/200 with
+# the limit raised to 800 ~0.39 s and ~43 MB (2-core Xeon, numpy 2.4.6)
+MAX_SURGERY_DEGREE = 400
 
 CSV_HEADER = ("s_re,s_im,t_re,t_im,branch,u_re,u_im,trl_re,trl_im,"
               "lambda_re,lambda_im,tau_re,tau_im,res_variety,res_relation,"
@@ -299,8 +305,16 @@ def solve_surgery(slopes: SurgerySlope | Sequence[SurgerySlope]
     input order, each slope's rows chosen and sorted on their own.  One
     pass on the stacks of all slopes' candidates gives every column;
     only the roots, the matrix powers, the pair choice and the sort, on
-    the column lists, run per slope, and each row is built once."""
+    the column lists, run per slope, and each row is built once.  A
+    slope whose `polynomial_degree` exceeds MAX_SURGERY_DEGREE raises
+    InvalidSlope before the roots of any slope are taken."""
     slopes = [slopes] if isinstance(slopes, SurgerySlope) else list(slopes)
+    for slope in slopes:
+        degree = polynomial_degree(slope)
+        if degree > MAX_SURGERY_DEGREE:
+            raise InvalidSlope(f"slope {slope.p}/{slope.q} needs a "
+                               f"degree-{degree} Chebyshev series; the "
+                               f"limit is {MAX_SURGERY_DEGREE}")
     if not slopes:
         return []
     # a candidate far off the variety may overflow; its non-finite

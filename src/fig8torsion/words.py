@@ -15,14 +15,11 @@ single matrices, which is cheaper at one point (see the crossover
 table there); no caller compares their bits with a longer stack's.
 
 A word is a tuple of nonzero ints: +1/-1 for x/x^-1, +2/-2 for y/y^-1,
-always stored freely reduced.  The canonical text form is the compact
-alphabet xyXY (uppercase = inverse); the caret syntax "x y^-1" is also
-accepted on input.
+always stored freely reduced.  Its one text form is the compact
+alphabet xyXY (uppercase = inverse), the empty string the identity.
 """
 
 from __future__ import annotations
-
-import re
 
 import numpy as np
 
@@ -33,10 +30,6 @@ from .linalg import (E2, STACK_KERNEL_MIN_ITEMS, _check_finite, mat2_entries,
 X, Y = 1, 2
 _CHAR = {X: "x", -X: "X", Y: "y", -Y: "Y"}
 _LETTER = {"x": X, "X": -X, "y": Y, "Y": -Y}
-
-IDENTITY: tuple[int, ...] = ()
-
-_TOKEN = re.compile(r"\s*([xyXY])(?:\^(-?\d+))?\s*")
 
 
 def reduce_word(letters) -> tuple[int, ...]:
@@ -51,25 +44,12 @@ def reduce_word(letters) -> tuple[int, ...]:
 
 
 def parse_word(text: str) -> tuple[int, ...]:
-    """Parse word text into a reduced word.
-
-    "xYXy" and "x y^-1 x^-1 y" both parse to the same word; the empty
-    string (or "1") is the identity.
-    """
-    text = text.strip()
-    if text in ("", "1"):
-        return IDENTITY
-    letters: list[int] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise WordParseError(f"bad character at position {pos}: {text[pos]!r}")
-        g = _LETTER[m.group(1)]
-        exp = int(m.group(2)) if m.group(2) is not None else 1
-        letters.extend([g if exp > 0 else -g] * abs(exp))
-        pos = m.end()
-    return reduce_word(letters)
+    """The reduced word of text over the alphabet xyXY, as "xYXy"; the
+    empty string is the identity."""
+    for pos, char in enumerate(text):
+        if char not in _LETTER:
+            raise WordParseError(f"bad character at position {pos}: {char!r}")
+    return reduce_word(_LETTER[char] for char in text)
 
 
 def word_to_text(w) -> str:

@@ -10,7 +10,7 @@ from functools import reduce
 import numpy as np
 
 from fig8torsion.linalg import E2, mat2_inverse
-from fig8torsion.words import IDENTITY, X, Y, word_concat, word_to_text
+from fig8torsion.words import X, Y, word_concat, word_to_text
 
 
 def evaluate_word(w, imgx: np.ndarray, imgy: np.ndarray) -> np.ndarray:
@@ -93,7 +93,7 @@ def fox_derivative(w, g: int) -> GroupRingElement:
     generator, and the product rule d(uv)/dg = du/dg + u dv/dg.
     """
     out = GroupRingElement()
-    prefix: tuple[int, ...] = IDENTITY
+    prefix: tuple[int, ...] = ()
     for a in w:
         if a == g:
             out.add_term(prefix, 1)

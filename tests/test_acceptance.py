@@ -38,7 +38,7 @@ def test_criterion_1_geometric_point_chain():
     worst = max(worst, abs(trace_l(plus.s, plus.t) - (-2)))
     u = trace_u(plus.s)
     worst = max(worst, abs(torsion_exterior_closed(u) - (-2)))
-    worst = max(worst, abs(torsion_solid_torus_from_trace(plus) - 0.25))
+    worst = max(worst, abs(torsion_solid_torus_from_trace(plus.s, plus.t) - 0.25))
     worst = max(worst, abs(torsion_solid_torus_closed(u) - 0.25))
     worst = max(worst, abs(torsion_surgered(u) - (-0.5)))
     prod = torsion_exterior_closed(u) * torsion_solid_torus_closed(u)
@@ -71,7 +71,7 @@ def test_criterion_3_trace_identity(points200):
 def test_criterion_4_longitude_lemma(points200):
     worst_closed, worst_l21 = 0.0, 0.0
     for pt in points200:
-        word = longitude_matrix_word(pt)
+        word = longitude_matrix_word(pt.s, pt.t)
         scale = max(1.0, float(np.max(np.abs(word))))
         gap = max(abs(longitude_l11(pt.s, pt.t) - word[0, 0]),
                   abs(trace_l(pt.s, pt.t) - np.trace(word)))

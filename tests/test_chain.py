@@ -25,7 +25,7 @@ def torus_complex_at(pt):
     # commute on the variety
     from fig8torsion.riley import longitude_matrix_word
     mx = rep_stacks(pt.s, pt.t)[X][0]
-    ml = longitude_matrix_word(pt)
+    ml = longitude_matrix_word(pt.s, pt.t)
     comm = parse_word("xyXY")
     drdx = evaluate_group_ring(fox_derivative(comm, X), mx, ml)
     drdy = evaluate_group_ring(fox_derivative(comm, Y), mx, ml)

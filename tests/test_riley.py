@@ -6,7 +6,7 @@ import pytest
 
 from fig8torsion.errors import SingularParameter
 from fig8torsion.linalg import E2
-from fig8torsion.riley import (LONGITUDE, RileyPoint, longitude_l11,
+from fig8torsion.riley import (LONGITUDE, longitude_l11,
                                longitude_matrix_word, rep_stacks, riley_poly,
                                solve_t, trace_l, trace_u, variety_membership)
 from fig8torsion.verify import sample_variety_points
@@ -168,8 +168,22 @@ def test_longitude_word():
 def test_longitude_trivial_at_t_zero():
     rng = np.random.default_rng(4)
     for _ in range(10):
-        pt = RileyPoint(random_s(rng), 0j)
-        assert np.max(np.abs(longitude_matrix_word(pt) - E2)) < 1e-10
+        word = longitude_matrix_word(random_s(rng), 0j)
+        assert np.max(np.abs(word - E2)) < 1e-10
+
+
+def test_longitude_word_on_arrays_is_the_point_calls():
+    """Arrays s and t of one shape give one word product per item, with
+    the bits of the call on that point alone."""
+    s, t = sample_variety_points(12, seed=11)
+    words = longitude_matrix_word(s, t)
+    assert words.shape == (12, 2, 2)
+    assert longitude_matrix_word(s.reshape(3, 4), t.reshape(3, 4)).tobytes() \
+        == words.tobytes()
+    for k, (sk, tk) in enumerate(zip(s.tolist(), t.tolist())):
+        one = longitude_matrix_word(sk, tk)
+        assert one.shape == (2, 2)
+        assert one.tobytes() == words[k].tobytes(), k
 
 
 def test_longitude_closed_vs_word():
@@ -179,7 +193,7 @@ def test_longitude_closed_vs_word():
     for _ in range(200):
         s = random_s(rng)
         for pt in solve_t(s):
-            word = longitude_matrix_word(pt)
+            word = longitude_matrix_word(pt.s, pt.t)
             scale = max(1.0, float(np.max(np.abs(word))))
             assert abs(longitude_l11(pt.s, pt.t) - word[0, 0]) <= 1e-9 * scale
             assert abs(trace_l(pt.s, pt.t) - np.trace(word)) <= 1e-9 * scale
@@ -193,7 +207,7 @@ def test_peripheral_commutation():
         s = random_s(rng)
         for pt in solve_t(s):
             mx = rep_stacks(pt.s, pt.t)[X][0]
-            ml = longitude_matrix_word(pt)
+            ml = longitude_matrix_word(pt.s, pt.t)
             scale = max(1.0, float(np.max(np.abs(ml))))
             assert np.max(np.abs(mx @ ml - ml @ mx)) <= 1e-9 * scale
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 from collections import Counter
 from itertools import groupby
 
@@ -13,7 +14,9 @@ from fig8torsion.riley import (LONGITUDE, RileyPoint, longitude_l11,
                                longitude_matrix_word, rep_stacks,
                                riley_poly, solve_t, trace_l, trace_u,
                                variety_membership)
-from fig8torsion.surgery import (BRANCH_POINT_TOL, CSV_HEADER, RELATION_TOL,
+from fig8torsion import surgery
+from fig8torsion.surgery import (BRANCH_POINT_TOL, CSV_HEADER,
+                                 MAX_SURGERY_DEGREE, RELATION_TOL,
                                  SurgerySlope, _candidate_columns,
                                  relation_residuals, _row_key, solve_surgery,
                                  surgery_residual, table_to_csv, table_to_json)
@@ -47,7 +50,7 @@ def test_aligned_eigenvalue_properties_random():
     lam + 1/lam = tr rho(l) and lam * l22 = det rho(l) = 1 (l21 and l22
     from the word product)."""
     for pt in map(RileyPoint, *sample_variety_points(50, seed=0)):
-        word = longitude_matrix_word(pt)
+        word = longitude_matrix_word(pt.s, pt.t)
         lam, l21, l22 = longitude_l11(pt.s, pt.t), word[1, 0], word[1, 1]
         trl = trace_l(pt.s, pt.t)
         scale = max(1.0, abs(lam), abs(trl))
@@ -61,7 +64,7 @@ def test_aligned_eigenvalue_off_variety():
     the point."""
     pt = RileyPoint(2.0, 0.7, residual=abs(riley_poly(2.0, 0.7)))
     assert not variety_membership(pt.s, pt.t, pt.residual)
-    assert abs(longitude_matrix_word(pt)[1, 0]) > 1e-3
+    assert abs(longitude_matrix_word(pt.s, pt.t)[1, 0]) > 1e-3
 
 
 def test_surgery_residual_nonzero_cases():
@@ -95,7 +98,7 @@ def test_solutions_satisfy_relation():
     assert sols, "expected at least one solution for slope 1/1"
     for sol in sols:
         mx = rep_stacks(sol.point.s, sol.point.t)[X][0]
-        ml = longitude_matrix_word(sol.point)
+        ml = longitude_matrix_word(sol.point.s, sol.point.t)
         res = np.linalg.norm(mx @ ml - E2)
         assert res <= 1e-9
         assert sol.point.residual <= 1e-9
@@ -176,6 +179,26 @@ def test_large_slopes_complete(p, q):
     """The paper's 1/n family and a large |p| at the CLI's degree limit
     have every character: 199 rows on 1/50 and 399 on 400/1."""
     assert len(solve_surgery(SurgerySlope(p, q))) == _expected_count(p, q)
+
+
+def _no_roots(slope):
+    raise AssertionError(f"roots taken on {slope.p}/{slope.q}")
+
+
+@pytest.mark.parametrize("slopes", [
+    SurgerySlope(1, 101),
+    [SurgerySlope(1, 1), SurgerySlope(1, 101), SurgerySlope(2, 1)]],
+    ids=["alone", "in_a_sequence"])
+def test_degree_limit_refused_before_any_root(monkeypatch, slopes):
+    """1/101 needs a degree-404 Chebyshev series, past the 400 of
+    MAX_SURGERY_DEGREE: the solver refuses it, alone or anywhere in a
+    sequence, before it takes the roots of any slope."""
+    assert MAX_SURGERY_DEGREE == 400
+    monkeypatch.setattr(surgery, "_roots", _no_roots)
+    with pytest.raises(InvalidSlope, match=re.escape(
+            "slope 1/101 needs a degree-404 Chebyshev series; "
+            "the limit is 400")):
+        solve_surgery(slopes)
 
 
 REAL_TOL = 1e-9     # |Im| up to which u and tr rho([x, y]) count as real
@@ -449,7 +472,7 @@ def test_relation_residual_is_the_only_rejection(p, q):
         for sk, tk, rk, mk in zip(s.tolist(), t.tolist(), residual.tolist(),
                                   mat_res.tolist()):
             if variety_membership(sk, tk, rk):
-                word = longitude_matrix_word(RileyPoint(sk, tk))
+                word = longitude_matrix_word(sk, tk)
                 scale = max(1.0, float(np.max(np.abs(word))))
                 assert abs(word[1, 0]) <= 1e-8 * scale, (p, q, sk)
             if abs(sk * sk - 1) <= 1e-6:

@@ -152,18 +152,42 @@ def test_exterior_oracle_off_variety_point_raises():
 
 
 def test_solid_trace_fixture_and_errors():
-    assert abs(torsion_solid_torus_from_trace(solve_t(1.0)[0]) - 0.25) < 1e-12
+    plus = solve_t(1.0)[0]
+    assert abs(torsion_solid_torus_from_trace(plus.s, plus.t) - 0.25) < 1e-12
     with pytest.raises(NotAcyclic):
-        torsion_solid_torus_from_trace(REDUCIBLE)
+        torsion_solid_torus_from_trace(REDUCIBLE.s, REDUCIBLE.t)
+
+
+def test_solid_torus_forms_on_arrays_are_the_point_calls():
+    """The trace form and the circle-complex oracle take arrays (s, t):
+    item k is the call on that point alone, to rounding.  An item whose
+    longitude image is E (t = 0) masks only itself in the oracle, and
+    the trace form raises, naming its |2 - tr rho(l)|."""
+    s, t = sample_variety_points(40, seed=46)
+    trace_form = torsion_solid_torus_from_trace(s, t)
+    oracle = torsion_solid_torus_oracle(s, t)
+    assert oracle.acyclic.all()
+    for k, (sk, tk) in enumerate(zip(s.tolist(), t.tolist())):
+        one = torsion_solid_torus_from_trace(sk, tk)
+        assert abs(trace_form[k] - one) <= 1e-12 * max(1, abs(one)), k
+        one = torsion_solid_torus_oracle(sk, tk).value
+        assert abs(oracle.value[k] - one) <= 1e-12 * max(1, abs(one)), k
+    t[3] = 0
+    assert (torsion_solid_torus_oracle(s, t).acyclic.tolist()
+            == [k != 3 for k in range(40)])
+    with pytest.raises(NotAcyclic, match=re.escape("| = 0.000e+00")):
+        torsion_solid_torus_from_trace(s, t)
+    with pytest.raises(NotAcyclic):
+        torsion_solid_torus_oracle(s[3], t[3])
 
 
 def test_solid_oracle_agreement_random():
     for pt in map(RileyPoint, *sample_variety_points(100, seed=43)):
         try:
-            trace_form = torsion_solid_torus_from_trace(pt)
+            trace_form = torsion_solid_torus_from_trace(pt.s, pt.t)
         except NotAcyclic:
             continue
-        oracle = torsion_solid_torus_oracle(pt)
+        oracle = torsion_solid_torus_oracle(pt.s, pt.t)
         assert abs(oracle.value - trace_form) <= 1e-8 * max(1, abs(trace_form))
 
 
@@ -174,7 +198,7 @@ def test_solid_trace_vs_u_form_random():
             closed = torsion_solid_torus_closed(u)
         except DegenerateU:
             continue
-        trace_form = torsion_solid_torus_from_trace(pt)
+        trace_form = torsion_solid_torus_from_trace(pt.s, pt.t)
         assert abs(closed - trace_form) <= 1e-8 * max(1, abs(closed))
 
 

@@ -21,11 +21,13 @@ from fig8torsion.errors import NotAcyclic, SingularMatrix
 from fig8torsion.formulas import (presentation_complex,
                                   torsion_exterior_closed,
                                   torsion_exterior_oracle,
+                                  torsion_solid_torus_closed,
+                                  torsion_solid_torus_from_trace,
                                   torus_torsion_oracle)
 from fig8torsion.linalg import E2, STACK_KERNEL_MIN_ITEMS, mat2_inverse
 from fig8torsion.riley import (LONGITUDE, RELATOR, RileyPoint, longitude_l11,
-                               rep_stacks, riley_poly, solve_t, trace_l,
-                               trace_u, variety_membership)
+                               longitude_matrix_word, rep_stacks, riley_poly,
+                               solve_t, trace_l, trace_u, variety_membership)
 from fig8torsion.formulas import torsion_surgered
 from fig8torsion.surgery import SurgerySlope, solve_surgery, surgery_residual
 from fig8torsion.verify import (check_basis_independence,
@@ -33,8 +35,8 @@ from fig8torsion.verify import (check_basis_independence,
                                 check_torus_oracle, random_acyclic_stacks,
                                 random_commuting_pairs, run_all,
                                 sample_variety_points)
-from fig8torsion import surgery, verify
-from fig8torsion.words import X, Y, fox_jacobian, parse_word, word_product
+from fig8torsion import formulas, surgery, verify
+from fig8torsion.words import X, Y, fox_jacobian, parse_word
 from complex_reference import random_acyclic_complex
 
 STACK_RTOL = 1e-14
@@ -209,27 +211,27 @@ def test_zero_map_gets_no_svd(monkeypatch, points):
 
 
 def test_redraws_are_counted(monkeypatch):
+    """The product check counts the u it redraws.  The torus check draws
+    its pairs once: a pair its oracle masks, as a trivial one injected
+    past the draw rule, fails it and is counted as not acyclic."""
     draw = random_commuting_pairs
-    rounds, pairs = [], []
+    rounds = []
 
     def every_third_trivial(rng, n):
-        # every third pair, counted over all rounds, is (E2, E2)
+        # pairs 3, 6 and 9 of the one draw are (E2, E2)
         rounds.append(n)
         imga, imgb = draw(rng, n)
-        for k in range(n):
-            pairs.append(None)
-            if len(pairs) % 3 == 0:
-                imga[k] = imgb[k] = E2
+        imga[2::3] = imgb[2::3] = E2
         return imga, imgb
 
     monkeypatch.setattr(verify, "random_commuting_pairs", every_third_trivial)
     res = check_torus_oracle(10, seed=4)
-    assert res.passed
-    # the non-acyclic pairs are 3, 6, ..., and the 10th acyclic one is 14
-    assert len(pairs) == 14 and rounds == [10, 3, 1]
-    assert res.detail == "10 commuting pairs, 4 redrawn"
+    assert not res.passed
+    assert rounds == [10]
+    assert res.detail == "10 commuting pairs, 3 not acyclic"
     monkeypatch.undo()
-    assert check_torus_oracle(10, seed=4).detail.endswith(", 0 redrawn")
+    res = check_torus_oracle(10, seed=4)
+    assert res.passed and res.detail == "10 commuting pairs, 0 not acyclic"
     assert (check_product_identity(50, seed=1).detail
             == "50 random u, 0 redrawn")
 
@@ -322,7 +324,7 @@ def test_draw_call_counts(monkeypatch):
     assert s.shape == t.shape == (200,)
     assert calls["branches"] == 1
     res = check_torus_oracle(100, seed=6)
-    assert res.detail.endswith(", 0 redrawn")
+    assert res.detail.endswith(", 0 not acyclic")
     assert calls["draws"] == calls["oracle"] == 1
 
 
@@ -341,14 +343,14 @@ def reference_checks(samples, seed):
     passed = {"exterior oracle |tau| vs closed form": worst <= 1e-8}
     trace, worst = [], 0.0
     for pt in points:
-        u = trace_u(pt.s)
-        lhs, rhs = 2 - trace_l(pt.s, pt.t), -u ** 4 + 5 * u ** 2
+        lhs = torsion_solid_torus_from_trace(pt.s, pt.t)
+        rhs = torsion_solid_torus_closed(trace_u(pt.s))
         trace.append(lhs)
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
     passed["trace identity 2 - tr rho(l) = u^2(5 - u^2)"] = worst <= 1e-8
     words, worst_closed, worst_l21 = [], 0.0, 0.0
     for pt in points:
-        # a fold of `@`, not the `word_product` the stacked check calls
+        # a fold of `@`, not the word product the stacked check calls
         imgs = rep_stacks(pt.s, pt.t)
         word = reduce(np.matmul, (imgs[a][0] for a in LONGITUDE), E2)
         words.append(word)
@@ -360,16 +362,17 @@ def reference_checks(samples, seed):
     passed["longitude l11 and trace vs word product"] = \
         worst_closed <= 1e-9 and worst_l21 <= 1e-8
     rng = np.random.default_rng(seed + 2)
-    torus, worst = [], 0.0
-    while len(torus) < 100:
+    torus, worst, masked = [], 0.0, 0
+    for _ in range(100):
+        a, b = random_commuting_pairs(rng, 1)
         try:
-            a, b = random_commuting_pairs(rng, 1)
             val = torus_torsion_oracle(a[0], b[0]).value
         except NotAcyclic:
+            masked += 1
             continue
         torus.append(val)
         worst = max(worst, abs(abs(val) - 1.0))
-    passed["torus complex |tau| = 1"] = worst <= 1e-8
+    passed["torus complex |tau| = 1"] = masked == 0 and worst <= 1e-8
     return points, passed, ext, trace, words, torus
 
 
@@ -385,8 +388,8 @@ def test_stacked_checks_match_reference_loops(seed):
     val = torsion_exterior_oracle(s, t)
     assert all(close(a, b, REFERENCE_RTOL) for a, b in zip(val.value, ext))
     assert all(close(a, b, REFERENCE_RTOL)
-               for a, b in zip(2 - trace_l(s, t), trace))
-    stacked_words = word_product(LONGITUDE, rep_stacks(s, t))
+               for a, b in zip(torsion_solid_torus_from_trace(s, t), trace))
+    stacked_words = longitude_matrix_word(s, t)
     for a, b in zip(stacked_words, words):
         assert close_matrix(a, b, REFERENCE_RTOL)
     rng = np.random.default_rng(seed + 2)
@@ -703,6 +706,29 @@ def test_planted_surgery_defects_fail_verify(monkeypatch, module, name,
     results = run_all(0, 0)
     assert [r.passed for r in results] == [True] * 7 + [False]
     assert "FAIL" in results[-1].line()
+
+
+_DENOMINATOR = formulas._denominator
+
+
+def _denominator_inverted(u):
+    """u^2/(u^2 - 5) in place of u^2 (u^2 - 5), refused where the product
+    is, so the planted defect changes values and not DegenerateU."""
+    _DENOMINATOR(u)
+    return u * u / (u * u - 5)
+
+
+def test_planted_denominator_defect_fails_verify(monkeypatch):
+    """A wrong u-form denominator changes every printed tau(M), and the
+    trace check catches it through the solid-torus trace form.  At the
+    geometric point u = 2 both denominators are -4, and the product and
+    surgery checks read the denominator on both of their sides, so the
+    trace check is the one to fail."""
+    monkeypatch.setattr(formulas, "_denominator", _denominator_inverted)
+    results = run_all(200, 0)
+    assert [r.passed for r in results] == [True, True, False] + [True] * 5
+    assert results[2].max_residual > 1.0
+    assert "FAIL" in results[2].line()
 
 
 def test_surgery_check_names_only_a_short_slope(monkeypatch):
