@@ -20,7 +20,10 @@ A variety point is two numbers (s, t), N points two (N,) arrays.
 arrays s and t) and `torus_torsion_oracle` (given (N, 2, 2) stacks)
 work on N points at once through the stacked chain torsion; a
 non-acyclic item is masked in the result, where the call on one point
-raises NotAcyclic.
+raises NotAcyclic.  The exterior oracle at one point (two numbers)
+skips the stack: `_exterior_torsion_one` runs the stacked path's numpy
+operations on that point's 2-D matrices, without the stack's masks
+and validation, so its value has the bits of the stack of one.
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ from typing import Optional
 
 import numpy as np
 
-from .chain import EPS, ChainComplex, TorsionValue, stack_result, torsion
+from .chain import DDZERO_RTOL, EPS, ChainComplex, TorsionValue, torsion
 from .errors import DegenerateU, NotAcyclic
-from .linalg import E2
+from .linalg import E2, _rank, det2
 from .riley import (RileyPoint, RELATOR, complex_csv, complex_json,
                     longitude_matrix_word, rep_stacks, riley_poly, trace_l,
                     trace_l_scale, trace_u, variety_membership)
@@ -44,6 +47,7 @@ DEGENERATE_TOL = 1e-8
 COMPARE_TOL = 1e-8       # relative gap up to which a report check passes
 
 _COMMUTATOR = parse_word("xyXY")
+_PRESENTATION_DIMS = (2, 4, 2)
 
 
 def torsion_exterior_closed(u: complex) -> complex:
@@ -93,6 +97,15 @@ def torsion_solid_torus_from_trace(s, t):
                                  "2 - tr rho(l)")
 
 
+def _presentation_boundaries(imgx, imgy, drdx, drdy):
+    """(d_1, d_2) of `presentation_complex`, for 2x2 matrices or for
+    (N, 2, 2) stacks of them."""
+    d2 = np.concatenate([drdx.mT, drdy.mT], axis=-2)       # C2 (2) -> C1 (4)
+    d1 = np.concatenate([(imgx - E2).mT, (imgy - E2).mT],
+                        axis=-1)                           # C1 (4) -> C0 (2)
+    return d1, d2
+
+
 def presentation_complex(imgx: np.ndarray, imgy: np.ndarray,
                          drdx: np.ndarray, drdy: np.ndarray) -> ChainComplex:
     """Twisted chain complex of a one-relator presentation on x, y, or
@@ -101,10 +114,9 @@ def presentation_complex(imgx: np.ndarray, imgy: np.ndarray,
     Chains carry the transposed block matrices so that the fundamental
     Fox identity sum_g Phi(dr/dg) (Phi(g) - E) = 0 becomes d1 o d2 = 0.
     """
-    d2 = np.concatenate([drdx.mT, drdy.mT], axis=-2)       # C2 (2) -> C1 (4)
-    d1 = np.concatenate([(imgx - E2).mT, (imgy - E2).mT],
-                        axis=-1)                           # C1 (4) -> C0 (2)
-    return ChainComplex(dims=(2, 4, 2), boundaries=(d1, d2))
+    return ChainComplex(dims=_PRESENTATION_DIMS,
+                        boundaries=_presentation_boundaries(imgx, imgy,
+                                                            drdx, drdy))
 
 
 def torsion_exterior_oracle(s, t) -> TorsionValue:
@@ -115,16 +127,47 @@ def torsion_exterior_oracle(s, t) -> TorsionValue:
     has its forced rank and the assembled bases are nonsingular.  The
     result is only defined up to sign, so sign_ambiguous is set.  A
     point off the variety, by |R12(s, t)|, raises NotAcyclic, in a stack
-    too."""
+    too.  Arrays take the stacked chain torsion; one point, given as two
+    numbers, takes `_exterior_torsion_one`, the same numpy operations on
+    2-D matrices, whose value has the bits of the stack of that point."""
     residual = np.abs(riley_poly(s, t))
     off = ~variety_membership(s, t, residual)
     if np.count_nonzero(off):
         raise NotAcyclic("(s, t) is not a homomorphism: "
                          f"|R12| = {np.extract(off, residual)[0]:.3e}")
     imgs = rep_stacks(s, t)
+    if np.ndim(s) == 0:
+        return _exterior_torsion_one({a: m[0] for a, m in imgs.items()})
     chain = torsion(presentation_complex(imgs[X], imgs[Y],
                                          *fox_blocks(RELATOR, imgs)))
-    return stack_result(np.ndim(s) > 0, chain.value, chain.acyclic,
+    return replace(chain, sign_ambiguous=True)
+
+
+# an overflow is raised, not warned; a non-acyclic point may divide by 0
+@np.errstate(all="ignore")
+def _exterior_torsion_one(imgs: dict) -> TorsionValue:
+    """`torsion_exterior_oracle` at one point, given its 2x2 images: the
+    numpy operations that `chain.torsion` runs on the item of a stack of
+    one, on 2-D matrices, so the value has that item's bits.  Both forced
+    ranks are 2, the full rank of either boundary, so the image bases
+    are the whole U and the lifts V S^-1.  The d o d rule stays with
+    `ChainComplex`, which gets the boundaries when |d_1 d_2| exceeds its
+    first test, DDZERO_RTOL, and raises or passes them."""
+    d1, d2 = _presentation_boundaries(imgs[X], imgs[Y],
+                                      *fox_blocks(RELATOR, imgs))
+    if not np.abs(d1 @ d2).max() <= DDZERO_RTOL:     # a NaN goes on too
+        ChainComplex(dims=_PRESENTATION_DIMS, boundaries=(d1, d2))
+    u1, sv1, vh1 = np.linalg.svd(d1, full_matrices=False)
+    u2, sv2, vh2 = np.linalg.svd(d2, full_matrices=False)
+    lift1, lift2 = vh1.conj().T / sv1, vh2.conj().T / sv2
+    # degree 0: the image of d_1; 1: that of d_2 beside the lift of d_1's;
+    # 2: the lift of d_2's
+    dets = np.array([det2(u1),
+                     np.linalg.det(np.concatenate([u2, lift1], axis=1)),
+                     det2(lift2)])
+    if _rank(sv1) != 2 or _rank(sv2) != 2 or not dets.all():
+        raise NotAcyclic("not acyclic")
+    return TorsionValue(complex(dets[1::2].prod() / dets[::2].prod()),
                         sign_ambiguous=True)
 
 

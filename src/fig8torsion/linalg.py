@@ -37,7 +37,11 @@ The same length picks `words.fox_blocks`' product kernel: `@` below
 it, since one point (the `torsion` subcommand) runs ~10% faster end to
 end on it, and entry layouts from it, not from the ~8 crossover, so
 that `test_stacked_exterior_oracle_matches_items`' 41-point stack of
-the exterior oracle takes its points' kernel.
+the exterior oracle takes its points' kernel.  One point of the
+exterior oracle, given as two numbers, takes neither stack: it runs `@`
+and one LAPACK SVD per boundary on 2-D matrices
+(`formulas._exterior_torsion_one`), the operations of its stack of one,
+whose bits it has.
 """
 
 from __future__ import annotations

@@ -5,10 +5,12 @@ reference loops.
 
 Items agree to STACK_RTOL, not bit for bit: numpy's vectorized complex
 arithmetic on a long array rounds differently in the last bits from its
-loop over a one-item array."""
+loop over a one-item array.  The exterior oracle at one point and at
+its stack of one agree bit for bit."""
 
 import cmath
 import math
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
@@ -17,8 +19,9 @@ import pytest
 from fig8torsion import chain
 from fig8torsion.chain import (ChainComplex, is_acyclic, torsion,
                                torsion_with_basis_perturbation)
-from fig8torsion.errors import NotAcyclic, SingularMatrix
-from fig8torsion.formulas import (presentation_complex,
+from fig8torsion.errors import DimensionMismatch, NotAcyclic, SingularMatrix
+from fig8torsion.formulas import (COMPARE_TOL, full_report,
+                                  presentation_complex,
                                   torsion_exterior_closed,
                                   torsion_exterior_oracle,
                                   torsion_solid_torus_closed,
@@ -31,6 +34,7 @@ from fig8torsion.riley import (LONGITUDE, RELATOR, RileyPoint, longitude_l11,
 from fig8torsion.formulas import torsion_surgered
 from fig8torsion.surgery import SurgerySlope, solve_surgery, surgery_residual
 from fig8torsion.verify import (check_basis_independence,
+                                check_exterior_oracle,
                                 check_product_identity, check_surgery_solver,
                                 check_torus_oracle, random_acyclic_stacks,
                                 random_commuting_pairs, run_all,
@@ -97,6 +101,44 @@ def test_stacked_exterior_oracle_matches_items(points):
     assert val.sign_ambiguous and val.acyclic.all()
     for k, (s, t) in enumerate(points.T):
         assert close(val.value[k], torsion_exterior_oracle(s, t).value)
+
+
+def test_one_point_oracle_has_the_bits_of_the_stack_of_one(monkeypatch,
+                                                          points):
+    """One point takes its own kernel, which builds no ChainComplex when
+    d_1 d_2 = 0 holds; its value is the stack of one's, bit for bit."""
+    def no_complex(*args, **kwargs):
+        raise AssertionError("ChainComplex built")
+
+    for s, t in points.T:
+        stacked = torsion_exterior_oracle(np.array([s]), np.array([t]))
+        with monkeypatch.context() as m:
+            m.setattr(formulas, "ChainComplex", no_complex)
+            one = torsion_exterior_oracle(s, t)
+        assert one.value == stacked.value[0] and type(one.value) is complex
+        assert one.sign_ambiguous and one.acyclic is True
+
+
+def test_one_point_oracle_fails_where_the_stack_of_one_does():
+    """Masked in the stack of one (u = 1) is NotAcyclic at the point; off
+    the variety (t = 0), at a broken d o d = 0 (s = 100) and at an
+    overflow in the Fox pass (s = 1e35 + 0.3i) both calls raise the same
+    error with the same message."""
+    bad = solve_t(S_U_ONE)[0]
+    assert not torsion_exterior_oracle(np.array([bad.s]),
+                                       np.array([bad.t])).acyclic[0]
+    with pytest.raises(NotAcyclic, match="^not acyclic$"):
+        torsion_exterior_oracle(bad.s, bad.t)
+    for s, t, error in ((2.0, 0.0, NotAcyclic),
+                        (100.0, solve_t(100.0)[0].t, DimensionMismatch),
+                        (1e35 + 0.3j, solve_t(1e35 + 0.3j)[0].t,
+                         OverflowError)):
+        with pytest.raises(error) as stacked:
+            torsion_exterior_oracle(np.array([s]), np.array([t]))
+        with pytest.raises(error) as one:
+            torsion_exterior_oracle(s, t)
+        assert type(one.value) is type(stacked.value)
+        assert str(one.value) == str(stacked.value)
 
 
 def test_stacked_torus_oracle_matches_items(pairs):
@@ -193,21 +235,14 @@ def test_euler_characteristic_raises_before_any_svd(monkeypatch):
     assert is_acyclic(stack).tolist() == [False] * 3
 
 
-def test_zero_map_gets_no_svd(monkeypatch, points):
-    shapes = []
-    svd = chain.svd
-
-    def counting_svd(m):
-        shapes.append(m.shape)
-        return svd(m)
-
-    monkeypatch.setattr(chain, "svd", counting_svd)
-    # one call per boundary, d_1 (2 x 4) and d_2 (4 x 2); the zero map
-    # C_3 -> C_2 has none
+def test_zero_map_gets_no_svd(lapack_svds, points):
+    # one SVD per boundary, d_1 (2 x 4) and d_2 (4 x 2), on the 41-point
+    # stack and on one point; the zero map C_3 -> C_2 has none
     torsion(exterior_complexes(*points))
     torsion_exterior_oracle(*points[:, 0])
     n = points.shape[1]
-    assert shapes == [(n, 2, 4), (n, 4, 2), (1, 2, 4), (1, 4, 2)]
+    assert n < STACK_KERNEL_MIN_ITEMS
+    assert lapack_svds == [(n, 2, 4), (n, 4, 2), (2, 4), (4, 2)]
 
 
 def test_redraws_are_counted(monkeypatch):
@@ -729,6 +764,35 @@ def test_planted_denominator_defect_fails_verify(monkeypatch):
     assert [r.passed for r in results] == [True, True, False] + [True] * 5
     assert results[2].max_residual > 1.0
     assert "FAIL" in results[2].line()
+
+
+# u = 1.2 at s = 0.6 + 0.8i, so |tau(exterior)| = 0.4: below 1, where the
+# floor of the relative gap |a - b| / max(1, |a|, |b|) is its denominator
+S_SMALL_TAU = complex(0.6, 0.8)
+
+
+def test_oracle_gap_below_modulus_one_fails(monkeypatch):
+    """Below |tau| = 1 the oracle check's relative gap is the absolute
+    one, by the floor max(1, ...) of `full_report` and `verify._relerr`:
+    an oracle 1.5 COMPARE_TOL off fails the report flag and the verify
+    check, where a floor of 2 would halve the gap and pass it."""
+    def shifted(s, t):
+        # the oracle's value moved to modulus |tau| + 1.5 COMPARE_TOL, tau
+        # the closed form
+        tau = torsion_exterior_closed(trace_u(s))
+        return replace(torsion_exterior_oracle(s, t),
+                       value=tau * (1 + 1.5 * COMPARE_TOL / np.abs(tau)))
+
+    plus = solve_t(S_SMALL_TAU)[0]
+    s, t = np.array([plus.s]), np.array([plus.t])
+    assert abs(torsion_exterior_closed(trace_u(plus.s))) < 1
+    assert full_report(plus).flags["exterior_oracle_abs"] == "pass"
+    assert check_exterior_oracle(s, t).passed
+    monkeypatch.setattr(formulas, "torsion_exterior_oracle", shifted)
+    monkeypatch.setattr(verify, "torsion_exterior_oracle", shifted)
+    assert full_report(plus).flags["exterior_oracle_abs"] == "fail"
+    res = check_exterior_oracle(s, t)
+    assert not res.passed and "FAIL" in res.line()
 
 
 def test_surgery_check_names_only_a_short_slope(monkeypatch):
