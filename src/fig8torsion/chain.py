@@ -24,7 +24,8 @@ call, closed form / LAPACK (2-core Xeon, numpy 2.4.6):
     2x2   2.0/2.1   1.7/4.7   2.1/33
 The value does not depend on the choice of the b_i or of the lifts;
 `torsion_with_basis_perturbation` verifies that with randomized
-choices, and reads singular values only.
+choices, one draw per degree, and reads singular values only: a drawn
+basis that falls short of its rank masks the item, with no second draw.
 
 A complex may hold (N, ., .) stacks of boundary matrices, N complexes
 with the same dims.  `torsion`, `is_acyclic` and
@@ -51,7 +52,6 @@ DDZERO_RTOL = 1e-10      # tolerance on d o d = 0, relative to max entry
 # inner dimension) is the rounding error of the product itself: the entries
 # are too large for double precision, which is an overflow, not bad data
 DDZERO_ROUNDING = 8
-DRAW_TRIES = 50          # random image bases drawn before an item is masked
 
 
 @dataclass(frozen=True)
@@ -127,28 +127,24 @@ class ChainComplex:
 @dataclass(frozen=True)
 class TorsionValue:
     """A torsion, or for a stack the (N,) torsions with the (N,) mask of
-    acyclic items; a masked item's value is NaN.  redrawn counts the
-    random image bases drawn beyond each item's first (see
-    `torsion_with_basis_perturbation`), over all items."""
+    acyclic items; a masked item's value is NaN."""
 
     value: Union[complex, np.ndarray]
     sign_ambiguous: bool = False
     acyclic: Union[bool, np.ndarray] = True
-    redrawn: int = 0
 
 
 def stack_result(stacked: bool, tau: np.ndarray, acyclic: np.ndarray,
-                 sign_ambiguous: bool = False,
-                 redrawn: int = 0) -> TorsionValue:
+                 sign_ambiguous: bool = False) -> TorsionValue:
     """The TorsionValue of (N,) values and their acyclic mask: the
     stack itself, or for one item (stacked False) its value, raising
     NotAcyclic where the mask is False."""
     if stacked:
         return TorsionValue(np.where(acyclic, tau, np.nan), sign_ambiguous,
-                            acyclic, redrawn)
+                            acyclic)
     if not acyclic[0]:
         raise NotAcyclic("not acyclic")
-    return TorsionValue(complex(tau[0]), sign_ambiguous, redrawn=redrawn)
+    return TorsionValue(complex(tau[0]), sign_ambiguous)
 
 
 def _forced_ranks(dims) -> list[int]:
@@ -237,10 +233,10 @@ def torsion_with_basis_perturbation(c: ChainComplex, seed,
     is im d_{i+2} in an exact complex; the top map is injective, so its
     lift is g alone.  Only singular values are computed: the ranks of
     the d_i and of the b.  seed is an int or a Generator; every item
-    draws its own g and h from that one stream.  An item whose b falls
-    short of its forced rank draws a new g, up to DRAW_TRIES in all, and
-    is masked (NotAcyclic for one complex) if none has full rank; so is
-    an item that is not acyclic, which draws no g.
+    draws its own g and h from that one stream, one g per degree.  An
+    item whose b falls short of its forced rank is masked (NotAcyclic
+    for one complex), and so is an item that is not acyclic, which draws
+    no g.
 
     copies > 1 checks that many choices of bases per item: the N items
     are ranked once, then their masks and boundaries are tiled as
@@ -251,20 +247,14 @@ def torsion_with_basis_perturbation(c: ChainComplex, seed,
     rng = np.random.default_rng(seed)
     stacks = tuple(np.tile(d, (copies, 1, 1)) for d in c.stacks)
     size = copies * c.size
-    bases, lifts, redrawn = [], [], 0
+    bases, lifts = [], []
     for i, (d, r) in enumerate(zip(stacks, ranks)):
         g = np.zeros((size, d.shape[2], r), dtype=complex)
         b = np.zeros((size, d.shape[1], r), dtype=complex)
-        todo = acyclic.copy()
-        for tries in range(DRAW_TRIES):
-            if not todo.any():
-                break
-            redrawn += int(todo.sum()) if tries else 0
-            shape = (int(todo.sum()), *g.shape[1:])
-            g[todo] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-            b[todo] = d[todo] @ g[todo]
-            todo[todo] = rank(b[todo]) != r
-        acyclic &= ~todo
+        shape = (int(acyclic.sum()), *g.shape[1:])
+        g[acyclic] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        b[acyclic] = d[acyclic] @ g[acyclic]
+        acyclic[acyclic] = rank(b[acyclic]) == r
         if i + 1 < len(stacks):
             nxt = stacks[i + 1]
             shape = (size, nxt.shape[2], r)
@@ -273,5 +263,4 @@ def torsion_with_basis_perturbation(c: ChainComplex, seed,
         bases.append(b)
         lifts.append(g)
     tau, nonsingular = _alternating_product(bases, lifts)
-    return stack_result(c.stacked or copies > 1, tau, acyclic & nonsingular,
-                        redrawn=redrawn)
+    return stack_result(c.stacked or copies > 1, tau, acyclic & nonsingular)

@@ -6,9 +6,7 @@ MAX_VERIFY_SAMPLES), 2 invalid mathematical input (including a
 non-finite value, an overflow, or a surgery slope whose Chebyshev
 degree max(4|q|, |p|) exceeds `surgery.MAX_SURGERY_DEGREE`, which
 `solve_surgery` refuses), 3 verification failure.
-The output format and the verify seed can be set by flags or by the
-"format" and "seed" keys of a JSON config file (--config); flags win.
-A subcommand accepts only the flags it reads, and --config.
+A subcommand accepts only the flags it reads.
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ def parse_complex(text: str) -> complex:
         return complex(float(re_s), float(im_s))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
-            f"expected 're,im' pair, got {text!r}") from exc
+            f"expected 're,im' pair, got {_clip(text)!r}") from exc
 
 
 def _clip(text: str) -> str:
@@ -86,19 +84,6 @@ def parse_samples(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"at most {MAX_VERIFY_SAMPLES} samples, got {_clip(text)}")
     return count
-
-
-_FLAGS = {"format": {"choices": ["json", "csv", "pretty"],
-                     "default": "pretty"},
-          "seed": {"type": parse_count, "default": 0}}
-
-
-def _add_flags(sub, *names):
-    """The named flags, which the subcommand reads, and --config."""
-    for name in names:
-        sub.add_argument(f"--{name}", **_FLAGS[name])
-    sub.add_argument("--config",
-                     help='JSON file of "format"/"seed" values (flags win)')
 
 
 def _fmt_cx(z: complex) -> str:
@@ -192,11 +177,12 @@ def build_parser() -> argparse.ArgumentParser:
                                  "figure-eight knot")
     subs = parser.add_subparsers(dest="command", required=True,
                                  parser_class=_Parser)
+    formats = ["json", "csv", "pretty"]
 
     sub = subs.add_parser("riley", help="solve the variety over a given s")
     sub.add_argument("--s", type=parse_complex, required=True,
                      metavar="RE,IM")
-    _add_flags(sub, "format")
+    sub.add_argument("--format", choices=formats, default="pretty")
     sub.set_defaults(func=cmd_riley)
 
     sub = subs.add_parser(
@@ -208,45 +194,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--s", type=parse_complex, required=True,
                      metavar="RE,IM")
     sub.add_argument("--branch", choices=["+", "-"], default="+")
-    _add_flags(sub, "format")
+    sub.add_argument("--format", choices=formats, default="pretty")
     sub.set_defaults(func=cmd_torsion)
 
     sub = subs.add_parser("surgery", help="tabulate p/q surgery solutions")
     sub.add_argument("--p", type=parse_int, required=True)
     sub.add_argument("--q", type=parse_int, required=True)
-    _add_flags(sub, "format")
+    sub.add_argument("--format", choices=formats, default="pretty")
     sub.set_defaults(func=cmd_surgery)
 
     sub = subs.add_parser("verify", help="run the self-verification suite")
     sub.add_argument("--samples", type=parse_samples, default=200)
-    _add_flags(sub, "format", "seed")
+    sub.add_argument("--format", choices=formats, default="pretty")
+    sub.add_argument("--seed", type=parse_count, default=0)
     sub.set_defaults(func=cmd_verify)
     return parser
 
 
-def _with_config(parser, argv: list[str], ns) -> list[str]:
-    """argv with the --config file's values inserted as flags after the
-    subcommand name, for the flags that subcommand registers, so that
-    argparse checks them and a later flag on the command line wins."""
-    try:
-        with open(ns.config) as fh:
-            data = json.load(fh)
-    except (OSError, ValueError) as exc:
-        parser.error(f"config file {ns.config}: {exc}")
-    if not isinstance(data, dict) or not set(data) <= set(_FLAGS):
-        parser.error(f"config file {ns.config}: expected a JSON object "
-                     f"with keys among {', '.join(_FLAGS)}")
-    flags = [f"--{key}={val}" for key, val in data.items() if hasattr(ns, key)]
-    at = argv.index(ns.command) + 1
-    return argv[:at] + flags + argv[at:]
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    ns = parser.parse_args(argv)
-    if ns.config:
-        ns = parser.parse_args(_with_config(parser, argv, ns))
+    ns = build_parser().parse_args(argv)
     try:
         return ns.func(ns)
     except (Fig8Error, OverflowError) as exc:

@@ -255,11 +255,8 @@ def _roots(slope: SurgerySlope) -> tuple[np.ndarray, np.ndarray]:
         # z = +-i give s = +-i and lam = 1, written as values, since
         # numpy takes z ** n by exp/log for |n| >= 100, off by ~1e-15
         m = len(v)
-        # s_lam[0 for s, 1 for lam][z half, 1/z half][m roots, then +-i]
-        s_lam = np.ones((2, 2, m + 1), dtype=complex)
-        s_lam[0, :, :m], s_lam[1, :, :m] = s.reshape(2, m), lam.reshape(2, m)
-        s_lam[0, :, m] = 1j, -1j
-        s, lam = s_lam.reshape(2, -1)
+        s = np.concatenate([s[:m], [1j], s[m:], [-1j]])
+        lam = np.concatenate([lam[:m], [1], lam[m:], [1]])
     return s, lam
 
 

@@ -1,9 +1,10 @@
 """Exact certificates, in sympy, for the closed forms that the numeric
 tests check only at sample points, against the longitude word product:
-the trace equals the word's, l11 and the A-polynomial trace agree with
-it modulo R12 (hence the trace identity), the word's l21 vanishes
-modulo R12, the branch-point rule inverts l11, and the Chebyshev
-series of the surgery relation equals its definition.  Also the
+the trace equals the word's, `trace_l_scale` is the sum of its terms'
+moduli, l11 and the A-polynomial trace agree with it modulo R12 (hence
+the trace identity), the word's l21 vanishes modulo R12, the
+branch-point rule inverts l11, and the Chebyshev series of the surgery
+relation equals its definition.  Also the
 factors that series is divided by or that give no row, and
 det Phi(dr/dy) = -2(u - 1) det(Phi(x) - E) modulo R12 from the symbolic
 Fox derivative of the relator."""
@@ -64,6 +65,21 @@ def test_longitude_closed_forms_exact(symbolic):
     assert sympy.expand(trace_l(s, t) - word.trace()) == 0
     r12 = sympy.expand(riley_poly(s, t))
     assert _is_zero_mod_r12(longitude_l11(s, t) - word[0, 0], r12)
+
+
+def test_trace_l_scale_is_the_sum_of_the_term_moduli():
+    """`trace_l_scale`, the rounding scale that `full_report` gives the
+    trace identity, is the sum of the moduli of the seven terms of the
+    expanded word trace, 2 included."""
+    terms = sympy.Add.make_args(sympy.expand(_longitude_word_matrix().trace()))
+    assert len(terms) == 7 and 2 in terms
+    rng = np.random.default_rng(3)
+    sv, tv = np.exp(rng.normal(size=(2, 50))
+                    + 2j * np.pi * rng.random((2, 50)))
+    want = sum(np.abs(sympy.lambdify((s, t), term, "numpy")(sv, tv))
+               for term in terms)
+    got = riley.trace_l_scale(sv, tv)
+    assert np.max(np.abs(got - want) / want) <= 1e-12
 
 
 def test_longitude_modulo_r12(symbolic):

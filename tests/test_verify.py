@@ -455,7 +455,7 @@ def items_of(stack):
 def test_stacked_perturbation_matches_items(seed):
     for stack in stacks_by_dims(40, seed=6):
         val = torsion_with_basis_perturbation(stack, seed)
-        assert val.acyclic.all() and val.redrawn == 0
+        assert val.acyclic.all()
         for k, one in enumerate(items_of(stack)):
             assert close(val.value[k],
                          torsion_with_basis_perturbation(one, seed).value,
@@ -474,17 +474,18 @@ def test_zero_boundary_item_masks_only_it():
 
 
 # sigma_min of d g for the middle item is about 2e-9 |det g| / sigma_max:
-# seed 4 draws a g that puts the item alone under the rank threshold, and
-# the next g does not; in the stack, seed 5 does the same for the middle
-# item
+# seed 4 draws a g that puts the item alone under the rank threshold; in
+# the stack, seed 5 does the same for the middle item
 NEAR_THRESHOLD = ChainComplex(
     (2, 2), (np.array([E2, np.diag([1.0, 2e-9]).astype(complex), 2 * E2]),))
 
 
-def test_only_the_near_threshold_item_redraws(monkeypatch):
+def test_only_the_near_threshold_item_is_masked(monkeypatch):
+    """A drawn basis that falls short of its rank masks its item: there
+    is one draw per degree and no second."""
     stack = NEAR_THRESHOLD
-    one = torsion_with_basis_perturbation(items_of(stack)[1], 4)
-    assert one.redrawn == 1
+    with pytest.raises(NotAcyclic):
+        torsion_with_basis_perturbation(items_of(stack)[1], 4)
     sizes = []
     rank = chain.rank
 
@@ -494,11 +495,11 @@ def test_only_the_near_threshold_item_redraws(monkeypatch):
 
     monkeypatch.setattr(chain, "rank", counting_rank)
     val = torsion_with_basis_perturbation(stack, 5)
-    # the boundaries, then the three first draws, then the one redraw
-    assert sizes == [3, 3, 1]
-    assert val.acyclic.all() and val.redrawn == 1
-    assert close(one.value, 5e8, 1e-10)
-    assert close(val.value[1], 5e8, 1e-10)
+    # the boundaries, then the three draws
+    assert sizes == [3, 3]
+    assert val.acyclic.tolist() == [True, False, True]
+    assert close(val.value[0], 1.0, 1e-10)
+    assert close(val.value[2], 0.25, 1e-10)
 
 
 def test_copies_of_one_complex_draw_their_own_bases():
@@ -524,7 +525,6 @@ def test_copies_are_the_tiled_stack(seed):
         ref = torsion_with_basis_perturbation(tiled, seed)
         assert val.value.tobytes() == ref.value.tobytes()
         assert np.array_equal(val.acyclic, ref.acyclic)
-        assert val.redrawn == ref.redrawn
     zero = ChainComplex((2, 2), (np.array([E2, np.zeros((2, 2))]),))
     val = torsion_with_basis_perturbation(zero, seed, copies=3)
     assert val.acyclic.tolist() == [True, False] * 3
@@ -552,7 +552,7 @@ def test_basis_check_matches_reference_loop(seed):
     res = check_basis_independence(20, seed)
     assert res.passed == passed
     assert max(res.max_residual, worst) <= 1e-11
-    assert res.detail.endswith("x 10 bases, 0 redrawn, 0 masked")
+    assert res.detail.endswith("x 10 bases, 0 masked")
 
 
 def fixture_shapes(n_fixtures, seed):
@@ -615,7 +615,7 @@ def test_basis_check_svd_calls(monkeypatch):
     for seed in range(2, 22):
         del calls[:]
         res = check_basis_independence(20, seed)
-        assert "0 redrawn" in res.detail
+        assert res.detail.endswith("x 10 bases, 0 masked")
         stacks = random_acyclic_stacks(np.random.default_rng(seed), 20)
         assert calls == [
             call for c in stacks for call in
@@ -657,7 +657,7 @@ def test_masked_fixture_fails_the_basis_check(monkeypatch):
     res = check_basis_independence(20, seed=2)
     assert not res.passed and np.isfinite(res.max_residual)
     shapes = fixture_shapes(20, seed=2)
-    assert res.detail.endswith(f"0 redrawn, {len(shapes)} masked")
+    assert res.detail.endswith(f"x 10 bases, {len(shapes)} masked")
 
 
 def test_surgery_check_makes_one_call_of_each(monkeypatch):
