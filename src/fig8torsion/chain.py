@@ -24,16 +24,16 @@ call, closed form / LAPACK (2-core Xeon, numpy 2.4.6):
     2x2   2.0/2.1   1.7/4.7   2.1/33
 The value does not depend on the choice of the b_i or of the lifts;
 `torsion_with_basis_perturbation` verifies that with randomized
-choices, one draw per degree, and reads singular values only: a drawn
-basis that falls short of its rank masks the item, with no second draw.
+choices, one draw per degree, and ranks the drawn bases only: one that
+falls short of its rank masks the item, with no second draw.
 
 A complex may hold (N, ., .) stacks of boundary matrices, N complexes
 with the same dims.  `torsion`, `is_acyclic` and
 `torsion_with_basis_perturbation` then work item by item and mask a
 non-acyclic item where a single complex raises NotAcyclic.
 `torsion_with_basis_perturbation` draws every item's random bases from
-one generator, item by item, so its `copies` = k checks k different
-choices of bases per complex in one call, ranking each complex once.
+one generator, item by item, so a stack that repeats a complex k times
+checks k different choices of bases for it in one call.
 """
 
 from __future__ import annotations
@@ -134,17 +134,16 @@ class TorsionValue:
     acyclic: Union[bool, np.ndarray] = True
 
 
-def stack_result(stacked: bool, tau: np.ndarray, acyclic: np.ndarray,
-                 sign_ambiguous: bool = False) -> TorsionValue:
+def stack_result(stacked: bool, tau: np.ndarray,
+                 acyclic: np.ndarray) -> TorsionValue:
     """The TorsionValue of (N,) values and their acyclic mask: the
     stack itself, or for one item (stacked False) its value, raising
     NotAcyclic where the mask is False."""
     if stacked:
-        return TorsionValue(np.where(acyclic, tau, np.nan), sign_ambiguous,
-                            acyclic)
+        return TorsionValue(np.where(acyclic, tau, np.nan), acyclic=acyclic)
     if not acyclic[0]:
         raise NotAcyclic("not acyclic")
-    return TorsionValue(complex(tau[0]), sign_ambiguous)
+    return TorsionValue(complex(tau[0]))
 
 
 def _forced_ranks(dims) -> list[int]:
@@ -163,21 +162,16 @@ def _forced_ranks(dims) -> list[int]:
     return ranks
 
 
-def _acyclic(c: ChainComplex, ranks) -> np.ndarray:
-    """The (N,) mask of the items where every d_i has its forced rank."""
-    acyclic = np.ones(c.size, dtype=bool)
-    for d, r in zip(c.stacks, ranks):
-        acyclic &= rank(d) == r
-    return acyclic
-
-
 def is_acyclic(c: ChainComplex):
-    """True iff rank d_i + rank d_{i+1} = dim C_i in every degree, i.e.
-    every d_i has its forced rank; an (N,) mask for a stack."""
+    """True iff every d_i has its forced rank (`linalg.rank`), i.e.
+    rank d_i + rank d_{i+1} = dim C_i in every degree; an (N,) mask for
+    a stack, all False for dims that admit no exact complex."""
+    acyclic = np.ones(c.size, dtype=bool)
     try:
-        acyclic = _acyclic(c, _forced_ranks(c.dims))
+        for d, r in zip(c.stacks, _forced_ranks(c.dims)):
+            acyclic &= rank(d) == r
     except NotAcyclic:
-        acyclic = np.zeros(c.size, dtype=bool)
+        acyclic[:] = False
     return acyclic if c.stacked else bool(acyclic[0])
 
 
@@ -225,42 +219,32 @@ def torsion(c: ChainComplex) -> TorsionValue:
 
 
 @np.errstate(all="ignore")   # a masked item may divide by 0
-def torsion_with_basis_perturbation(c: ChainComplex, seed,
-                                    copies: int = 1) -> TorsionValue:
+def torsion_with_basis_perturbation(c: ChainComplex, seed) -> TorsionValue:
     """Same torsion, but with randomized image bases b = d_{i+1} g and
     randomized lifts g + d_{i+2} h; agreement with `torsion` exercises
     choice independence.  The shift d_{i+2} h lies in ker d_{i+1}, which
     is im d_{i+2} in an exact complex; the top map is injective, so its
-    lift is g alone.  Only singular values are computed: the ranks of
-    the d_i and of the b.  seed is an int or a Generator; every item
-    draws its own g and h from that one stream, one g per degree.  An
-    item whose b falls short of its forced rank is masked (NotAcyclic
-    for one complex), and so is an item that is not acyclic, which draws
-    no g.
-
-    copies > 1 checks that many choices of bases per item: the N items
-    are ranked once, then their masks and boundaries are tiled as
-    `np.tile` does (copy j of item k is item j N + k of the result), and
-    the result is a stack of copies * N values."""
-    ranks = _forced_ranks(c.dims)
-    acyclic = np.tile(_acyclic(c, ranks), copies)
+    lift is g alone.  seed is an int or a Generator; every item draws
+    its own g and h from that one stream, one g per degree.  An item
+    whose b falls short of its forced rank r_i is masked (NotAcyclic for
+    one complex).  Only the b are ranked, from their singular values:
+    with d o d = 0, rank b_i <= rank d_{i+1} <= dim C_{i+1} - rank
+    b_{i+1}, so b of their forced ranks force every boundary's rank."""
+    acyclic = np.ones(c.size, dtype=bool)
     rng = np.random.default_rng(seed)
-    stacks = tuple(np.tile(d, (copies, 1, 1)) for d in c.stacks)
-    size = copies * c.size
+    stacks = c.stacks
     bases, lifts = [], []
-    for i, (d, r) in enumerate(zip(stacks, ranks)):
-        g = np.zeros((size, d.shape[2], r), dtype=complex)
-        b = np.zeros((size, d.shape[1], r), dtype=complex)
-        shape = (int(acyclic.sum()), *g.shape[1:])
-        g[acyclic] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        b[acyclic] = d[acyclic] @ g[acyclic]
-        acyclic[acyclic] = rank(b[acyclic]) == r
+    for i, (d, r) in enumerate(zip(stacks, _forced_ranks(c.dims))):
+        shape = (c.size, d.shape[2], r)
+        g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        b = d @ g
+        acyclic &= rank(b) == r
         if i + 1 < len(stacks):
             nxt = stacks[i + 1]
-            shape = (size, nxt.shape[2], r)
+            shape = (c.size, nxt.shape[2], r)
             h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
             g = g + nxt @ h
         bases.append(b)
         lifts.append(g)
     tau, nonsingular = _alternating_product(bases, lifts)
-    return stack_result(c.stacked or copies > 1, tau, acyclic & nonsingular)
+    return stack_result(c.stacked, tau, acyclic & nonsingular)

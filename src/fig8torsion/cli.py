@@ -39,9 +39,22 @@ class _Parser(argparse.ArgumentParser):
         # and no spelling of inf or nan that float() accepts
         self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)",
                                                    re.IGNORECASE)
+        self._inputs = []
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._inputs = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
 
     # argparse exits 2 on usage errors; the contract here is exit 1
     def error(self, message):
+        # argparse quotes or lists an input, or the value after its
+        # option's name ("--format=v", "-hv"), as it is or as its repr:
+        # clip each, the longest first
+        forms = {form for text in self._inputs
+                 for part in (text, text[2:], text.partition("=")[2])
+                 for form in (part, repr(part)[1:-1])}
+        for form in sorted(forms, key=len, reverse=True):
+            message = message.replace(form, _clip(form))
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)

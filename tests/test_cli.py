@@ -117,13 +117,21 @@ def test_verify_samples_above_the_limit_exit_1(capsys, monkeypatch):
     (("surgery", "--p", "9" * 400, "--q", "1"), 2),
     (("surgery", "--p", "9" * 400, "--q", "3"), 2),
     (("riley", "--s", "x" * 5000), 1),
-    (("torsion", "--s", "1," + "9" * 5000 + "x"), 1)])
+    (("torsion", "--s", "1," + "9" * 5000 + "x"), 1),
+    (("torsion", "--s", "1,0", "--format", "x" * 300), 1),
+    (("x" * 300,), 1),
+    (("torsion", "--s", "1,0", "--", "x" * 300), 1),
+    (("riley", "--s", "1,0", "x" * 300), 1),
+    (("verify", "--s=" + "x" * 300), 1),
+    (("riley", "--help=" + "x" * 300), 1)])
 def test_over_long_integer_one_short_error_line(capsys, argv, code):
     """An integer flag over Python's 4300-digit int() limit, a valid
-    count or slope hundreds of digits long, or a bad re,im value
-    thousands of characters long gives today's exit code and one short
-    error line, which quotes at most 20 characters of the input and
-    names no parser function."""
+    count or slope hundreds of digits long, a bad re,im value thousands
+    of characters long, or an input hundreds of characters long that
+    argparse itself quotes (a choice, a subcommand, an unrecognized or
+    ambiguous argument, an ignored explicit value) gives today's exit
+    code and one short error line, which quotes at most 20 characters
+    of the input and names no parser function."""
     try:
         assert main(list(argv)) == code
     except SystemExit as exc:
@@ -455,7 +463,8 @@ def test_verify_deterministic(capsys):
     (("riley", "--s", "1,0"), '{"format": "json", "colour": "red"}')])
 def test_config_file_fault_exit_1(tmp_path, capsys, argv, text):
     """There is no config file: --config is an unrecognized argument,
-    refused before any file is read, whatever the file holds."""
+    refused before any file is read, whatever the file holds.  The path
+    is quoted like any input, at most 20 characters of it."""
     cfg = tmp_path / "cfg.json"
     if text is not None:
         cfg.write_text(text)
@@ -464,5 +473,6 @@ def test_config_file_fault_exit_1(tmp_path, capsys, argv, text):
     assert exc.value.code == 1
     out, err = capsys.readouterr()
     assert out == ""
+    path = str(cfg) if len(str(cfg)) <= 20 else str(cfg)[:17] + "..."
     assert [ln for ln in err.splitlines() if "error:" in ln] == [
-        f"fig8torsion: error: unrecognized arguments: --config {cfg}"]
+        f"fig8torsion: error: unrecognized arguments: --config {path}"]

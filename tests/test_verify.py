@@ -34,9 +34,10 @@ from fig8torsion.riley import (LONGITUDE, RELATOR, RileyPoint, longitude_l11,
 from fig8torsion.formulas import torsion_surgered
 from fig8torsion.surgery import SurgerySlope, solve_surgery, surgery_residual
 from fig8torsion.verify import (check_basis_independence,
-                                check_exterior_oracle,
+                                check_exterior_oracle, check_longitude_lemma,
                                 check_product_identity, check_surgery_solver,
-                                check_torus_oracle, random_acyclic_stacks,
+                                check_torus_oracle, check_trace_identity,
+                                random_acyclic_stacks,
                                 random_commuting_pairs, run_all,
                                 sample_variety_points)
 from fig8torsion import formulas, surgery, verify
@@ -318,8 +319,6 @@ def reference_variety_points(n, seed):
         r = math.exp(rng.uniform(math.log(0.3), math.log(3.0)))
         theta = rng.uniform(0.0, 2 * math.pi)
         s = r * cmath.exp(1j * theta)
-        if abs(2 - trace_u(s)) < 1e-3:
-            continue
         plus, minus = solve_t(s)
         pts.append(plus if len(pts) % 2 == 0 else minus)
     return pts
@@ -338,6 +337,20 @@ def test_variety_samples_match_reference_loop(seed):
         assert abs(sk - q.s) <= 1e-15 * abs(q.s)
         assert close(tk, q.t, 1e-14)
     assert variety_membership(s, t, np.abs(riley_poly(s, t))).all()
+
+
+def test_sampled_checks_hold_near_s_one():
+    """The sampler keeps points near the parabolic s = 1 (u = 2), so the
+    three sampled checks must hold there: 400 points with |s - 1|
+    log-uniform in [1e-12, 0.03], branches alternating "+", "-"."""
+    rng = np.random.default_rng(7)
+    dist = np.exp(rng.uniform(math.log(1e-12), math.log(0.03), 400))
+    s = 1 + dist * np.exp(2j * math.pi * rng.uniform(size=400))
+    t = np.where(np.arange(400) % 2 == 0, *verify._t_branches(s * s))
+    for check in (check_exterior_oracle, check_trace_identity,
+                  check_longitude_lemma):
+        res = check(s, t)
+        assert res.passed, res.line()
 
 
 def test_draw_call_counts(monkeypatch):
@@ -473,6 +486,21 @@ def test_zero_boundary_item_masks_only_it():
         torsion_with_basis_perturbation(items_of(stack)[1], 0)
 
 
+def test_zero_second_boundary_masks_only_its_item():
+    """A (1, 2, 1) stack whose second item has d_2 = 0: d o d = 0 holds,
+    but rank d_2 = 0 < 1.  Both calls mask that item alone, and the
+    first item's perturbed value is its torsion."""
+    d1 = np.array([[[2.0, 1.0]]] * 2, dtype=complex)
+    d2 = np.array([[[1.0], [-2.0]], [[0.0], [0.0]]], dtype=complex)
+    stack = ChainComplex((1, 2, 1), (d1, d2))
+    ref = torsion(stack)
+    assert ref.acyclic.tolist() == [True, False]
+    for seed in range(10):
+        val = torsion_with_basis_perturbation(stack, seed)
+        assert val.acyclic.tolist() == [True, False], seed
+        assert close(val.value[0], ref.value[0], PERTURBED_RTOL), seed
+
+
 # sigma_min of d g for the middle item is about 2e-9 |det g| / sigma_max:
 # seed 4 draws a g that puts the item alone under the rank threshold; in
 # the stack, seed 5 does the same for the middle item
@@ -495,8 +523,8 @@ def test_only_the_near_threshold_item_is_masked(monkeypatch):
 
     monkeypatch.setattr(chain, "rank", counting_rank)
     val = torsion_with_basis_perturbation(stack, 5)
-    # the boundaries, then the three draws
-    assert sizes == [3, 3]
+    # the three drawn bases, and no boundary
+    assert sizes == [3]
     assert val.acyclic.tolist() == [True, False, True]
     assert close(val.value[0], 1.0, 1e-10)
     assert close(val.value[2], 0.25, 1e-10)
@@ -506,28 +534,13 @@ def test_copies_of_one_complex_draw_their_own_bases():
     """10 copies of one complex check 10 choices of bases: the values
     differ in their last bits, and each is the torsion."""
     cx = items_of(stacks_by_dims(6, seed=1)[0])[0]
-    val = torsion_with_basis_perturbation(cx, 0, copies=10)
+    copies = ChainComplex(cx.dims, tuple(np.tile(d, (10, 1, 1))
+                                         for d in cx.boundaries))
+    val = torsion_with_basis_perturbation(copies, 0)
     assert val.value.shape == (10,) and val.acyclic.all()
     assert len({v.tobytes() for v in val.value}) > 1
     ref = torsion(cx).value
     assert all(close(v, ref, PERTURBED_RTOL) for v in val.value)
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_copies_are_the_tiled_stack(seed):
-    """copies = 10 ranks the items once and then draws, bit for bit, what
-    the stack tiled 10 times draws; a masked item is masked in every
-    copy."""
-    for stack in [*stacks_by_dims(40, seed=6), NEAR_THRESHOLD]:
-        tiled = ChainComplex(stack.dims, tuple(np.tile(b, (10, 1, 1))
-                                               for b in stack.boundaries))
-        val = torsion_with_basis_perturbation(stack, seed, copies=10)
-        ref = torsion_with_basis_perturbation(tiled, seed)
-        assert val.value.tobytes() == ref.value.tobytes()
-        assert np.array_equal(val.acyclic, ref.acyclic)
-    zero = ChainComplex((2, 2), (np.array([E2, np.zeros((2, 2))]),))
-    val = torsion_with_basis_perturbation(zero, seed, copies=3)
-    assert val.acyclic.tolist() == [True, False] * 3
 
 
 def reference_basis_check(n_fixtures, seed):
@@ -579,11 +592,13 @@ def test_basis_check_makes_one_call_per_shape(monkeypatch):
     assert [c.dims for c, _, _ in calls["torsion"]] == shapes
     assert [c.dims for c, _, _ in calls["perturbed"]] == shapes
     # every fixture rides in one stack, which the perturbed call takes
-    # as it is, with 10 copies: 10 bases per fixture
+    # tiled 10 times: 10 bases per fixture
     assert sum(c.size for c, _, _ in calls["torsion"]) == 20
     for (ref, _, _), (c, kwargs, val) in zip(calls["torsion"],
                                              calls["perturbed"]):
-        assert c is ref and kwargs == {"copies": 10}
+        assert kwargs == {} and c.dims == ref.dims
+        for d, d_ref in zip(c.boundaries, ref.boundaries):
+            assert np.array_equal(d, np.tile(d_ref, (10, 1, 1)))
         assert val.value.shape == (10 * ref.size,)
     assert res.passed
     assert res.detail.startswith(f"20 fixtures in {len(shapes)} shapes")
@@ -591,9 +606,8 @@ def test_basis_check_makes_one_call_per_shape(monkeypatch):
 
 def test_basis_check_svd_calls(monkeypatch):
     # per shape: one full svd per boundary in the torsion call, then none
-    # in the perturbed call, which reads singular values only (`rank`):
-    # each boundary stack of n fixtures once, then each stack of the
-    # 10 n random bases b = d g
+    # in the perturbed call, which reads singular values only (`rank`)
+    # and of no boundary: each stack of the 10 n random bases b = d g
     calls = []
     svd, rank = chain.svd, chain.rank
 
@@ -605,9 +619,9 @@ def test_basis_check_svd_calls(monkeypatch):
         calls.append(len(m))
         return rank(m)
 
-    def marked(c, rng, copies):
+    def marked(c, rng):
         calls.append("perturbed")
-        return torsion_with_basis_perturbation(c, rng, copies)
+        return torsion_with_basis_perturbation(c, rng)
 
     monkeypatch.setattr(chain, "svd", counting_svd)
     monkeypatch.setattr(chain, "rank", counting_rank)
@@ -619,8 +633,7 @@ def test_basis_check_svd_calls(monkeypatch):
         stacks = random_acyclic_stacks(np.random.default_rng(seed), 20)
         assert calls == [
             call for c in stacks for call in
-            ("svd", "svd", "perturbed", c.size, c.size,
-             10 * c.size, 10 * c.size)], seed
+            ("svd", "svd", "perturbed", 10 * c.size, 10 * c.size)], seed
 
 
 def test_only_the_basis_check_takes_lapack_svds(monkeypatch, lapack_svds):
@@ -647,8 +660,8 @@ def test_only_the_basis_check_takes_lapack_svds(monkeypatch, lapack_svds):
 
 def test_masked_fixture_fails_the_basis_check(monkeypatch):
     # a NaN residual would vanish under max(); the masked count fails it
-    def mask_first(c, seed, copies):
-        val = torsion_with_basis_perturbation(c, seed, copies)
+    def mask_first(c, seed):
+        val = torsion_with_basis_perturbation(c, seed)
         acyclic = val.acyclic.copy()
         acyclic[0] = False
         return chain.stack_result(True, val.value, acyclic)
@@ -658,6 +671,21 @@ def test_masked_fixture_fails_the_basis_check(monkeypatch):
     assert not res.passed and np.isfinite(res.max_residual)
     shapes = fixture_shapes(20, seed=2)
     assert res.detail.endswith(f"x 10 bases, {len(shapes)} masked")
+
+
+def test_fixture_under_the_rank_threshold_fails_the_basis_check(monkeypatch):
+    """A fixture whose boundary has sigma_min / sigma_max = 5e-10, under
+    RANK_RTOL, is masked by `torsion`; some of its drawn bases may keep
+    their rank, but the check requires both masks, so it counts the
+    fixture as masked and fails."""
+    stack = ChainComplex(
+        (2, 2), (np.array([E2, np.diag([1.0, 5e-10]), 2 * E2], complex),))
+    assert torsion(stack).acyclic.tolist() == [True, False, True]
+    monkeypatch.setattr(verify, "random_acyclic_stacks",
+                        lambda rng, n: [stack])
+    res = check_basis_independence(3, seed=0)
+    assert not res.passed and np.isfinite(res.max_residual)
+    assert res.detail == "3 fixtures in 1 shapes x 10 bases, 1 masked"
 
 
 def test_surgery_check_makes_one_call_of_each(monkeypatch):
